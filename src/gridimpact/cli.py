@@ -16,6 +16,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,7 +41,6 @@ from .evfleet import (
 from .netmodel import NetworkModel, load_network, validate_radial
 from .powerflow import (
     SolverConfig,
-    active_backend,
     qsts_lines_csv,
     qsts_summary_csv,
     run_qsts,
@@ -157,9 +157,20 @@ class PipelineRun:
     # --- plumbing ---------------------------------------------------------
 
     def _write(self, name: str, text: str) -> None:
+        """Write an artifact through a temp file and ``os.replace``, so a
+        crash or a concurrent run never leaves a half-written file under the
+        final name. The temp name carries the pid so two runs of the same
+        config never share one."""
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        (self.run_dir / name).write_text(text, encoding="utf-8")
-        log.info("wrote %s", self.run_dir / name)
+        path = self.run_dir / name
+        tmp = self.run_dir / f".{name}.{os.getpid()}.tmp"
+        try:
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        log.info("wrote %s", path)
 
     def mark_failed(self, stage: str, error: Exception) -> None:
         try:
@@ -353,7 +364,6 @@ class PipelineRun:
         summary = result["summary"]
         manifest = {
             "config_hash": self.config_hash,
-            "backend": active_backend(),
             "network": {
                 "path": cfg.network_path,
                 "buses": len(self.network.buses),

@@ -1,6 +1,6 @@
 """Radial power flow: backward/forward sweep snapshot solver and QSTS driver."""
 
-from .kernels import ENV_BACKEND, HAVE_NUMBA, active_backend
+from .kernels import active_backend
 from .solver import (
     PowerFlowSolution,
     QstsResult,
@@ -13,8 +13,6 @@ from .solver import (
 )
 
 __all__ = [
-    "ENV_BACKEND",
-    "HAVE_NUMBA",
     "active_backend",
     "SolverConfig",
     "PowerFlowSolution",

@@ -1,16 +1,13 @@
-"""Backward/forward sweep kernels: numba-compiled and pure-numpy backends.
+"""Backward/forward sweep kernel: one batched numpy implementation.
 
-The numba kernel solves one snapshot at a time with scalar loops; the numpy
-backend solves a whole batch of snapshots with vectorized operations. Every
-arithmetic step is elementwise per snapshot, so within a backend the result
-of a snapshot never depends on which other snapshots share its batch.
-
-``_sweep_row_py`` is the single-snapshot sweep. It is the source that numba
-compiles for the numba backend, and run uncompiled it is the reference that
-the backend agreement test checks the numpy kernel against on every host.
-
-Backend selection: the ``GRIDIMPACT_BACKEND`` environment variable, values
-``numba`` or ``numpy``. Default is numba when importable, else numpy.
+The ladder method (Shirmohammadi et al., IEEE TPWRS 1988): a backward pass
+accumulates branch currents from the leaves to the source, a forward pass
+updates bus voltages from the source outwards, repeated until the largest
+voltage change drops below ``tol``. A whole batch of snapshots is solved with
+vectorized operations. Every arithmetic step is elementwise per snapshot and
+finished rows leave the active set, so the result of a snapshot never
+depends on which other snapshots share its batch. The tests check the
+kernel against a scalar per-snapshot sweep (``tests/oracles.scalar_sweep``).
 
 Array conventions (all BFS-ordered so a line's parent bus is updated before
 its children): ``parent[k]``/``child[k]`` are bus indices of line k, ``z[k]``
@@ -19,77 +16,17 @@ its per-unit impedance, ``s`` the (batch, n_bus) per-unit complex bus loads.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_BACKEND = "GRIDIMPACT_BACKEND"
 COLLAPSE_FLOOR_PU = 0.5
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
 
 
 def active_backend() -> str:
-    """Resolve the kernel backend from the environment at call time."""
-    choice = os.environ.get(ENV_BACKEND, "").strip().lower()
-    if choice in ("numba", "numpy"):
-        if choice == "numba" and not HAVE_NUMBA:
-            raise RuntimeError("GRIDIMPACT_BACKEND=numba but numba is not importable")
-        return choice
-    if choice:
-        raise RuntimeError(f"unknown {ENV_BACKEND} value: {choice!r} (use 'numba' or 'numpy')")
-    return "numba" if HAVE_NUMBA else "numpy"
+    """Name of the sweep kernel: always ``"numpy"``, the only one.
 
-
-def _sweep_row_py(parent, child, z, s, v, i_line, tol, max_iter):
-    """One snapshot: iterate backward current accumulation / forward voltage
-    update until the largest voltage change drops below tol. Mutates v and
-    i_line in place; returns (iterations, converged, collapse_bus_index)."""
-    n = s.shape[0]
-    m = parent.shape[0]
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        i_acc = np.conj(s / v)
-        for k in range(m - 1, -1, -1):
-            i_line[k] = i_acc[child[k]]
-            i_acc[parent[k]] += i_line[k]
-        dv = 0.0
-        for k in range(m):
-            v_new = v[parent[k]] - z[k] * i_line[k]
-            delta = abs(v_new - v[child[k]])
-            if delta > dv:
-                dv = delta
-            v[child[k]] = v_new
-        for i in range(n):
-            if abs(v[i]) < COLLAPSE_FLOOR_PU:
-                return iterations, False, i
-        if dv < tol:
-            return iterations, True, -1
-    return iterations, False, -1
-
-
-if HAVE_NUMBA:
-    _sweep_row_jit = njit(cache=True, nogil=True)(_sweep_row_py)
-
-
-def _solve_batch_numba(parent, child, z, s, v0, tol, max_iter):
-    batch = s.shape[0]
-    n = s.shape[1]
-    m = parent.shape[0]
-    v = np.full((batch, n), complex(v0), dtype=np.complex128)
-    i_line = np.zeros((batch, m), dtype=np.complex128)
-    iters = np.zeros(batch, dtype=np.int64)
-    converged = np.zeros(batch, dtype=bool)
-    collapse = np.full(batch, -1, dtype=np.int64)
-    for t in range(batch):
-        iters[t], converged[t], collapse[t] = _sweep_row_jit(
-            parent, child, z, s[t], v[t], i_line[t], tol, max_iter)
-    return v, i_line, iters, converged, collapse
+    Kept because the benchmark's freeze script records it in its reference.
+    """
+    return "numpy"
 
 
 def _solve_batch_numpy(parent, child, z, s, v0, tol, max_iter):
@@ -133,7 +70,7 @@ def _solve_batch_numpy(parent, child, z, s, v0, tol, max_iter):
 
 
 def solve_batch(parent, child, z, s, v0, tol, max_iter):
-    """Solve a batch of snapshots; dispatches on the active backend.
+    """Solve a batch of snapshots.
 
     Returns (v, i_line, iterations, converged, collapse_bus) where collapse
     is the first bus index whose voltage fell below 0.5 pu, or -1.
@@ -142,6 +79,4 @@ def solve_batch(parent, child, z, s, v0, tol, max_iter):
     child = np.ascontiguousarray(child, dtype=np.int64)
     z = np.ascontiguousarray(z, dtype=np.complex128)
     s = np.ascontiguousarray(s, dtype=np.complex128)
-    if active_backend() == "numba":
-        return _solve_batch_numba(parent, child, z, s, v0, tol, max_iter)
     return _solve_batch_numpy(parent, child, z, s, v0, tol, max_iter)

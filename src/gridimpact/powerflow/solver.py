@@ -220,7 +220,10 @@ def run_qsts(
     recorded with ``converged=False`` without aborting the run.
 
     ``workers`` > 1 splits the timeline into contiguous chunks solved on a
-    thread pool; per-step results are identical to a sequential run.
+    thread pool; per-step results are identical to a sequential run. The
+    pipeline always runs sequentially; the pool stays because the benchmark
+    measures ``workers=2`` against ``workers=1`` and acceptance criterion 9
+    checks that the merge is identical.
     """
     feeder = _CompiledFeeder(net)
 

@@ -4,24 +4,9 @@ from pathlib import Path
 import pytest
 
 from gridimpact.netmodel import Bus, Line, LoadPoint, NetworkModel, Source, load_network
-from gridimpact.powerflow import HAVE_NUMBA
 from gridimpact.stations import load_stations
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-# Numba is optional: its cases are collected everywhere and reported as
-# skipped where it does not import.
-requires_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba is not importable")
-
-BACKENDS = ["numpy", pytest.param("numba", marks=requires_numba)]
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
-    """Run the test under each kernel backend; numba's cases skip without numba."""
-    monkeypatch.setenv("GRIDIMPACT_BACKEND", request.param)
-    return request.param
-
 
 @pytest.fixture(scope="session")
 def feeder40():

@@ -1,10 +1,11 @@
 """Independent reference computations used to check the package.
 
-Nothing here shares algorithmic code with the package: the power-flow oracle
-is a dense Newton solve on the polar mismatch equations with a numeric
-Jacobian, the two-bus case is the closed-form biquadratic, and graph checks
-use a plain visited-set traversal. Shared per-unit conventions (1 MVA base,
-source-bus voltage base) are contract, not implementation.
+Nothing here shares code with the package: the power-flow oracle is a dense
+Newton solve on the polar mismatch equations with a numeric Jacobian, the
+two-bus case is the closed-form biquadratic, the scalar sweep solves one
+snapshot with plain per-line loops, and graph checks use a plain visited-set
+traversal. Shared per-unit conventions (1 MVA base, source-bus voltage base,
+0.5 pu collapse floor) are contract, not implementation.
 """
 
 from __future__ import annotations
@@ -93,6 +94,39 @@ def newton_solve(net, tol: float = 1e-10, max_iter: int = 60):
     vm[pq] = state[len(pq):]
     v = vm * np.exp(1j * theta)
     return {bid: v[index[bid]] for bid in bus_ids}
+
+
+def scalar_sweep(parent, child, z, s, v, i_line, tol, max_iter, collapse_floor_pu=0.5):
+    """One snapshot of the backward/forward sweep with scalar per-line loops.
+
+    Arguments follow ``powerflow.kernels.solve_batch`` for a single row:
+    BFS-ordered ``parent``/``child`` bus indices and per-unit impedance ``z``
+    of each line, per-unit bus loads ``s``. Iterates backward current
+    accumulation / forward voltage update until the largest voltage change
+    drops below ``tol``. Mutates ``v`` and ``i_line`` in place; returns
+    (iterations, converged, collapse_bus_index).
+    """
+    n = s.shape[0]
+    m = parent.shape[0]
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        i_acc = np.conj(s / v)
+        for k in range(m - 1, -1, -1):
+            i_line[k] = i_acc[child[k]]
+            i_acc[parent[k]] += i_line[k]
+        dv = 0.0
+        for k in range(m):
+            v_new = v[parent[k]] - z[k] * i_line[k]
+            delta = abs(v_new - v[child[k]])
+            if delta > dv:
+                dv = delta
+            v[child[k]] = v_new
+        for i in range(n):
+            if abs(v[i]) < collapse_floor_pu:
+                return iterations, False, i
+        if dv < tol:
+            return iterations, True, -1
+    return iterations, False, -1
 
 
 def reachable_from(net, start_id: str) -> set[str]:

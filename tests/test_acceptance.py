@@ -295,10 +295,9 @@ def test_criterion_8_geojson_goldens(tmp_path):
 
 
 @criterion(9, "8760-step QSTS on a 200-bus feeder runs under 10 s; parallel merge identical")
-def test_criterion_9_qsts_performance(monkeypatch):
+def test_criterion_9_qsts_performance():
     from gridimpact.evfleet import DemandProfile
 
-    monkeypatch.delenv("GRIDIMPACT_BACKEND", raising=False)  # default backend
     net = random_feeder(200, seed=200)
     rng = np.random.default_rng(9)
     shapes = {}
@@ -307,7 +306,7 @@ def test_criterion_9_qsts_performance(monkeypatch):
         shapes[load.id] = DemandProfile(dt_h=1.0, values_kw=values,
                                         energy_kwh=float(np.sum(values)))
 
-    run_qsts(net, shapes, steps=24)  # warmup (JIT compile on the numba backend)
+    run_qsts(net, shapes, steps=24)  # warmup
 
     start = time.perf_counter()
     sequential = run_qsts(net, shapes, steps=8760)

@@ -192,6 +192,24 @@ class TestPipeline:
         assert at_peak.v_mag_pu.tobytes() == snapshot.v_mag_pu.tobytes()
         assert at_peak.source_kw == snapshot.source_kw
 
+    def test_failed_write_keeps_previous_artifact(self, tmp_path, monkeypatch):
+        from gridimpact import cli
+
+        config_path = write_config(tmp_path)
+        assert main(["profile", "--config", str(config_path)]) == 0
+        run_dir = run_dir_of(config_path)
+        before = (run_dir / "profile.csv").read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.os, "replace", failing_replace)
+        run = cli.PipelineRun(*load_run_config(config_path))
+        with pytest.raises(OSError, match="disk full"):
+            run._write("profile.csv", "step,kw\n0,")
+        assert (run_dir / "profile.csv").read_bytes() == before
+        assert not [p.name for p in run_dir.iterdir() if p.name.endswith(".tmp")]
+
     def test_out_flag_overrides_output_dir(self, tmp_path):
         config = write_config(tmp_path)
         target = tmp_path / "elsewhere"

@@ -2,23 +2,26 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridimpact.errors import TopologyError, VoltageCollapseError
 from gridimpact.evfleet import DemandProfile
 from gridimpact.netmodel import Bus, Line, LoadPoint, NetworkModel, Source
 from gridimpact.powerflow import (
-    HAVE_NUMBA,
     QstsResult,
     SolverConfig,
+    active_backend,
     qsts_lines_csv,
     qsts_summary_csv,
     run_qsts,
     solve_snapshot,
     total_losses,
 )
+from gridimpact.powerflow import kernels
+from gridimpact.powerflow.solver import _CompiledFeeder
 from gridimpact.synth import random_feeder
 
-from oracles import newton_solve, two_bus_closed_form
+from oracles import newton_solve, scalar_sweep, two_bus_closed_form
 
 # frozen from a 50-digit evaluation of the closed-form two-bus solution
 # (vs=1, z=0.01+0.01j pu, load 0.1+0.05j pu)
@@ -39,8 +42,19 @@ def relative_balance_error(sol):
     return abs(sol.source_kw - sol.total_load_kw - sol.total_loss_kw) / max(sol.source_kw, 1e-9)
 
 
+@pytest.fixture(params=["numpy"])
+def kernel(request):
+    """The sweep kernel a test solves with, named in its id (``test_x[numpy]``).
+
+    There is one kernel; the param keeps the ids that earlier runs report
+    under, and the assertion checks that ``active_backend()`` names it.
+    """
+    assert active_backend() == request.param
+    return request.param
+
+
 class TestSnapshot:
-    def test_no_load_fixed_point(self, backend):
+    def test_no_load_fixed_point(self, kernel):
         net = NetworkModel(
             buses=tuple(Bus(f"b{i}", 37.0, -122.0 + i * 1e-4, 12.47) for i in range(4)),
             lines=tuple(Line(f"l{i}", f"b{i - 1}", f"b{i}", 0.1, 0.2, 400.0)
@@ -56,7 +70,7 @@ class TestSnapshot:
         assert sol.total_loss_kw == 0.0
         assert sol.source_kw == 0.0
 
-    def test_two_bus_matches_closed_form(self, backend, two_bus_net):
+    def test_two_bus_matches_closed_form(self, kernel, two_bus_net):
         sol = solve_snapshot(two_bus_net)
         assert sol.converged
         v2 = sol.v_mag_pu[list(sol.bus_ids).index("b2")]
@@ -68,14 +82,14 @@ class TestSnapshot:
         assert v2 == pytest.approx(TWO_BUS_V2, abs=1e-12)
         assert loss == pytest.approx(TWO_BUS_LOSS_PU, abs=1e-15)
 
-    def test_feeder20_matches_dense_newton(self, backend, feeder20):
+    def test_feeder20_matches_dense_newton(self, kernel, feeder20):
         sol = solve_snapshot(feeder20, SolverConfig(tol_pu=1e-9))
         oracle = newton_solve(feeder20)
         v = sol.v_mag_pu * np.exp(1j * sol.v_ang_rad)
         worst = max(abs(v[i] - oracle[bid]) for i, bid in enumerate(sol.bus_ids))
         assert worst < 1e-6
 
-    def test_random_feeders_match_newton(self, backend):
+    def test_random_feeders_match_newton(self, kernel):
         for seed in range(10):
             net = random_feeder(int(5 + seed), seed=seed + 100,
                                 load_kw_range=(20.0, 300.0))
@@ -85,25 +99,25 @@ class TestSnapshot:
             worst = max(abs(v[i] - oracle[bid]) for i, bid in enumerate(sol.bus_ids))
             assert worst < 1e-6, f"seed {seed}: {worst}"
 
-    def test_power_balance_on_random_feeders(self, backend):
+    def test_power_balance_on_random_feeders(self, kernel):
         for seed in range(8):
             net = random_feeder(30 + 10 * seed, seed=seed)
             sol = solve_snapshot(net)
             assert sol.converged
             assert relative_balance_error(sol) < 1e-6
 
-    def test_loss_nonnegative(self, backend):
+    def test_loss_nonnegative(self, kernel):
         for seed in range(5):
             sol = solve_snapshot(random_feeder(25, seed=seed + 50))
             assert sol.total_loss_kw >= 0.0
             assert np.all(sol.line_loss_kw >= 0.0)
 
-    def test_voltage_monotone_on_uniform_chain(self, backend):
+    def test_voltage_monotone_on_uniform_chain(self, kernel):
         sol = solve_snapshot(chain_network(12))
         assert sol.converged
         assert np.all(np.diff(sol.v_mag_pu) <= 1e-15)  # bus order equals chain order
 
-    def test_single_bus_network(self, backend):
+    def test_single_bus_network(self, kernel):
         net = NetworkModel(
             buses=(Bus("b0", 37.0, -122.0, 12.47),),
             lines=(), loads=(LoadPoint("ld0", "b0", 75.0, 15.0),),
@@ -114,7 +128,7 @@ class TestSnapshot:
         assert sol.total_loss_kw == 0.0
         assert sol.source_kw == pytest.approx(75.0, rel=1e-12)
 
-    def test_load_at_source_bus_in_balance(self, backend):
+    def test_load_at_source_bus_in_balance(self, kernel):
         net = chain_network(3)
         with_src_load = NetworkModel(
             buses=net.buses, lines=net.lines,
@@ -135,7 +149,7 @@ class TestSnapshot:
         with pytest.raises(TopologyError, match="not radial"):
             solve_snapshot(looped)
 
-    def test_voltage_collapse_names_bus(self, backend):
+    def test_voltage_collapse_names_bus(self, kernel):
         net = NetworkModel(
             buses=(Bus("b1", 37.0, -122.0, 1.0), Bus("b2", 37.001, -122.0, 1.0)),
             lines=(Line("l1", "b1", "b2", 0.05, 0.05, 400.0),),
@@ -145,79 +159,59 @@ class TestSnapshot:
         with pytest.raises(VoltageCollapseError, match="bus b2"):
             solve_snapshot(net)
 
-    def test_divergence_returns_unconverged(self, backend, two_bus_net):
+    def test_divergence_returns_unconverged(self, kernel, two_bus_net):
         sol = solve_snapshot(two_bus_net, SolverConfig(tol_pu=1e-12, max_iter=1))
         assert not sol.converged
         assert sol.iterations == 1
 
-    def test_deterministic_bitwise(self, backend, feeder20):
+    def test_deterministic_bitwise(self, kernel, feeder20):
         a = solve_snapshot(feeder20)
         b = solve_snapshot(feeder20)
         assert a.v_mag_pu.tobytes() == b.v_mag_pu.tobytes()
         assert a.line_flow_kw.tobytes() == b.line_flow_kw.tobytes()
 
-    def test_backends_agree(self, feeder20, monkeypatch):
-        """The per-snapshot scalar sweep agrees with the batched numpy sweep.
+    def test_backends_agree(self, feeder20):
+        """The batched numpy kernel agrees with the scalar per-snapshot sweep.
 
-        The numba backend is ``njit`` of ``kernels._sweep_row_py``, so the
-        uncompiled function is checked on every host; where numba imports,
-        the compiled backend is checked as well.
+        ``oracles.scalar_sweep`` runs the same ladder iteration one line at a
+        time on the compiled feeder20 arrays; the two differ only in the
+        rounding of vectorized versus scalar complex arithmetic.
         """
-        from gridimpact.powerflow import kernels
-        from gridimpact.powerflow.solver import _CompiledFeeder
-
-        monkeypatch.setenv("GRIDIMPACT_BACKEND", "numpy")
-        numpy_sol = solve_snapshot(feeder20)
+        sol = solve_snapshot(feeder20)
 
         feeder = _CompiledFeeder(feeder20)
         cfg = SolverConfig()
         v = np.full(len(feeder.bus_ids), complex(feeder.v0), dtype=np.complex128)
         i_line = np.zeros(feeder.parent.shape[0], dtype=np.complex128)
-        iterations, converged, collapse = kernels._sweep_row_py(
+        iterations, converged, collapse = scalar_sweep(
             feeder.parent, feeder.child, feeder.z_bfs, feeder.s_static_pu,
             v, i_line, cfg.tol_pu, cfg.max_iter)
-        assert np.max(np.abs(numpy_sol.v_mag_pu - np.abs(v))) < 1e-9
-        assert (iterations, converged, collapse) == (numpy_sol.iterations, True, -1)
+        assert np.max(np.abs(sol.v_mag_pu - np.abs(v))) < 1e-9
+        assert (iterations, converged, collapse) == (sol.iterations, True, -1)
 
-        if HAVE_NUMBA:
-            monkeypatch.setenv("GRIDIMPACT_BACKEND", "numba")
-            numba_sol = solve_snapshot(feeder20)
-            assert np.max(np.abs(numpy_sol.v_mag_pu - numba_sol.v_mag_pu)) < 1e-9
+    @given(n_buses=st.integers(2, 60), feeder_seed=st.integers(0, 2**31 - 1),
+           rows=st.integers(1, 40), max_iter=st.sampled_from([2, 3, 50]),
+           load_seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_rows_equal_single_row_solves(self, n_buses, feeder_seed, rows,
+                                                max_iter, load_seed):
+        """Each row of a batch solve is bitwise the 1-row solve of that row.
 
-    def test_unknown_backend_rejected(self, feeder20, monkeypatch):
-        monkeypatch.setenv("GRIDIMPACT_BACKEND", "cuda")
-        with pytest.raises(RuntimeError, match="unknown GRIDIMPACT_BACKEND"):
-            solve_snapshot(feeder20)
-
-
-class TestBackendSelection:
-    def test_defaults_to_numba_when_available(self, monkeypatch):
-        from gridimpact.powerflow import kernels
-
-        monkeypatch.delenv("GRIDIMPACT_BACKEND", raising=False)
-        monkeypatch.setattr(kernels, "HAVE_NUMBA", True)
-        assert kernels.active_backend() == "numba"
-
-    def test_falls_back_to_numpy_without_numba(self, monkeypatch):
-        from gridimpact.powerflow import kernels
-
-        monkeypatch.delenv("GRIDIMPACT_BACKEND", raising=False)
-        monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
-        assert kernels.active_backend() == "numpy"
-
-    def test_explicit_numba_without_numba_errors(self, monkeypatch):
-        from gridimpact.powerflow import kernels
-
-        monkeypatch.setenv("GRIDIMPACT_BACKEND", "numba")
-        monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
-        with pytest.raises(RuntimeError, match="not importable"):
-            kernels.active_backend()
-
-    def test_env_value_is_case_insensitive(self, monkeypatch):
-        from gridimpact.powerflow import kernels
-
-        monkeypatch.setenv("GRIDIMPACT_BACKEND", "  NumPy ")
-        assert kernels.active_backend() == "numpy"
+        Loads are scaled by up to 10**3.5 so that some rows collapse, and a
+        small ``max_iter`` leaves others unconverged: rows leave the active
+        set at different iterations, which must not touch the rows that stay.
+        """
+        feeder = _CompiledFeeder(random_feeder(n_buses, seed=feeder_seed))
+        rng = np.random.default_rng(load_seed)
+        scale = (10.0 ** rng.uniform(0.0, 3.5, size=(rows, 1))
+                 * rng.uniform(0.0, 1.0, size=(rows, n_buses)))
+        s = feeder.s_static_pu * scale
+        args = (feeder.parent, feeder.child, feeder.z_bfs)
+        batch = kernels.solve_batch(*args, s, feeder.v0, 1e-6, max_iter)
+        for t in range(rows):
+            single = kernels.solve_batch(*args, s[t:t + 1], feeder.v0, 1e-6, max_iter)
+            for got, want in zip(batch, single):
+                assert got[t:t + 1].tobytes() == want.tobytes()
 
 
 def two_step_profile(values, dt_h=12.0):
@@ -226,7 +220,7 @@ def two_step_profile(values, dt_h=12.0):
 
 
 class TestQsts:
-    def test_two_step_shape_defines_pointwise(self, backend):
+    def test_two_step_shape_defines_pointwise(self, kernel):
         net = NetworkModel(
             buses=(Bus("b1", 37.0, -122.0, 12.47), Bus("b2", 37.001, -122.0, 12.47)),
             lines=(Line("l1", "b1", "b2", 0.1, 0.2, 400.0),),
@@ -243,7 +237,7 @@ class TestQsts:
         np.testing.assert_array_equal(result.solutions[1].v_mag_pu, nominal.v_mag_pu)
         np.testing.assert_array_equal(result.solutions[1].line_flow_kw, nominal.line_flow_kw)
 
-    def test_constant_shape_is_time_invariant(self, backend, feeder20):
+    def test_constant_shape_is_time_invariant(self, kernel, feeder20):
         load = feeder20.loads[0]
         shape = DemandProfile(dt_h=1.0, values_kw=np.full(24, load.kw),
                               energy_kwh=load.kw * 24.0)
@@ -253,7 +247,7 @@ class TestQsts:
             np.testing.assert_array_equal(sol.v_mag_pu, nominal.v_mag_pu)
             assert sol.total_loss_kw == nominal.total_loss_kw
 
-    def test_per_step_power_balance(self, backend, feeder20):
+    def test_per_step_power_balance(self, kernel, feeder20):
         rng = np.random.default_rng(3)
         shapes = {}
         for load in feeder20.loads[:5]:
@@ -266,7 +260,7 @@ class TestQsts:
             assert sol.converged
             assert relative_balance_error(sol) < 1e-6
 
-    def test_steps_wrap_profile(self, backend, feeder20):
+    def test_steps_wrap_profile(self, kernel, feeder20):
         load = feeder20.loads[0]
         rng = np.random.default_rng(11)
         values = rng.uniform(0.0, 200.0, 24)
@@ -293,7 +287,7 @@ class TestQsts:
         result = run_qsts(feeder20, {}, steps=4, dt_h=1.0)
         assert len(result.solutions) == 4
 
-    def test_divergent_step_recorded_not_fatal(self, backend):
+    def test_divergent_step_recorded_not_fatal(self, kernel):
         net = NetworkModel(
             buses=(Bus("b1", 37.0, -122.0, 1.0), Bus("b2", 37.001, -122.0, 1.0)),
             lines=(Line("l1", "b1", "b2", 0.05, 0.05, 400.0),),
@@ -306,7 +300,7 @@ class TestQsts:
         assert result.solutions[0].converged
         assert not result.solutions[1].converged
 
-    def test_parallel_equals_sequential(self, backend, feeder20):
+    def test_parallel_equals_sequential(self, kernel, feeder20):
         rng = np.random.default_rng(5)
         shapes = {}
         for load in feeder20.loads[:3]:
@@ -324,18 +318,18 @@ class TestQsts:
 
 
 class TestTotalLosses:
-    def test_single_step(self, backend, two_bus_net):
+    def test_single_step(self, kernel, two_bus_net):
         result = run_qsts(two_bus_net, {}, steps=1, dt_h=1.0)
         expected = result.solutions[0].total_loss_kw * 1.0
         assert total_losses(result) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(TWO_BUS_LOSS_PU * 1000.0, abs=2e-3)
 
-    def test_zero_load_run(self, backend):
+    def test_zero_load_run(self, kernel):
         net = chain_network(4, load_kw=0.0, load_kvar=0.0)
         result = run_qsts(net, {}, steps=3, dt_h=1.0)
         assert total_losses(result) == 0.0
 
-    def test_resummation_oracle(self, backend, feeder20):
+    def test_resummation_oracle(self, kernel, feeder20):
         result = run_qsts(feeder20, {}, steps=24, dt_h=0.5)
         by_hand = sum(s.total_loss_kw for s in result.solutions) * 0.5
         assert total_losses(result) == pytest.approx(by_hand, rel=1e-12)
@@ -353,7 +347,7 @@ class TestTotalLosses:
 
 
 class TestExports:
-    def test_lines_csv_shape(self, backend, feeder20):
+    def test_lines_csv_shape(self, kernel, feeder20):
         result = run_qsts(feeder20, {}, steps=2, dt_h=1.0)
         rows = qsts_lines_csv(result).strip().split("\n")
         assert rows[0] == "step,line_id,kw,kvar,amps"
@@ -362,7 +356,7 @@ class TestExports:
         assert first[0] == "0"
         assert float(first[2]) == result.solutions[0].line_flow_kw[0]
 
-    def test_summary_csv_shape(self, backend, feeder20):
+    def test_summary_csv_shape(self, kernel, feeder20):
         result = run_qsts(feeder20, {}, steps=3, dt_h=1.0)
         rows = qsts_summary_csv(result).strip().split("\n")
         assert rows[0] == "step,source_kw,loss_kw,min_v_pu,max_v_pu"
