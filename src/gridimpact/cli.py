@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 schema error, 3 topology error, 4 solver failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
@@ -20,6 +21,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -156,21 +158,29 @@ class PipelineRun:
 
     # --- plumbing ---------------------------------------------------------
 
-    def _write(self, name: str, text: str) -> None:
-        """Write an artifact through a temp file and ``os.replace``, so a
+    @contextlib.contextmanager
+    def _artifact(self, name: str) -> Iterator[TextIO]:
+        """Open an artifact for streamed writing. The text goes to a temp
+        file that is ``os.replace``d onto ``name`` when the block ends, so a
         crash or a concurrent run never leaves a half-written file under the
-        final name. The temp name carries the pid so two runs of the same
-        config never share one."""
+        final name; if the block or the replace fails, the temp file is
+        removed. The temp name carries the pid so two runs of the same config
+        never share one."""
         self.run_dir.mkdir(parents=True, exist_ok=True)
         path = self.run_dir / name
         tmp = self.run_dir / f".{name}.{os.getpid()}.tmp"
         try:
-            tmp.write_text(text, encoding="utf-8")
+            with open(tmp, "w", encoding="utf-8") as out:
+                yield out
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
         log.info("wrote %s", path)
+
+    def _write(self, name: str, text: str) -> None:
+        with self._artifact(name) as out:
+            out.write(text)
 
     def mark_failed(self, stage: str, error: Exception) -> None:
         try:
@@ -336,10 +346,10 @@ class PipelineRun:
         power = self.stage_power()
         self._write("before_snapshot.csv", self._snapshot_csv(power["before_snapshot"]))
         self._write("after_snapshot.csv", self._snapshot_csv(power["after_snapshot"]))
-        self._write("before_lines.csv", qsts_lines_csv(power["before_series"]))
-        self._write("after_lines.csv", qsts_lines_csv(power["after_series"]))
-        self._write("before_steps.csv", qsts_summary_csv(power["before_series"]))
-        self._write("after_steps.csv", qsts_summary_csv(power["after_series"]))
+        for name, writer in (("lines", qsts_lines_csv), ("steps", qsts_summary_csv)):
+            for series in ("before", "after"):
+                with self._artifact(f"{series}_{name}.csv") as out:
+                    writer(power[f"{series}_series"], out)
 
     def write_impact(self) -> None:
         result = self.stage_impact()
@@ -388,10 +398,8 @@ class PipelineRun:
             "qsts": {
                 "steps": cfg.steps,
                 "dt_h": cfg.dt_h,
-                "diverged_before": sum(1 for s in power["before_series"].solutions
-                                       if not s.converged),
-                "diverged_after": sum(1 for s in power["after_series"].solutions
-                                      if not s.converged),
+                "diverged_before": int(np.count_nonzero(~power["before_series"].converged)),
+                "diverged_after": int(np.count_nonzero(~power["after_series"].converged)),
             },
             "summary": {
                 "demand_before_kw": summary.demand_before_kw,

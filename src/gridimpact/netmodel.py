@@ -133,6 +133,12 @@ class NetworkModel:
             bus_index[bus.id] = bus
         object.__setattr__(self, "_bus_index", bus_index)
 
+        # The solver refers every impedance and current to the source bus's
+        # kV, so a feeder with a second voltage level would give wrong amps.
+        levels = sorted({bus.base_kv for bus in self.buses})
+        if len(levels) > 1:
+            raise SchemaError(f"mixed base_kv {levels}: every bus must share one voltage base")
+
         seen_lines = set()
         for line in self.lines:
             if line.id in seen_lines:

@@ -15,7 +15,7 @@ import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, TextIO
 
 import numpy as np
 
@@ -74,8 +74,28 @@ class PowerFlowSolution:
 
 @dataclass(frozen=True, eq=False)
 class QstsResult:
+    """A time series stored once per distinct load row.
+
+    ``solutions[r]`` is the steady state of the r-th distinct load row, in
+    order of first appearance, and step ``t`` solved row ``step_row[t]``.
+    """
+
     solutions: tuple[PowerFlowSolution, ...]
+    step_row: np.ndarray
     dt_h: float
+
+    @property
+    def steps(self) -> int:
+        return int(self.step_row.shape[0])
+
+    def step(self, t: int) -> PowerFlowSolution:
+        """The steady state of step ``t``."""
+        return self.solutions[self.step_row[t]]
+
+    @property
+    def converged(self) -> np.ndarray:
+        """Whether each step converged, shape ``(steps,)``."""
+        return np.array([s.converged for s in self.solutions], dtype=bool)[self.step_row]
 
 
 class _CompiledFeeder:
@@ -141,46 +161,83 @@ class _CompiledFeeder:
             self.load_kw[load.id] = load.kw
 
 
-def _build_solutions(feeder: _CompiledFeeder, s_batch, v, i_line_bfs, iters, converged):
-    """Derive reported quantities from kernel outputs.
+def _distinct_rows(s_batch):
+    """Key each load row by its bytes: returns (step_row, distinct rows in
+    order of first appearance), so ``s_batch[t]`` is ``rows[step_row[t]]``.
 
-    Elementwise quantities are vectorized over the batch; scalar reductions
-    run per row on 1-D data so a snapshot's totals never depend on how the
-    batch was shaped or chunked (required for sequential/parallel identity).
+    Steps share a row only when their loads are bit-identical, so solving a
+    row once gives every one of its steps the result of its own solve.
     """
+    index: dict[bytes, int] = {}
+    first: list[int] = []
+    step_row = np.empty(s_batch.shape[0], dtype=np.int64)
+    for t, row in enumerate(s_batch):
+        key = row.tobytes()
+        r = index.get(key)
+        if r is None:
+            r = index[key] = len(first)
+            first.append(t)
+        step_row[t] = r
+    return step_row, s_batch[first]
+
+
+def _build_solutions(feeder: _CompiledFeeder, s_rows, v, i_line_bfs, iters, converged,
+                     step_row):
+    """Derive reported quantities from kernel outputs: one solution per row
+    of ``s_rows``, where step ``t`` of the run solved row ``step_row[t]``.
+
+    Elementwise quantities are computed on the per-step arrays
+    ``v[step_row]`` and ``i_line[step_row]``, and each row keeps its first
+    step. They are not computed on the distinct rows alone, because they do
+    depend on the batch shape: once ``v[:, parent] * conj(i)`` reaches
+    256 KiB (83 steps of 199 lines), numpy multiplies in place into the
+    fancy-index result and fuses the imaginary part's multiply-add the
+    other way round, so ``line_flow_kvar`` can differ in the last bit
+    between a short and a long run of the same snapshot. At the run's own
+    shape every step keeps the bits of a plain per-step derivation. Scalar
+    reductions run per row on 1-D data, so the totals do not depend on the
+    batch shape.
+    """
+    _, first = np.unique(step_row, return_index=True)
+    v = v[step_row]
+    i_line_bfs = i_line_bfs[step_row]
+    v_mag = np.abs(v)[first]
+    v_ang = np.angle(v)[first]
+
     i_model = i_line_bfs[:, feeder.bfs_of_model]
     s_send_bfs = v[:, feeder.parent] * np.conj(i_line_bfs)
+    del v, i_line_bfs
     s_send = s_send_bfs[:, feeder.bfs_of_model]
+    s_send_bfs = s_send_bfs[first]
 
-    flow_kw = s_send.real * 1000.0
-    flow_kvar = s_send.imag * 1000.0
-    amps = np.abs(i_model) * feeder.i_base_a
-    loss_kw = (np.abs(i_model) ** 2) * feeder.r_pu_model * 1000.0
+    flow_kw = (s_send.real * 1000.0)[first]
+    flow_kvar = (s_send.imag * 1000.0)[first]
+    del s_send
+    amps = (np.abs(i_model) * feeder.i_base_a)[first]
+    loss_kw = ((np.abs(i_model) ** 2) * feeder.r_pu_model * 1000.0)[first]
+    del i_model
 
     src_lines = np.flatnonzero(feeder.parent == feeder.source_idx)
-    v_mag = np.abs(v)
-    v_ang = np.angle(v)
-
     solutions = []
-    for t in range(s_batch.shape[0]):
-        total_loss = float(np.sum(loss_kw[t]))
-        total_load = float(np.sum(s_batch[t].real)) * 1000.0
-        src_flow = float(np.sum(s_send_bfs[t, src_lines].real))
-        source_kw = (src_flow + float(s_batch[t, feeder.source_idx].real)) * 1000.0
+    for r in range(s_rows.shape[0]):
+        total_loss = float(np.sum(loss_kw[r]))
+        total_load = float(np.sum(s_rows[r].real)) * 1000.0
+        src_flow = float(np.sum(s_send_bfs[r, src_lines].real))
+        source_kw = (src_flow + float(s_rows[r, feeder.source_idx].real)) * 1000.0
         solutions.append(PowerFlowSolution(
             bus_ids=feeder.bus_ids,
             line_ids=feeder.line_ids,
-            v_mag_pu=v_mag[t],
-            v_ang_rad=v_ang[t],
-            line_flow_kw=flow_kw[t],
-            line_flow_kvar=flow_kvar[t],
-            line_current_a=amps[t],
-            line_loss_kw=loss_kw[t],
+            v_mag_pu=v_mag[r],
+            v_ang_rad=v_ang[r],
+            line_flow_kw=flow_kw[r],
+            line_flow_kvar=flow_kvar[r],
+            line_current_a=amps[r],
+            line_loss_kw=loss_kw[r],
             total_loss_kw=total_loss,
             total_load_kw=total_load,
             source_kw=source_kw,
-            converged=bool(converged[t]),
-            iterations=int(iters[t]),
+            converged=bool(converged[r]),
+            iterations=int(iters[r]),
         ))
     return solutions
 
@@ -200,7 +257,8 @@ def solve_snapshot(net: NetworkModel, cfg: SolverConfig = SolverConfig()) -> Pow
     if collapse[0] >= 0:
         bus = feeder.bus_ids[collapse[0]]
         raise VoltageCollapseError(bus, float(np.abs(v[0, collapse[0]])))
-    return _build_solutions(feeder, s_batch, v, i_line, iters, converged)[0]
+    return _build_solutions(feeder, s_batch, v, i_line, iters, converged,
+                            np.zeros(1, dtype=np.int64))[0]
 
 
 def run_qsts(
@@ -219,11 +277,16 @@ def run_qsts(
     when ``steps`` exceeds their length. Diverged or collapsed steps are
     recorded with ``converged=False`` without aborting the run.
 
-    ``workers`` > 1 splits the timeline into contiguous chunks solved on a
-    thread pool; per-step results are identical to a sequential run. The
-    pipeline always runs sequentially; the pool stays because the benchmark
-    measures ``workers=2`` against ``workers=1`` and acceptance criterion 9
-    checks that the merge is identical.
+    Each distinct load row is solved once and every step with the same row
+    gets its result, which is the exact form of QSTS time reduction
+    (Deboever, Reno et al., SAND2017-5743): a row's solve never depends on
+    the rest of the batch, so each step equals its own solve bit for bit.
+
+    ``workers`` > 1 splits the distinct rows into contiguous chunks solved
+    on a thread pool; per-step results are identical to a sequential run.
+    The pipeline always runs sequentially; the pool stays because the
+    benchmark measures ``workers=2`` against ``workers=1`` and acceptance
+    criterion 9 checks that the merge is identical.
     """
     feeder = _CompiledFeeder(net)
 
@@ -257,18 +320,21 @@ def run_qsts(
         samples = profile.values_kw[t_index % profile.values_kw.shape[0]]
         s_batch[:, bus] += (samples - feeder.load_kw[load_id]) / 1000.0
 
-    if workers <= 1 or steps == 1:
+    step_row, s_rows = _distinct_rows(s_batch)
+    del s_batch
+    rows = s_rows.shape[0]
+    if workers <= 1 or rows == 1:
         v, i_line, iters, converged, collapse = kernels.solve_batch(
-            feeder.parent, feeder.child, feeder.z_bfs, s_batch,
+            feeder.parent, feeder.child, feeder.z_bfs, s_rows,
             feeder.v0, cfg.tol_pu, cfg.max_iter)
     else:
-        bounds = np.linspace(0, steps, min(workers, steps) + 1, dtype=int)
+        bounds = np.linspace(0, rows, min(workers, rows) + 1, dtype=int)
         chunks = [(int(bounds[i]), int(bounds[i + 1])) for i in range(len(bounds) - 1)]
 
         def solve_chunk(span):
             lo, hi = span
             return kernels.solve_batch(
-                feeder.parent, feeder.child, feeder.z_bfs, s_batch[lo:hi],
+                feeder.parent, feeder.child, feeder.z_bfs, s_rows[lo:hi],
                 feeder.v0, cfg.tol_pu, cfg.max_iter)
 
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
@@ -279,16 +345,16 @@ def run_qsts(
         converged = np.concatenate([p[3] for p in parts])
         collapse = np.concatenate([p[4] for p in parts])
 
-    collapsed_steps = np.flatnonzero(collapse >= 0)
-    for t in collapsed_steps:
+    step_collapse = collapse[step_row]
+    for t in np.flatnonzero(step_collapse >= 0):
         log.warning("step %d: voltage collapse at bus %s, recorded as not converged",
-                    t, feeder.bus_ids[collapse[t]])
-    diverged = np.flatnonzero(~converged)
-    if diverged.size:
-        log.warning("%d of %d steps did not converge", diverged.size, steps)
+                    t, feeder.bus_ids[step_collapse[t]])
+    diverged = np.count_nonzero(~converged[step_row])
+    if diverged:
+        log.warning("%d of %d steps did not converge", diverged, steps)
 
-    solutions = _build_solutions(feeder, s_batch, v, i_line, iters, converged)
-    return QstsResult(solutions=tuple(solutions), dt_h=dt_h)
+    solutions = _build_solutions(feeder, s_rows, v, i_line, iters, converged, step_row)
+    return QstsResult(solutions=tuple(solutions), step_row=step_row, dt_h=dt_h)
 
 
 def total_losses(result: QstsResult) -> float:
@@ -297,28 +363,39 @@ def total_losses(result: QstsResult) -> float:
     Steps that did not converge are excluded and flagged with a warning, so
     the value is then a subtotal over the converged steps.
     """
-    skipped = sum(1 for s in result.solutions if not s.converged)
+    converged = result.converged
+    skipped = int(np.count_nonzero(~converged))
     if skipped:
         warnings.warn(f"{skipped} non-converged steps excluded from loss total",
                       stacklevel=2)
-    losses = np.array([s.total_loss_kw for s in result.solutions if s.converged])
-    return float(np.sum(losses) * result.dt_h)
+    step_loss = np.array([s.total_loss_kw for s in result.solutions])[result.step_row]
+    return float(np.sum(step_loss[converged]) * result.dt_h)
 
 
-def qsts_lines_csv(result: QstsResult) -> str:
-    """Per-line per-step export: ``step,line_id,kw,kvar,amps``."""
-    rows = ["step,line_id,kw,kvar,amps"]
-    for t, sol in enumerate(result.solutions):
-        for j, line_id in enumerate(sol.line_ids):
-            rows.append(f"{t},{line_id},{float(sol.line_flow_kw[j])!r},"
-                        f"{float(sol.line_flow_kvar[j])!r},{float(sol.line_current_a[j])!r}")
-    return "\n".join(rows) + "\n"
+def _write_steps(result: QstsResult, out: TextIO, header: str, pieces: list[list[str]]):
+    """Write ``header``, then for each step ``t`` the pieces of its row,
+    each prefixed with ``t``: every row is formatted once, not per step."""
+    out.write(header)
+    if not pieces[0]:  # a feeder without lines has no line rows
+        return
+    for t, r in enumerate(result.step_row.tolist()):
+        step = str(t)
+        out.write(step + step.join(pieces[r]))
 
 
-def qsts_summary_csv(result: QstsResult) -> str:
-    """Per-step summary: ``step,source_kw,loss_kw,min_v_pu,max_v_pu``."""
-    rows = ["step,source_kw,loss_kw,min_v_pu,max_v_pu"]
-    for t, sol in enumerate(result.solutions):
-        rows.append(f"{t},{sol.source_kw!r},{sol.total_loss_kw!r},"
-                    f"{float(np.min(sol.v_mag_pu))!r},{float(np.max(sol.v_mag_pu))!r}")
-    return "\n".join(rows) + "\n"
+def qsts_lines_csv(result: QstsResult, out: TextIO) -> None:
+    """Per-line per-step export to ``out``: ``step,line_id,kw,kvar,amps``."""
+    pieces = [[f",{line_id},{kw!r},{kvar!r},{amps!r}\n"
+               for line_id, kw, kvar, amps in zip(sol.line_ids, sol.line_flow_kw.tolist(),
+                                                  sol.line_flow_kvar.tolist(),
+                                                  sol.line_current_a.tolist())]
+              for sol in result.solutions]
+    _write_steps(result, out, "step,line_id,kw,kvar,amps\n", pieces)
+
+
+def qsts_summary_csv(result: QstsResult, out: TextIO) -> None:
+    """Per-step summary to ``out``: ``step,source_kw,loss_kw,min_v_pu,max_v_pu``."""
+    pieces = [[f",{sol.source_kw!r},{sol.total_loss_kw!r},"
+               f"{float(np.min(sol.v_mag_pu))!r},{float(np.max(sol.v_mag_pu))!r}\n"]
+              for sol in result.solutions]
+    _write_steps(result, out, "step,source_kw,loss_kw,min_v_pu,max_v_pu\n", pieces)

@@ -1,11 +1,16 @@
 """Independent reference computations used to check the package.
 
-Nothing here shares code with the package: the power-flow oracle is a dense
-Newton solve on the polar mismatch equations with a numeric Jacobian, the
-two-bus case is the closed-form biquadratic, the scalar sweep solves one
-snapshot with plain per-line loops, and graph checks use a plain visited-set
-traversal. Shared per-unit conventions (1 MVA base, source-bus voltage base,
-0.5 pu collapse floor) are contract, not implementation.
+The physics oracles share no code with the package: the power-flow oracle
+is a dense Newton solve on the polar mismatch equations with a numeric
+Jacobian, the two-bus case is the closed-form biquadratic, the scalar sweep
+solves one snapshot with plain per-line loops, and graph checks use a plain
+visited-set traversal. Shared per-unit conventions (1 MVA base, source-bus
+voltage base, 0.5 pu collapse floor) are contract, not implementation.
+
+The plain QSTS reference (``qsts_per_step`` and its two CSV writers) checks
+the layers above the sweep: it solves every step in one batch with the
+package's own feeder compile and kernel, derives one solution object per
+step and formats every step's rows, with no dedup and no streaming.
 """
 
 from __future__ import annotations
@@ -149,3 +154,74 @@ def reachable_from(net, start_id: str) -> set[str]:
 def is_tree(net) -> bool:
     return (len(net.lines) == len(net.buses) - 1
             and reachable_from(net, net.source.bus_id) == {b.id for b in net.buses})
+
+
+def qsts_per_step(net, shapes, cfg, *, steps: int, dt_h: float):
+    """Every step of a QSTS run solved and derived on its own row: returns
+    one ``PowerFlowSolution`` per step. Load rows follow ``run_qsts``: each
+    shaped load's kW is its profile sample (wrapping), kvar stays nominal."""
+    from gridimpact.powerflow import kernels
+    from gridimpact.powerflow.solver import PowerFlowSolution, _CompiledFeeder
+
+    feeder = _CompiledFeeder(net)
+    n = len(feeder.bus_ids)
+    s_batch = np.broadcast_to(feeder.s_static_pu, (steps, n)).copy()
+    t_index = np.arange(steps)
+    for load_id, profile in shapes.items():
+        bus = feeder.load_bus_idx[load_id]
+        samples = profile.values_kw[t_index % profile.values_kw.shape[0]]
+        s_batch[:, bus] += (samples - feeder.load_kw[load_id]) / 1000.0
+    v, i_line_bfs, iters, converged, _ = kernels.solve_batch(
+        feeder.parent, feeder.child, feeder.z_bfs, s_batch,
+        feeder.v0, cfg.tol_pu, cfg.max_iter)
+
+    i_model = i_line_bfs[:, feeder.bfs_of_model]
+    s_send_bfs = v[:, feeder.parent] * np.conj(i_line_bfs)
+    s_send = s_send_bfs[:, feeder.bfs_of_model]
+    flow_kw = s_send.real * 1000.0
+    flow_kvar = s_send.imag * 1000.0
+    amps = np.abs(i_model) * feeder.i_base_a
+    loss_kw = (np.abs(i_model) ** 2) * feeder.r_pu_model * 1000.0
+    src_lines = np.flatnonzero(feeder.parent == feeder.source_idx)
+    v_mag = np.abs(v)
+    v_ang = np.angle(v)
+
+    solutions = []
+    for t in range(steps):
+        total_loss = float(np.sum(loss_kw[t]))
+        total_load = float(np.sum(s_batch[t].real)) * 1000.0
+        src_flow = float(np.sum(s_send_bfs[t, src_lines].real))
+        source_kw = (src_flow + float(s_batch[t, feeder.source_idx].real)) * 1000.0
+        solutions.append(PowerFlowSolution(
+            bus_ids=feeder.bus_ids, line_ids=feeder.line_ids,
+            v_mag_pu=v_mag[t], v_ang_rad=v_ang[t],
+            line_flow_kw=flow_kw[t], line_flow_kvar=flow_kvar[t],
+            line_current_a=amps[t], line_loss_kw=loss_kw[t],
+            total_loss_kw=total_loss, total_load_kw=total_load, source_kw=source_kw,
+            converged=bool(converged[t]), iterations=int(iters[t])))
+    return solutions
+
+
+def qsts_total_losses(solutions, dt_h: float) -> float:
+    """Integrated losses in kWh over the converged steps."""
+    losses = np.array([s.total_loss_kw for s in solutions if s.converged])
+    return float(np.sum(losses) * dt_h)
+
+
+def qsts_lines_csv(solutions) -> str:
+    """``step,line_id,kw,kvar,amps`` with every step's rows formatted."""
+    rows = ["step,line_id,kw,kvar,amps"]
+    for t, sol in enumerate(solutions):
+        for j, line_id in enumerate(sol.line_ids):
+            rows.append(f"{t},{line_id},{float(sol.line_flow_kw[j])!r},"
+                        f"{float(sol.line_flow_kvar[j])!r},{float(sol.line_current_a[j])!r}")
+    return "\n".join(rows) + "\n"
+
+
+def qsts_summary_csv(solutions) -> str:
+    """``step,source_kw,loss_kw,min_v_pu,max_v_pu`` with every step formatted."""
+    rows = ["step,source_kw,loss_kw,min_v_pu,max_v_pu"]
+    for t, sol in enumerate(solutions):
+        rows.append(f"{t},{sol.source_kw!r},{sol.total_loss_kw!r},"
+                    f"{float(np.min(sol.v_mag_pu))!r},{float(np.max(sol.v_mag_pu))!r}")
+    return "\n".join(rows) + "\n"

@@ -76,6 +76,15 @@ class TestValidate:
         report = json.loads((run_dir_of(config) / "validate.json").read_text())
         assert report["network"]["radial"] is False
 
+    def test_mixed_base_kv_exits_2(self, tmp_path, minimal_doc):
+        minimal_doc["buses"][1]["base_kv"] = 0.48
+        net_path = tmp_path / "two_level.json"
+        net_path.write_text(json.dumps(minimal_doc))
+        config = write_config(tmp_path, network_path=str(net_path))
+        assert main(["validate", "--config", str(config)]) == 2
+        report = json.loads((run_dir_of(config) / "validate.json").read_text())
+        assert "mixed base_kv" in report["network"]["error"]
+
     def test_malformed_station_row_exits_2(self, tmp_path):
         bad = tmp_path / "stations.csv"
         bad.write_text("id,name,lat,lon,rated_kw\ns1,A,37.0,-121.0,60\ns2,B,oops,-121.0,50\n")
@@ -187,7 +196,7 @@ class TestPipeline:
         run = PipelineRun(config, digest)
         power = run.stage_power()
         peak_index = run.stage_profile()["profile_peak_index"]
-        at_peak = power["after_series"].solutions[peak_index]
+        at_peak = power["after_series"].step(peak_index)
         snapshot = power["after_snapshot"]
         assert at_peak.v_mag_pu.tobytes() == snapshot.v_mag_pu.tobytes()
         assert at_peak.source_kw == snapshot.source_kw
@@ -208,6 +217,30 @@ class TestPipeline:
         with pytest.raises(OSError, match="disk full"):
             run._write("profile.csv", "step,kw\n0,")
         assert (run_dir / "profile.csv").read_bytes() == before
+        assert not [p.name for p in run_dir.iterdir() if p.name.endswith(".tmp")]
+
+    def test_failed_stream_keeps_previous_lines_csv(self, tmp_path, monkeypatch):
+        """A QSTS writer that raises after writing part of its rows leaves
+        the earlier file in place and no temp file behind."""
+        from gridimpact import cli
+
+        config_path = write_config(tmp_path)
+        assert main(["run", "--config", str(config_path)]) == 0
+        run_dir = run_dir_of(config_path)
+        before = {name: (run_dir / name).read_bytes()
+                  for name in ("before_lines.csv", "after_lines.csv")}
+
+        def failing_writer(result, out):
+            out.write("step,line_id,kw,kvar,amps\n0,l1,")
+            out.flush()
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "qsts_lines_csv", failing_writer)
+        run = cli.PipelineRun(*load_run_config(config_path))
+        with pytest.raises(OSError, match="disk full"):
+            run.write_power()
+        for name, content in before.items():
+            assert (run_dir / name).read_bytes() == content
         assert not [p.name for p in run_dir.iterdir() if p.name.endswith(".tmp")]
 
     def test_out_flag_overrides_output_dir(self, tmp_path):

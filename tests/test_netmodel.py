@@ -53,6 +53,11 @@ class TestParse:
         with pytest.raises(SchemaError, match="duplicate id: bus b0"):
             parse_network(minimal_doc)
 
+    def test_mixed_base_kv_rejected(self, minimal_doc):
+        minimal_doc["buses"][1]["base_kv"] = 0.48
+        with pytest.raises(SchemaError, match=r"mixed base_kv \[0\.48, 12\.47\]"):
+            parse_network(minimal_doc)
+
     def test_missing_field_names_offender(self, minimal_doc):
         del minimal_doc["buses"][1]["lat"]
         with pytest.raises(SchemaError, match="bus b1: missing field 'lat'"):
@@ -183,6 +188,12 @@ class TestInvariants:
         with pytest.raises(SchemaError, match="dangling bus reference"):
             NetworkModel(buses=(Bus("b0", 0.0, 0.0, 1.0),), lines=(), loads=(),
                          source=Source("zz", 1.0))
+
+    def test_mixed_base_kv_rejected(self):
+        buses = (Bus("b0", 0.0, 0.0, 12.47), Bus("b1", 0.0, 0.001, 12.47),
+                 Bus("b2", 0.0, 0.002, 4.16))
+        with pytest.raises(SchemaError, match="every bus must share one voltage base"):
+            NetworkModel(buses=buses, lines=(), loads=(), source=Source("b0", 1.0))
 
     def test_self_loop_rejected(self):
         with pytest.raises(SchemaError, match="from_bus equals to_bus"):

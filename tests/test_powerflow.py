@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import warnings
 
 import numpy as np
@@ -21,6 +23,7 @@ from gridimpact.powerflow import kernels
 from gridimpact.powerflow.solver import _CompiledFeeder
 from gridimpact.synth import random_feeder
 
+import oracles
 from oracles import newton_solve, scalar_sweep, two_bus_closed_form
 
 # frozen from a 50-digit evaluation of the closed-form two-bus solution
@@ -36,6 +39,10 @@ def chain_network(n, *, z=(0.1, 0.2), load_kw=50.0, load_kvar=10.0, base_kv=12.4
     loads = tuple(LoadPoint(f"ld{i:02d}", f"b{i:02d}", load_kw, load_kvar)
                   for i in range(1, n))
     return NetworkModel(buses=buses, lines=lines, loads=loads, source=Source("b00", 1.0))
+
+
+def every_step(result):
+    return [result.step(t) for t in range(result.steps)]
 
 
 def relative_balance_error(sol):
@@ -228,14 +235,14 @@ class TestQsts:
             source=Source("b1", 1.0),
         )
         result = run_qsts(net, {"ld1": two_step_profile([0.0, 100.0])})
-        assert len(result.solutions) == 2
+        assert result.steps == 2
         # step 0: the only load is shaped to zero kW
-        assert result.solutions[0].total_loss_kw == 0.0
-        np.testing.assert_array_equal(result.solutions[0].v_mag_pu, np.ones(2))
+        assert result.step(0).total_loss_kw == 0.0
+        np.testing.assert_array_equal(result.step(0).v_mag_pu, np.ones(2))
         # step 1: nominal model
         nominal = solve_snapshot(net)
-        np.testing.assert_array_equal(result.solutions[1].v_mag_pu, nominal.v_mag_pu)
-        np.testing.assert_array_equal(result.solutions[1].line_flow_kw, nominal.line_flow_kw)
+        np.testing.assert_array_equal(result.step(1).v_mag_pu, nominal.v_mag_pu)
+        np.testing.assert_array_equal(result.step(1).line_flow_kw, nominal.line_flow_kw)
 
     def test_constant_shape_is_time_invariant(self, kernel, feeder20):
         load = feeder20.loads[0]
@@ -243,7 +250,7 @@ class TestQsts:
                               energy_kwh=load.kw * 24.0)
         result = run_qsts(feeder20, {load.id: shape})
         nominal = solve_snapshot(feeder20)
-        for sol in result.solutions:
+        for sol in every_step(result):
             np.testing.assert_array_equal(sol.v_mag_pu, nominal.v_mag_pu)
             assert sol.total_loss_kw == nominal.total_loss_kw
 
@@ -255,8 +262,8 @@ class TestQsts:
             shapes[load.id] = DemandProfile(dt_h=1.0, values_kw=values,
                                             energy_kwh=float(np.sum(values)))
         result = run_qsts(feeder20, shapes)
-        assert len(result.solutions) == 24
-        for sol in result.solutions:
+        assert result.steps == 24
+        for sol in every_step(result):
             assert sol.converged
             assert relative_balance_error(sol) < 1e-6
 
@@ -266,10 +273,10 @@ class TestQsts:
         values = rng.uniform(0.0, 200.0, 24)
         shape = DemandProfile(dt_h=1.0, values_kw=values, energy_kwh=float(np.sum(values)))
         result = run_qsts(feeder20, {load.id: shape}, steps=48)
-        assert len(result.solutions) == 48
+        assert result.steps == 48
         for t in range(24):
-            np.testing.assert_array_equal(result.solutions[t].v_mag_pu,
-                                          result.solutions[t + 24].v_mag_pu)
+            np.testing.assert_array_equal(result.step(t).v_mag_pu,
+                                          result.step(t + 24).v_mag_pu)
 
     def test_unknown_load_id_aborts_before_solving(self, feeder20):
         with pytest.raises(ValueError, match="unknown load id: ghost"):
@@ -285,7 +292,7 @@ class TestQsts:
         with pytest.raises(ValueError, match="dt_h is required"):
             run_qsts(feeder20, {}, steps=4)
         result = run_qsts(feeder20, {}, steps=4, dt_h=1.0)
-        assert len(result.solutions) == 4
+        assert result.steps == 4
 
     def test_divergent_step_recorded_not_fatal(self, kernel):
         net = NetworkModel(
@@ -297,8 +304,8 @@ class TestQsts:
         # step 1 drives the bus into collapse; the run must survive
         shape = two_step_profile([100.0, 10_000.0])
         result = run_qsts(net, {"ld1": shape})
-        assert result.solutions[0].converged
-        assert not result.solutions[1].converged
+        assert result.step(0).converged
+        assert not result.step(1).converged
 
     def test_parallel_equals_sequential(self, kernel, feeder20):
         rng = np.random.default_rng(5)
@@ -309,7 +316,7 @@ class TestQsts:
                                             energy_kwh=float(np.sum(values)))
         seq = run_qsts(feeder20, shapes, steps=48)
         par = run_qsts(feeder20, shapes, steps=48, workers=4)
-        for a, b in zip(seq.solutions, par.solutions):
+        for a, b in zip(every_step(seq), every_step(par)):
             assert a.v_mag_pu.tobytes() == b.v_mag_pu.tobytes()
             assert a.line_flow_kw.tobytes() == b.line_flow_kw.tobytes()
             assert a.iterations == b.iterations
@@ -317,10 +324,135 @@ class TestQsts:
             assert a.source_kw == b.source_kw
 
 
+# numpy multiplies in place into a temporary from 256 KiB up, which changes
+# the rounding of the complex product behind line_flow_kvar.
+ELISION_BYTES = 262144
+
+
+def elision_steps(net):
+    """Steps at which one (steps, lines) complex128 array reaches 256 KiB."""
+    return -(-ELISION_BYTES // (16 * len(net.lines)))
+
+
+def assert_equals_per_step(result, reference):
+    """Every field of every step, the CSV bytes and the loss total of
+    ``result`` equal the plain per-step reference bit for bit."""
+    assert result.steps == len(reference)
+    for t, want in enumerate(reference):
+        got = result.step(t)
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), \
+                    (t, field.name)
+            elif isinstance(b, float):
+                assert np.float64(a).tobytes() == np.float64(b).tobytes(), (t, field.name)
+            else:
+                assert a == b, (t, field.name)
+    lines, summary = io.StringIO(), io.StringIO()
+    qsts_lines_csv(result, lines)
+    qsts_summary_csv(result, summary)
+    assert lines.getvalue() == oracles.qsts_lines_csv(reference)
+    assert summary.getvalue() == oracles.qsts_summary_csv(reference)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = total_losses(result)
+    want = oracles.qsts_total_losses(reference, result.dt_h)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def periodic_shapes(net, rng, period, levels):
+    """Shapes for about half the loads: each repeats a ``period``-step
+    pattern (24 h at dt_h = 24 / period) of ``levels`` load levels up to
+    10**3.5 times nominal, so steps repeat rows and the heavy levels collapse
+    or fail to converge."""
+    level = 10.0 ** rng.uniform(0.0, 3.5, size=levels)
+    pattern = rng.integers(0, levels, size=period)
+    shapes = {}
+    for load in net.loads:
+        if rng.random() < 0.5:
+            continue
+        values = load.kw * level[pattern] * rng.uniform(0.0, 1.0)
+        shapes[load.id] = DemandProfile(dt_h=24 / period, values_kw=values,
+                                        energy_kwh=float(np.sum(values)) * 24 / period)
+    return shapes
+
+
+class TestDistinctRows:
+    """``run_qsts`` solves and formats each distinct load row once; every
+    step must still equal ``oracles.qsts_per_step``, which solves and derives
+    each step on its own row, bit for bit."""
+
+    @given(n_buses=st.integers(10, 60), feeder_seed=st.integers(0, 2**31 - 1),
+           period=st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]), levels=st.integers(1, 6),
+           long_run=st.booleans(), extra_steps=st.integers(0, 200),
+           max_iter=st.sampled_from([2, 3, 50]), workers=st.sampled_from([1, 3]),
+           load_seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_equals_per_step_oracle(self, n_buses, feeder_seed, period, levels, long_run,
+                                    extra_steps, max_iter, workers, load_seed):
+        """Long runs start at the 256 KiB elision size, where the derived
+        quantities of a step depend on the batch it is derived in."""
+        net = random_feeder(n_buses, seed=feeder_seed)
+        shapes = periodic_shapes(net, np.random.default_rng(load_seed), period, levels)
+        steps = elision_steps(net) + extra_steps if long_run else 1 + extra_steps % 48
+        cfg = SolverConfig(max_iter=max_iter)
+        dt_h = 24 / period
+        result = run_qsts(net, shapes, cfg, steps=steps, dt_h=dt_h, workers=workers)
+        assert_equals_per_step(
+            result, oracles.qsts_per_step(net, shapes, cfg, steps=steps, dt_h=dt_h))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_feeder40_above_elision_size_solves_distinct_rows(self, feeder40, workers,
+                                                             monkeypatch):
+        steps = 600
+        assert steps > elision_steps(feeder40)
+        rng = np.random.default_rng(40)
+        shapes = {}
+        for load in feeder40.loads[:10]:
+            values = rng.uniform(0.2, 2.0, 24) * load.kw
+            shapes[load.id] = DemandProfile(dt_h=1.0, values_kw=values,
+                                            energy_kwh=float(np.sum(values)))
+        solved_rows = []
+        solve_batch = kernels.solve_batch
+
+        def counting(parent, child, z, s, *args):
+            solved_rows.append(s.shape[0])
+            return solve_batch(parent, child, z, s, *args)
+
+        monkeypatch.setattr(kernels, "solve_batch", counting)
+        result = run_qsts(feeder40, shapes, steps=steps, workers=workers)
+        assert len(result.solutions) == 24
+        assert sum(solved_rows) == 24
+        assert result.step_row.tolist() == [t % 24 for t in range(steps)]
+        assert_equals_per_step(
+            result, oracles.qsts_per_step(feeder40, shapes, SolverConfig(),
+                                          steps=steps, dt_h=1.0))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_diverging_and_collapsing_steps(self, workers):
+        """A three-step pattern: no load (converged), nominal load (out of
+        iterations at a 1e-12 pu tolerance) and 1000 times nominal (collapsed)."""
+        net = chain_network(12, load_kvar=0.0)
+        cfg = SolverConfig(tol_pu=1e-12, max_iter=3)
+        shapes = {load.id: DemandProfile(dt_h=8.0, values_kw=np.array(
+                      [0.0, load.kw, 1e3 * load.kw]), energy_kwh=8.0 * 1001 * load.kw)
+                  for load in net.loads}
+        steps = elision_steps(net) + 7
+        result = run_qsts(net, shapes, cfg, steps=steps, workers=workers)
+        zero, nominal, heavy = result.solutions
+        assert zero.converged
+        assert not nominal.converged and nominal.iterations == 3
+        assert not heavy.converged and heavy.iterations < 3
+        assert np.count_nonzero(~result.converged) == steps - (steps + 2) // 3
+        assert_equals_per_step(result, oracles.qsts_per_step(net, shapes, cfg,
+                                                             steps=steps, dt_h=8.0))
+
+
 class TestTotalLosses:
     def test_single_step(self, kernel, two_bus_net):
         result = run_qsts(two_bus_net, {}, steps=1, dt_h=1.0)
-        expected = result.solutions[0].total_loss_kw * 1.0
+        expected = result.step(0).total_loss_kw * 1.0
         assert total_losses(result) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(TWO_BUS_LOSS_PU * 1000.0, abs=2e-3)
 
@@ -331,35 +463,39 @@ class TestTotalLosses:
 
     def test_resummation_oracle(self, kernel, feeder20):
         result = run_qsts(feeder20, {}, steps=24, dt_h=0.5)
-        by_hand = sum(s.total_loss_kw for s in result.solutions) * 0.5
+        by_hand = sum(s.total_loss_kw for s in every_step(result)) * 0.5
         assert total_losses(result) == pytest.approx(by_hand, rel=1e-12)
 
     def test_diverged_steps_excluded_with_warning(self):
         good = run_qsts(chain_network(3), {}, steps=2, dt_h=1.0)
         patched = QstsResult(
-            solutions=(good.solutions[0],
-                       type(good.solutions[1])(**{**good.solutions[1].__dict__,
-                                                  "converged": False})),
+            solutions=(good.step(0),
+                       type(good.step(1))(**{**good.step(1).__dict__, "converged": False})),
+            step_row=np.arange(2),
             dt_h=1.0)
         with pytest.warns(UserWarning, match="non-converged"):
             value = total_losses(patched)
-        assert value == pytest.approx(good.solutions[0].total_loss_kw, rel=1e-12)
+        assert value == pytest.approx(good.step(0).total_loss_kw, rel=1e-12)
 
 
 class TestExports:
     def test_lines_csv_shape(self, kernel, feeder20):
         result = run_qsts(feeder20, {}, steps=2, dt_h=1.0)
-        rows = qsts_lines_csv(result).strip().split("\n")
+        out = io.StringIO()
+        qsts_lines_csv(result, out)
+        rows = out.getvalue().strip().split("\n")
         assert rows[0] == "step,line_id,kw,kvar,amps"
         assert len(rows) == 1 + 2 * len(feeder20.lines)
         first = rows[1].split(",")
         assert first[0] == "0"
-        assert float(first[2]) == result.solutions[0].line_flow_kw[0]
+        assert float(first[2]) == result.step(0).line_flow_kw[0]
 
     def test_summary_csv_shape(self, kernel, feeder20):
         result = run_qsts(feeder20, {}, steps=3, dt_h=1.0)
-        rows = qsts_summary_csv(result).strip().split("\n")
+        out = io.StringIO()
+        qsts_summary_csv(result, out)
+        rows = out.getvalue().strip().split("\n")
         assert rows[0] == "step,source_kw,loss_kw,min_v_pu,max_v_pu"
         assert len(rows) == 4
         parts = rows[1].split(",")
-        assert float(parts[3]) == float(np.min(result.solutions[0].v_mag_pu))
+        assert float(parts[3]) == float(np.min(result.step(0).v_mag_pu))
