@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import functools
 import hashlib
 import json
 import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -46,15 +47,18 @@ from .powerflow import (
     qsts_lines_csv,
     qsts_summary_csv,
     run_qsts,
+    snapshot_csv,
     solve_snapshot,
 )
 
 log = logging.getLogger("gridimpact")
 
 ALLOWED_DT_H = (0.25, 0.5, 1.0)
+_NUMBER = (int, float)
+_REQUIRED = object()
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     network_path: str
     stations_path: str
@@ -74,10 +78,12 @@ class RunConfig:
             raise SchemaError(f"steps must be >= 1, got {self.steps}")
         if self.dt_h not in ALLOWED_DT_H:
             raise SchemaError(f"dt_h must be one of {ALLOWED_DT_H}, got {self.dt_h}")
-        if self.peak_kw_override is not None and self.peak_kw_override < 0:
-            raise SchemaError("peak_kw_override must be >= 0")
-        if self.ampacity_threshold_a < 0:
-            raise SchemaError("ampacity_threshold_a must be >= 0")
+        if self.peak_kw_override is not None and not 0 <= self.peak_kw_override < math.inf:
+            raise SchemaError(
+                f"peak_kw_override must be finite and >= 0, got {self.peak_kw_override}")
+        if not 0 <= self.ampacity_threshold_a < math.inf:
+            raise SchemaError(
+                f"ampacity_threshold_a must be finite and >= 0, got {self.ampacity_threshold_a}")
 
 
 def load_run_config(path: str | Path, out_override: str | None = None) -> tuple[RunConfig, str]:
@@ -107,39 +113,58 @@ def load_run_config(path: str | Path, out_override: str | None = None) -> tuple[
         json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()[:12]
 
+    def field(key: str, kinds, expected: str, default=_REQUIRED):
+        """``doc[key]`` if it is one of ``kinds`` (a bool is never a number)."""
+        if key not in doc:
+            if default is _REQUIRED:
+                raise SchemaError(f"run config {path}: missing key '{key}'")
+            return default
+        value = doc[key]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise SchemaError(f"run config {path}: {key} must be {expected}, got {value!r}")
+        return value
+
     try:
-        scenario = scenario_from_json(doc.get("scenario", {}))
+        scenario = scenario_from_json(field("scenario", dict, "an object", {}))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
-    solver_doc = doc.get("solver", {})
     try:
-        solver = SolverConfig(**solver_doc)
-        schedule = Schedule(**doc.get("schedule", {}))
+        solver = SolverConfig(**field("solver", dict, "an object", {}))
+        schedule = Schedule(**field("schedule", dict, "an object", {}))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"run config {path}: {exc}") from exc
 
-    base = path.parent
+    def resolve(key: str, default=_REQUIRED) -> str:
+        candidate = Path(field(key, str, "a string", default))
+        return str(candidate if candidate.is_absolute() else path.parent / candidate)
 
-    def resolve(p: str) -> str:
-        candidate = Path(p)
-        return str(candidate if candidate.is_absolute() else base / candidate)
-
-    try:
-        cfg = RunConfig(
-            network_path=resolve(doc["network_path"]),
-            stations_path=resolve(doc["stations_path"]),
-            scenario=scenario,
-            solver=solver,
-            peak_kw_override=doc.get("peak_kw_override"),
-            ampacity_threshold_a=float(doc.get("ampacity_threshold_a", 0.0)),
-            output_dir=out_override or resolve(doc.get("output_dir", "out")),
-            dt_h=float(doc.get("dt_h", 1.0)),
-            steps=int(doc.get("steps", 8760)),
-            schedule=schedule,
-        )
-    except KeyError as exc:
-        raise SchemaError(f"run config {path}: missing key {exc}") from exc
+    cfg = RunConfig(
+        network_path=resolve("network_path"),
+        stations_path=resolve("stations_path"),
+        scenario=scenario,
+        solver=solver,
+        peak_kw_override=field("peak_kw_override", (*_NUMBER, type(None)), "a number or null",
+                               None),
+        ampacity_threshold_a=float(field("ampacity_threshold_a", _NUMBER, "a number", 0.0)),
+        output_dir=out_override or resolve("output_dir", "out"),
+        dt_h=float(field("dt_h", _NUMBER, "a number", 1.0)),
+        steps=field("steps", int, "an integer", 8760),
+        schedule=schedule,
+    )
     return cfg, digest
+
+
+def _stage(method):
+    """Memoize a ``stage_*`` method per run: the first call computes, later
+    calls (a writer, a later stage, the manifest) return the same result."""
+
+    @functools.wraps(method)
+    def memoized(self):
+        if method.__name__ not in self._stages:
+            self._stages[method.__name__] = method(self)
+        return self._stages[method.__name__]
+
+    return memoized
 
 
 class PipelineRun:
@@ -154,7 +179,7 @@ class PipelineRun:
         self.config = config
         self.config_hash = config_hash
         self.run_dir = Path(config.output_dir) / f"run-{config_hash}"
-        self._cache: dict[str, object] = {}
+        self._stages: dict[str, object] = {}
 
     # --- plumbing ---------------------------------------------------------
 
@@ -195,79 +220,60 @@ class PipelineRun:
 
     # --- inputs -----------------------------------------------------------
 
-    @property
+    @functools.cached_property
     def network(self) -> NetworkModel:
-        if "network" not in self._cache:
-            self._cache["network"] = load_network(self.config.network_path)
-        return self._cache["network"]
+        return load_network(self.config.network_path)
 
-    @property
+    @functools.cached_property
     def stations(self) -> list[stations.EvStation]:
-        if "stations" not in self._cache:
-            self._cache["stations"] = stations.load_stations(self.config.stations_path)
-        return self._cache["stations"]
+        return stations.load_stations(self.config.stations_path)
 
     # --- stages -----------------------------------------------------------
 
+    @_stage
     def stage_profile(self) -> dict:
-        if "profile" in self._cache:
-            return self._cache["profile"]
-        cohorts = build_cohorts(self.config.scenario, self.config.schedule)
-        profiles = [cohort_profile(c, self.config.dt_h) for c in cohorts]
-        total = aggregate_profiles(profiles, dt_h=self.config.dt_h)
+        cfg = self.config
+        profiles = [cohort_profile(c, cfg.dt_h) for c in build_cohorts(cfg.scenario, cfg.schedule)]
+        total = aggregate_profiles(profiles, dt_h=cfg.dt_h)
         peak_index, peak_kw = find_peak(total)
-        result = {
-            "cohorts": cohorts,
+        return {
             "profile": total,
             "profile_peak_kw": peak_kw,
             "profile_peak_index": peak_index,
-            "peak_kw": (self.config.peak_kw_override
-                        if self.config.peak_kw_override is not None else peak_kw),
+            "peak_kw": cfg.peak_kw_override if cfg.peak_kw_override is not None else peak_kw,
         }
-        self._cache["profile"] = result
-        return result
 
+    @_stage
     def stage_allocate(self) -> dict:
-        if "allocate" in self._cache:
-            return self._cache["allocate"]
         census = stations.StationCensus.of(self.stations)
-        peak_kw = self.stage_profile()["peak_kw"]
-        allocations = stations.allocate_peak(peak_kw, census)
-        result = {"census": census, "allocations": allocations}
-        self._cache["allocate"] = result
-        return result
+        allocations = stations.allocate_peak(self.stage_profile()["peak_kw"], census)
+        return {"census": census, "allocations": allocations}
 
+    @_stage
     def stage_assign(self) -> list[assign_mod.Assignment]:
-        if "assign" not in self._cache:
-            allocations = self.stage_allocate()["allocations"]
-            self._cache["assign"] = assign_mod.assign_stations(
-                self.stations, self.network, allocations)
-        return self._cache["assign"]
+        return assign_mod.assign_stations(
+            self.stations, self.network, self.stage_allocate()["allocations"])
 
+    @_stage
     def stage_power(self) -> dict:
-        if "power" in self._cache:
-            return self._cache["power"]
         cfg = self.config
         assignments = self.stage_assign()
         before_net = self.network
         after_net = assign_mod.inject_loads(before_net, assignments)
-
-        before_snapshot = solve_snapshot(before_net, cfg.solver)
-        if not before_snapshot.converged:
-            raise SolverError(
-                f"baseline snapshot diverged after {before_snapshot.iterations} iterations")
-        after_snapshot = solve_snapshot(after_net, cfg.solver)
-        if not after_snapshot.converged:
-            raise SolverError(
-                f"EV snapshot diverged after {after_snapshot.iterations} iterations")
+        result = {"before_net": before_net, "after_net": after_net}
+        for side, net, label in (("before", before_net, "baseline"), ("after", after_net, "EV")):
+            snapshot = solve_snapshot(net, cfg.solver)
+            if not snapshot.converged:
+                raise SolverError(
+                    f"{label} snapshot diverged after {snapshot.iterations} iterations")
+            result[f"{side}_snapshot"] = snapshot
 
         # EV loads follow the fleet profile normalized to its own peak, so the
         # peak step carries exactly the allocated kW. With no usable shape
         # (an override on a zero-fleet scenario) the EV load is held constant.
-        profile = self.stage_profile()["profile"]
-        profile_peak = self.stage_profile()["profile_peak_kw"]
-        factor = (profile.values_kw / profile_peak if profile_peak > 0
-                  else np.ones_like(profile.values_kw))
+        profile = self.stage_profile()
+        values_kw, peak_kw = profile["profile"].values_kw, profile["profile_peak_kw"]
+        factor = values_kw / peak_kw if peak_kw > 0 else np.ones_like(values_kw)
         shapes: dict[str, DemandProfile] = {}
         for bus_id, (load_id, base_kw, added_kw) in assign_mod.injection_targets(
                 before_net, assignments).items():
@@ -276,54 +282,37 @@ class PipelineRun:
                 dt_h=cfg.dt_h, values_kw=series,
                 energy_kwh=float(np.sum(series)) * cfg.dt_h)
 
-        before_series = run_qsts(before_net, {}, cfg.solver,
-                                 steps=cfg.steps, dt_h=cfg.dt_h)
-        after_series = run_qsts(after_net, shapes, cfg.solver,
-                                steps=cfg.steps, dt_h=cfg.dt_h)
-        result = {
-            "before_net": before_net,
-            "after_net": after_net,
-            "before_snapshot": before_snapshot,
-            "after_snapshot": after_snapshot,
-            "before_series": before_series,
-            "after_series": after_series,
-        }
-        self._cache["power"] = result
+        result["before_series"] = run_qsts(before_net, {}, cfg.solver,
+                                           steps=cfg.steps, dt_h=cfg.dt_h)
+        result["after_series"] = run_qsts(after_net, shapes, cfg.solver,
+                                          steps=cfg.steps, dt_h=cfg.dt_h)
         return result
 
+    @_stage
     def stage_impact(self) -> dict:
-        if "impact" in self._cache:
-            return self._cache["impact"]
+        """``{metric}_records`` and ``{metric}_histogram`` per ``impact.Metric``
+        (lines above the ampacity threshold only), plus the system summary."""
         power = self.stage_power()
         high_ampacity = set(impact.filter_by_ampacity(
             self.network, self.config.ampacity_threshold_a))
-        flow_records = [r for r in impact.build_records(
-            power["before_snapshot"], power["after_snapshot"], impact.Metric.FLOW)
-            if r.line_id in high_ampacity]
-        loss_records = [r for r in impact.build_records(
-            power["before_snapshot"], power["after_snapshot"], impact.Metric.LOSS)
-            if r.line_id in high_ampacity]
-        summary = impact.summarize(
+        result = {}
+        for metric in impact.Metric:
+            records = [r for r in impact.build_records(
+                power["before_snapshot"], power["after_snapshot"], metric)
+                if r.line_id in high_ampacity]
+            result[f"{metric.value}_records"] = records
+            result[f"{metric.value}_histogram"] = impact.build_histogram(records)
+        result["summary"] = impact.summarize(
             power["before_net"].total_load_kw(),
             power["after_net"].total_load_kw(),
             power["before_snapshot"].total_loss_kw,
             power["after_snapshot"].total_loss_kw,
         )
-        result = {
-            "flow_records": flow_records,
-            "loss_records": loss_records,
-            "summary": summary,
-            "flow_histogram": impact.build_histogram(flow_records),
-            "loss_histogram": impact.build_histogram(loss_records),
-        }
-        self._cache["impact"] = result
         return result
 
+    @_stage
     def stage_export(self) -> dict:
-        if "export" not in self._cache:
-            self._cache["export"] = geoexport.export_geojson(
-                self.network, self.stage_impact()["flow_records"])
-        return self._cache["export"]
+        return geoexport.export_geojson(self.network, self.stage_impact()["flow_records"])
 
     # --- artifact writers ---------------------------------------------------
 
@@ -333,23 +322,14 @@ class PipelineRun:
     def write_assignments(self) -> None:
         self._write("assignments.csv", assign_mod.assignments_to_csv(self.stage_assign()))
 
-    def _snapshot_csv(self, solution) -> str:
-        rows = ["line_id,kw,kvar,amps,loss_kw"]
-        for j, line_id in enumerate(solution.line_ids):
-            rows.append(f"{line_id},{float(solution.line_flow_kw[j])!r},"
-                        f"{float(solution.line_flow_kvar[j])!r},"
-                        f"{float(solution.line_current_a[j])!r},"
-                        f"{float(solution.line_loss_kw[j])!r}")
-        return "\n".join(rows) + "\n"
-
     def write_power(self) -> None:
         power = self.stage_power()
-        self._write("before_snapshot.csv", self._snapshot_csv(power["before_snapshot"]))
-        self._write("after_snapshot.csv", self._snapshot_csv(power["after_snapshot"]))
-        for name, writer in (("lines", qsts_lines_csv), ("steps", qsts_summary_csv)):
-            for series in ("before", "after"):
-                with self._artifact(f"{series}_{name}.csv") as out:
-                    writer(power[f"{series}_series"], out)
+        for name, writer, kind in (("snapshot", snapshot_csv, "snapshot"),
+                                   ("lines", qsts_lines_csv, "series"),
+                                   ("steps", qsts_summary_csv, "series")):
+            for side in ("before", "after"):
+                with self._artifact(f"{side}_{name}.csv") as out:
+                    writer(power[f"{side}_{kind}"], out)
 
     def write_impact(self) -> None:
         result = self.stage_impact()
@@ -357,8 +337,9 @@ class PipelineRun:
         report["loss_records"] = impact.records_to_json_dict(
             result["summary"], result["loss_records"])["records"]
         self._write("impact_report.json", json.dumps(report, indent=2) + "\n")
-        self._write("histogram_flow.csv", impact.histogram_to_csv(result["flow_histogram"]))
-        self._write("histogram_loss.csv", impact.histogram_to_csv(result["loss_histogram"]))
+        for metric in impact.Metric:
+            self._write(f"histogram_{metric.value}.csv",
+                        impact.histogram_to_csv(result[f"{metric.value}_histogram"]))
 
     def write_export(self) -> None:
         self._write("network_styled.geojson", geoexport.geojson_dumps(self.stage_export()))
@@ -371,7 +352,6 @@ class PipelineRun:
         power = self.stage_power()
         result = self.stage_impact()
         census = allocate["census"]
-        summary = result["summary"]
         manifest = {
             "config_hash": self.config_hash,
             "network": {
@@ -401,29 +381,43 @@ class PipelineRun:
                 "diverged_before": int(np.count_nonzero(~power["before_series"].converged)),
                 "diverged_after": int(np.count_nonzero(~power["after_series"].converged)),
             },
-            "summary": {
-                "demand_before_kw": summary.demand_before_kw,
-                "demand_after_kw": summary.demand_after_kw,
-                "demand_pct": summary.demand_pct,
-                "loss_before_kw": summary.loss_before_kw,
-                "loss_after_kw": summary.loss_after_kw,
-                "loss_pct": summary.loss_pct,
-            },
-            "histogram_flow": {"edges": list(result["flow_histogram"].bin_edges),
-                               "counts": list(result["flow_histogram"].counts)},
-            "histogram_loss": {"edges": list(result["loss_histogram"].bin_edges),
-                               "counts": list(result["loss_histogram"].counts)},
+            "summary": dataclasses.asdict(result["summary"]),
         }
+        for metric in impact.Metric:
+            histogram = result[f"{metric.value}_histogram"]
+            manifest[f"histogram_{metric.value}"] = {"edges": list(histogram.bin_edges),
+                                                     "counts": list(histogram.counts)}
         self._write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-_STAGE_WRITERS = {
-    "profile": ("profile", PipelineRun.write_profile),
-    "assign": ("assign", PipelineRun.write_assignments),
-    "run": ("power", PipelineRun.write_power),
-    "impact": ("impact", PipelineRun.write_impact),
-    "export": ("export", PipelineRun.write_export),
-}
+# Every stage in pipeline order: (label, stage method, writer method). The
+# table holds method names, not functions, so a method replaced on the class
+# (a tracer's wrapper, say) is the one called. A failure writes the row's
+# label to FAILED; a single-stage subcommand runs its own row only.
+STAGES = (
+    ("profile", "stage_profile", "write_profile"),
+    ("allocate", "stage_allocate", None),
+    ("assign", "stage_assign", "write_assignments"),
+    ("power", "stage_power", "write_power"),
+    ("impact", "stage_impact", "write_impact"),
+    ("export", "stage_export", "write_export"),
+    ("manifest", None, "write_manifest"),
+)
+
+
+def _run_stages(run: PipelineRun, rows) -> None:
+    """Run each row's stage, then its writer. On failure mark the run FAILED
+    with the row's label and re-raise; on success clear any earlier marker."""
+    for label, *methods in rows:
+        try:
+            for name in methods:
+                if name is not None:
+                    getattr(run, name)()
+        except Exception as exc:
+            log.error("stage %s failed: %s", label, exc)
+            run.mark_failed(label, exc)
+            raise
+    run.clear_failure_marker()
 
 
 def cmd_validate(config: RunConfig, config_hash: str) -> int:
@@ -462,46 +456,15 @@ def cmd_validate(config: RunConfig, config_hash: str) -> int:
 def cmd_pipeline(config: RunConfig, config_hash: str) -> int:
     """Run every stage and write all artifacts plus the manifest."""
     run = PipelineRun(config, config_hash)
-    stage = "profile"
-    try:
-        run.stage_profile()
-        run.write_profile()
-        stage = "allocate"
-        run.stage_allocate()
-        stage = "assign"
-        run.stage_assign()
-        run.write_assignments()
-        stage = "power"
-        run.stage_power()
-        run.write_power()
-        stage = "impact"
-        run.stage_impact()
-        run.write_impact()
-        stage = "export"
-        run.stage_export()
-        run.write_export()
-        stage = "manifest"
-        run.write_manifest()
-    except Exception as exc:
-        log.error("pipeline failed at stage %s: %s", stage, exc)
-        run.mark_failed(stage, exc)
-        raise
-    run.clear_failure_marker()
+    _run_stages(run, STAGES)
     log.info("pipeline complete: %s", run.run_dir)
     return 0
 
 
 def cmd_stage(name: str, config: RunConfig, config_hash: str) -> int:
     """Run one stage (with its in-memory prerequisites) and write its files."""
-    stage, writer = _STAGE_WRITERS[name]
-    run = PipelineRun(config, config_hash)
-    try:
-        writer(run)
-    except Exception as exc:
-        log.error("stage %s failed: %s", stage, exc)
-        run.mark_failed(stage, exc)
-        raise
-    run.clear_failure_marker()
+    label = "power" if name == "run" else name
+    _run_stages(PipelineRun(config, config_hash), [row for row in STAGES if row[0] == label])
     return 0
 
 

@@ -52,6 +52,8 @@ class ChargingStrategy(Enum):
 
     @classmethod
     def parse(cls, token: str) -> "ChargingStrategy":
+        if not isinstance(token, str):
+            raise ValueError(f"charging strategy must be a string, got {token!r}")
         try:
             return cls(token.strip().lower())
         except ValueError:
@@ -199,12 +201,15 @@ def scenario_from_json(text: str | bytes | dict) -> ScenarioConfig:
     """Build a ScenarioConfig from its JSON document (field names as in the
     dataclass; strategies as their string tokens)."""
     doc = json.loads(text) if isinstance(text, (str, bytes)) else dict(text)
-    if "home_strategy" in doc:
-        doc["home_strategy"] = ChargingStrategy.parse(doc["home_strategy"])
-    if "work_strategy" in doc:
-        doc["work_strategy"] = ChargingStrategy.parse(doc["work_strategy"])
-    if "fleet_size" in doc:
-        doc["fleet_size"] = int(doc["fleet_size"])
+    for key in ("home_strategy", "work_strategy"):
+        if key in doc:
+            try:
+                doc[key] = ChargingStrategy.parse(doc[key])
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+    fleet_size = doc.get("fleet_size", 0)
+    if isinstance(fleet_size, bool) or not isinstance(fleet_size, int):
+        raise ValueError(f"fleet_size must be an integer, got {fleet_size!r}")
     try:
         return ScenarioConfig(**doc)
     except TypeError as exc:

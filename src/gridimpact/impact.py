@@ -9,7 +9,7 @@ category; the system summary keeps the signed convention instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -177,8 +177,9 @@ def summarize(
     after_loss_kw: float,
 ) -> SystemSummary:
     """System-level deltas with signed percent change on positive baselines."""
-    if not before_demand_kw > 0 or not before_loss_kw > 0:
-        raise ValueError("baseline demand and loss must be > 0")
+    for name, value in (("demand", before_demand_kw), ("loss", before_loss_kw)):
+        if not value > 0:
+            raise ValueError(f"baseline {name} must be > 0 kW, got {value!r}")
     return SystemSummary(
         demand_before_kw=before_demand_kw,
         demand_after_kw=after_demand_kw,
@@ -200,14 +201,7 @@ def records_to_json_dict(summary: SystemSummary, records: Iterable[ImpactRecord]
     """Impact report document. Infinite percent changes serialize as null
     (JSON has no inf); the category field still carries the classification."""
     return {
-        "summary": {
-            "demand_before_kw": summary.demand_before_kw,
-            "demand_after_kw": summary.demand_after_kw,
-            "demand_pct": summary.demand_pct,
-            "loss_before_kw": summary.loss_before_kw,
-            "loss_after_kw": summary.loss_after_kw,
-            "loss_pct": summary.loss_pct,
-        },
+        "summary": asdict(summary),
         "records": [
             {
                 "line_id": r.line_id,

@@ -8,6 +8,7 @@ from .solver import (
     qsts_lines_csv,
     qsts_summary_csv,
     run_qsts,
+    snapshot_csv,
     solve_snapshot,
     total_losses,
 )
@@ -20,6 +21,7 @@ __all__ = [
     "solve_snapshot",
     "run_qsts",
     "total_losses",
+    "snapshot_csv",
     "qsts_lines_csv",
     "qsts_summary_csv",
 ]

@@ -31,6 +31,7 @@ __all__ = [
     "solve_snapshot",
     "run_qsts",
     "total_losses",
+    "snapshot_csv",
     "qsts_lines_csv",
     "qsts_summary_csv",
 ]
@@ -383,13 +384,23 @@ def _write_steps(result: QstsResult, out: TextIO, header: str, pieces: list[list
         out.write(step + step.join(pieces[r]))
 
 
+def _line_rows(sol: PowerFlowSolution, *extra: np.ndarray) -> list[str]:
+    """``line_id,kw,kvar,amps`` and then the ``extra`` per-line columns, for
+    each line of ``sol``; floats as their ``repr``, without a line end."""
+    columns = (sol.line_flow_kw, sol.line_flow_kvar, sol.line_current_a, *extra)
+    return [",".join([line_id, *map(repr, values)])
+            for line_id, *values in zip(sol.line_ids, *(c.tolist() for c in columns))]
+
+
+def snapshot_csv(solution: PowerFlowSolution, out: TextIO) -> None:
+    """One steady state to ``out``: ``line_id,kw,kvar,amps,loss_kw``."""
+    out.write("line_id,kw,kvar,amps,loss_kw\n")
+    out.writelines(row + "\n" for row in _line_rows(solution, solution.line_loss_kw))
+
+
 def qsts_lines_csv(result: QstsResult, out: TextIO) -> None:
     """Per-line per-step export to ``out``: ``step,line_id,kw,kvar,amps``."""
-    pieces = [[f",{line_id},{kw!r},{kvar!r},{amps!r}\n"
-               for line_id, kw, kvar, amps in zip(sol.line_ids, sol.line_flow_kw.tolist(),
-                                                  sol.line_flow_kvar.tolist(),
-                                                  sol.line_current_a.tolist())]
-              for sol in result.solutions]
+    pieces = [["," + row + "\n" for row in _line_rows(sol)] for sol in result.solutions]
     _write_steps(result, out, "step,line_id,kw,kvar,amps\n", pieces)
 
 

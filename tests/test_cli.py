@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from gridimpact.cli import load_run_config, main
+from gridimpact.errors import SchemaError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -256,6 +257,26 @@ class TestPipeline:
         assert marker.exists()
         assert "power" in marker.read_text()
 
+    def test_subcommand_failure_marks_its_own_stage(self, tmp_path):
+        config = write_config(tmp_path, peak_kw_override=1e9)  # guaranteed collapse
+        assert main(["run", "--config", str(config)]) == 4
+        marker = (run_dir_of(config) / "FAILED").read_text()
+        assert marker.startswith("stage: power\n")
+
+    def test_zero_baseline_loss_names_the_baseline(self, tmp_path):
+        """A feeder of reactance-only lines parses but has no I^2 R loss, so
+        the impact stage cannot form a loss percentage."""
+        doc = json.loads((FIXTURES / "feeder40.json").read_text())
+        for line in doc["lines"]:
+            line["resistance_ohm"] = 0.0
+        net_path = tmp_path / "lossless.json"
+        net_path.write_text(json.dumps(doc))
+        config = write_config(tmp_path, network_path=str(net_path))
+        assert main(["pipeline", "--config", str(config)]) == 2
+        marker = (run_dir_of(config) / "FAILED").read_text()
+        assert marker.startswith("stage: impact\n")
+        assert "baseline loss must be > 0 kW, got 0.0" in marker
+
     def test_failed_marker_cleared_after_successful_rerun(self, tmp_path):
         bad = write_config(tmp_path, peak_kw_override=1e9)
         assert main(["pipeline", "--config", str(bad)]) == 4
@@ -275,6 +296,27 @@ class TestPipeline:
 class TestRunConfig:
     def test_bad_dt_rejected(self, tmp_path):
         config = write_config(tmp_path, dt_h=0.3)
+        assert main(["pipeline", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("key,overrides", [
+        ("dt_h", {"dt_h": None}),
+        ("steps", {"steps": None}),
+        ("steps", {"steps": 24.9}),
+        ("steps", {"steps": True}),
+        ("ampacity_threshold_a", {"ampacity_threshold_a": None}),
+        ("peak_kw_override", {"peak_kw_override": "abc"}),
+        ("peak_kw_override", {"peak_kw_override": float("nan")}),
+        ("ampacity_threshold_a", {"ampacity_threshold_a": float("nan")}),
+        ("fleet_size", {"scenario": {**SCENARIO, "fleet_size": None}}),
+        ("home_strategy", {"scenario": {**SCENARIO, "home_strategy": 3}}),
+        ("scenario", {"scenario": [1, 2]}),
+        ("network_path", {"network_path": 5}),
+    ])
+    def test_wrongly_typed_value_names_key_and_exits_2(self, tmp_path, key, overrides):
+        """Including NaN, which Python's json reads and every ``< 0`` check passes."""
+        config = write_config(tmp_path, **overrides)
+        with pytest.raises(SchemaError, match=key):
+            load_run_config(config)
         assert main(["pipeline", "--config", str(config)]) == 2
 
     def test_relative_paths_resolve_against_config(self, tmp_path):
