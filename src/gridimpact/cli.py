@@ -28,7 +28,8 @@ import numpy as np
 
 from . import assign as assign_mod
 from . import geoexport, impact, stations
-from .errors import GridImpactError, SchemaError, SolverError, TopologyError, VoltageCollapseError
+from .errors import (GridImpactError, SchemaError, SolverError, TopologyError,
+                     VoltageCollapseError, read_record)
 from .evfleet import (
     DEFAULT_SCHEDULE,
     DemandProfile,
@@ -38,7 +39,6 @@ from .evfleet import (
     cohort_profile,
     find_peak,
     profile_to_csv,
-    scenario_from_json,
     ScenarioConfig,
 )
 from .netmodel import NetworkModel, load_network, validate_radial
@@ -54,21 +54,21 @@ from .powerflow import (
 log = logging.getLogger("gridimpact")
 
 ALLOWED_DT_H = (0.25, 0.5, 1.0)
-_NUMBER = (int, float)
-_REQUIRED = object()
 
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
+    """The run-config document; its fields and defaults are the schema."""
+
     network_path: str
     stations_path: str
     scenario: ScenarioConfig
-    solver: SolverConfig
-    peak_kw_override: float | None
-    ampacity_threshold_a: float
-    output_dir: str
-    dt_h: float
-    steps: int
+    solver: SolverConfig = SolverConfig()
+    peak_kw_override: float | None = None
+    ampacity_threshold_a: float = 0.0
+    output_dir: str = "out"
+    dt_h: float = 1.0
+    steps: int = 8760
     schedule: Schedule = DEFAULT_SCHEDULE
 
     def __post_init__(self):
@@ -98,60 +98,18 @@ def load_run_config(path: str | Path, out_override: str | None = None) -> tuple[
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"run config {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError(f"run config {path}: expected a JSON object")
-    allowed = {"network_path", "stations_path", "scenario", "solver", "schedule",
-               "peak_kw_override", "ampacity_threshold_a", "output_dir", "dt_h", "steps"}
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise SchemaError(f"run config {path}: unexpected keys {unknown}")
+    cfg = read_record(RunConfig, doc, f"run config {path}")
 
-    hashed = dict(doc)
-    if out_override:
-        hashed["output_dir"] = out_override
+    hashed = {**doc, "output_dir": out_override} if out_override else doc
     digest = hashlib.sha256(
         json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()[:12]
 
-    def field(key: str, kinds, expected: str, default=_REQUIRED):
-        """``doc[key]`` if it is one of ``kinds`` (a bool is never a number)."""
-        if key not in doc:
-            if default is _REQUIRED:
-                raise SchemaError(f"run config {path}: missing key '{key}'")
-            return default
-        value = doc[key]
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise SchemaError(f"run config {path}: {key} must be {expected}, got {value!r}")
-        return value
-
-    try:
-        scenario = scenario_from_json(field("scenario", dict, "an object", {}))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-    try:
-        solver = SolverConfig(**field("solver", dict, "an object", {}))
-        schedule = Schedule(**field("schedule", dict, "an object", {}))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"run config {path}: {exc}") from exc
-
-    def resolve(key: str, default=_REQUIRED) -> str:
-        candidate = Path(field(key, str, "a string", default))
-        return str(candidate if candidate.is_absolute() else path.parent / candidate)
-
-    cfg = RunConfig(
-        network_path=resolve("network_path"),
-        stations_path=resolve("stations_path"),
-        scenario=scenario,
-        solver=solver,
-        peak_kw_override=field("peak_kw_override", (*_NUMBER, type(None)), "a number or null",
-                               None),
-        ampacity_threshold_a=float(field("ampacity_threshold_a", _NUMBER, "a number", 0.0)),
-        output_dir=out_override or resolve("output_dir", "out"),
-        dt_h=float(field("dt_h", _NUMBER, "a number", 1.0)),
-        steps=field("steps", int, "an integer", 8760),
-        schedule=schedule,
-    )
-    return cfg, digest
+    # joining an absolute path onto the config's directory yields it unchanged
+    return dataclasses.replace(
+        cfg, network_path=str(path.parent / cfg.network_path),
+        stations_path=str(path.parent / cfg.stations_path),
+        output_dir=out_override or str(path.parent / cfg.output_dir)), digest
 
 
 def _stage(method):
@@ -334,8 +292,7 @@ class PipelineRun:
     def write_impact(self) -> None:
         result = self.stage_impact()
         report = impact.records_to_json_dict(result["summary"], result["flow_records"])
-        report["loss_records"] = impact.records_to_json_dict(
-            result["summary"], result["loss_records"])["records"]
+        report["loss_records"] = impact.records_to_json(result["loss_records"])
         self._write("impact_report.json", json.dumps(report, indent=2) + "\n")
         for metric in impact.Metric:
             self._write(f"histogram_{metric.value}.csv",

@@ -1,11 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``read_record``, the one
+reader that checks decoded JSON objects against the dataclasses they build."""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import reprlib
+import sys
+import types
+import typing
 
 
 class GridImpactError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class SchemaError(GridImpactError):
+class SchemaError(GridImpactError, ValueError):
     """Input document violates the expected schema (missing/unknown/mistyped field,
     duplicate id, dangling reference)."""
 
@@ -25,3 +35,80 @@ class VoltageCollapseError(GridImpactError):
         self.bus_id = bus_id
         self.v_mag_pu = v_mag_pu
         super().__init__(f"voltage collapse at bus {bus_id}: |V| = {v_mag_pu:.4f} pu < 0.5 pu")
+
+
+# --- typed JSON records ------------------------------------------------------
+
+
+_EXPECTED = {float: "a finite number", int: "an integer", str: "a string", list: "an array"}
+
+
+def _field_reader(hint, name: str):
+    """``read(value, where)`` for field ``name`` of type ``hint``: a wrong JSON
+    type raises ``TypeError`` saying what was expected, a bad value ``ValueError``."""
+    if hint in _EXPECTED:
+        kinds = (int, float) if hint is float else hint
+
+        def read(value, where):
+            # a bool is never a number; NaN, inf and ints past float range are not finite
+            if isinstance(value, bool) or not isinstance(value, kinds) or (
+                    hint is float and not abs(value) <= sys.float_info.max):
+                raise TypeError(_EXPECTED[hint])
+            return float(value) if hint is float else value
+
+        return read
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        (inner,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+        read_inner = _field_reader(inner, name)
+        return lambda value, where: None if value is None else read_inner(value, where)
+    if hasattr(hint, "parse"):  # an enum such as ChargingStrategy, named by a string
+        read_token = _field_reader(str, name)
+        return lambda value, where: hint.parse(read_token(value, where))
+    if dataclasses.is_dataclass(hint):
+        return lambda value, where: read_record(hint, value, f"{where}: {name}")
+    raise TypeError(f"no JSON reader for field type {hint!r}")
+
+
+@functools.cache
+def _record_schema(cls) -> tuple[dict, tuple[str, ...]]:
+    """(reader per init field, fields without a default), once per class."""
+    hints = typing.get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    readers = {f.name: _field_reader(hints[f.name], f.name) for f in fields}
+    required = tuple(f.name for f in fields if f.default is dataclasses.MISSING
+                     and f.default_factory is dataclasses.MISSING)
+    return readers, required
+
+
+def read_record(cls, obj, where: str):
+    """Build dataclass ``cls`` from a decoded JSON object; its field annotations
+    and defaults are the schema. No unknown or missing keys; ``float`` is finite
+    and never a bool, ``int`` an integer, ``X | None`` also null; enums go through
+    ``parse``, dataclasses recurse. Range checks stay in ``__post_init__``. Every
+    error is a ``SchemaError`` that starts with ``where`` and names the key."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
+    readers, required = _record_schema(cls)
+    kwargs = {}
+    for name, value in obj.items():
+        read = readers.get(name)
+        if read is None:
+            raise SchemaError(f"{where}: unexpected field '{name}'")
+        try:
+            kwargs[name] = read(value, where)
+        except TypeError as exc:
+            raise SchemaError(f"{where}: field '{name}' has wrong type: "
+                              f"expected {exc}, got {reprlib.repr(value)}") from None
+        except SchemaError:
+            raise
+        except ValueError as exc:  # an enum's parse
+            raise SchemaError(f"{where}: field '{name}': {exc}") from None
+    for name in required:
+        if name not in kwargs:
+            raise SchemaError(f"{where}: missing field '{name}'")
+    try:
+        return cls(**kwargs)
+    except SchemaError:
+        raise
+    except ValueError as exc:  # a range check in __post_init__
+        raise SchemaError(f"{where}: {exc}") from None

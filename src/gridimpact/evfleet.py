@@ -25,6 +25,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import read_record
+
 __all__ = [
     "ChargingStrategy",
     "Location",
@@ -52,8 +54,6 @@ class ChargingStrategy(Enum):
 
     @classmethod
     def parse(cls, token: str) -> "ChargingStrategy":
-        if not isinstance(token, str):
-            raise ValueError(f"charging strategy must be a string, got {token!r}")
         try:
             return cls(token.strip().lower())
         except ValueError:
@@ -132,6 +132,9 @@ class Schedule:
             value = getattr(self, name)
             if not 0.0 <= value < 24.0:
                 raise ValueError(f"{name} must be in [0, 24), got {value}")
+        for place in ("home", "work"):
+            if getattr(self, f"{place}_arrive_h") == getattr(self, f"{place}_depart_h"):
+                raise ValueError(f"{place}_arrive_h equals {place}_depart_h: zero dwell")
 
 
 DEFAULT_SCHEDULE = Schedule()
@@ -200,20 +203,8 @@ class DemandProfile:
 def scenario_from_json(text: str | bytes | dict) -> ScenarioConfig:
     """Build a ScenarioConfig from its JSON document (field names as in the
     dataclass; strategies as their string tokens)."""
-    doc = json.loads(text) if isinstance(text, (str, bytes)) else dict(text)
-    for key in ("home_strategy", "work_strategy"):
-        if key in doc:
-            try:
-                doc[key] = ChargingStrategy.parse(doc[key])
-            except ValueError as exc:
-                raise ValueError(f"{key}: {exc}") from None
-    fleet_size = doc.get("fleet_size", 0)
-    if isinstance(fleet_size, bool) or not isinstance(fleet_size, int):
-        raise ValueError(f"fleet_size must be an integer, got {fleet_size!r}")
-    try:
-        return ScenarioConfig(**doc)
-    except TypeError as exc:
-        raise ValueError(f"scenario document: {exc}") from None
+    doc = json.loads(text) if isinstance(text, (str, bytes)) else text
+    return read_record(ScenarioConfig, doc, "scenario")
 
 
 def _largest_remainder(fractions: Sequence[float], total: int) -> list[int]:

@@ -32,6 +32,7 @@ __all__ = [
     "build_histogram",
     "summarize",
     "filter_by_ampacity",
+    "records_to_json",
     "records_to_json_dict",
     "histogram_to_csv",
 ]
@@ -197,24 +198,26 @@ def filter_by_ampacity(net: NetworkModel, threshold_a: float) -> list[str]:
     return [line.id for line in net.lines if line.ampacity_a > threshold_a]
 
 
+def records_to_json(records: Iterable[ImpactRecord]) -> list[dict]:
+    """Impact records as JSON objects. Infinite percent changes serialize as
+    null (JSON has no inf); the category field still carries the classification."""
+    return [
+        {
+            "line_id": r.line_id,
+            "metric": r.metric.value,
+            "before_kw": r.before_kw,
+            "after_kw": r.after_kw,
+            "pct_change": None if math.isinf(r.pct_change) else r.pct_change,
+            "category": r.category.label,
+            "color": r.category.color_hex,
+        }
+        for r in records
+    ]
+
+
 def records_to_json_dict(summary: SystemSummary, records: Iterable[ImpactRecord]) -> dict:
-    """Impact report document. Infinite percent changes serialize as null
-    (JSON has no inf); the category field still carries the classification."""
-    return {
-        "summary": asdict(summary),
-        "records": [
-            {
-                "line_id": r.line_id,
-                "metric": r.metric.value,
-                "before_kw": r.before_kw,
-                "after_kw": r.after_kw,
-                "pct_change": None if math.isinf(r.pct_change) else r.pct_change,
-                "category": r.category.label,
-                "color": r.category.color_hex,
-            }
-            for r in records
-        ],
-    }
+    """Impact report document: the system summary and the records."""
+    return {"summary": asdict(summary), "records": records_to_json(records)}
 
 
 def histogram_to_csv(hist: Histogram) -> str:

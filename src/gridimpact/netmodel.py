@@ -10,10 +10,10 @@ at parse time instead of producing silently wrong physics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Union
 
-from .errors import SchemaError
+from .errors import SchemaError, read_record
 
 __all__ = [
     "Bus",
@@ -178,35 +178,20 @@ class TopologyReport:
 
 # --- parsing -----------------------------------------------------------------
 
-_BUS_FIELDS = {"id": str, "lat": (int, float), "lon": (int, float), "base_kv": (int, float)}
-_LINE_FIELDS = {
-    "id": str,
-    "from_bus": str,
-    "to_bus": str,
-    "resistance_ohm": (int, float),
-    "reactance_ohm": (int, float),
-    "ampacity_a": (int, float),
-}
-_LOAD_FIELDS = {"id": str, "bus_id": str, "kw": (int, float), "kvar": (int, float)}
-_SOURCE_FIELDS = {"bus_id": str, "voltage_pu": (int, float)}
+@dataclass(frozen=True)
+class _Document:
+    """The top level of the network document, before its records are read."""
+
+    buses: list
+    lines: list
+    loads: list
+    source: Source
 
 
-def _check_fields(obj: dict, schema: dict, what: str) -> dict:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{what}: expected an object, got {type(obj).__name__}")
-    label = obj.get("id", obj.get("bus_id", "?"))
-    out = {}
-    for name, types in schema.items():
-        if name not in obj:
-            raise SchemaError(f"{what} {label}: missing field '{name}'")
-        value = obj[name]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise SchemaError(f"{what} {label}: field '{name}' has wrong type")
-        out[name] = value if types is str else float(value)
-    for name in obj:
-        if name not in schema:
-            raise SchemaError(f"{what} {label}: unexpected field '{name}'")
-    return out
+def _read_records(cls, items: list, what: str) -> tuple:
+    return tuple(
+        read_record(cls, item, f"{what} {item.get('id', '?')}" if isinstance(item, dict) else what)
+        for item in items)
 
 
 def parse_network(document: Union[str, bytes, dict]) -> NetworkModel:
@@ -219,21 +204,11 @@ def parse_network(document: Union[str, bytes, dict]) -> NetworkModel:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"network document is not valid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise SchemaError("network document must be a JSON object")
-
-    for key in ("buses", "lines", "loads", "source"):
-        if key not in document:
-            raise SchemaError(f"network document: missing top-level key '{key}'")
-    for key in document:
-        if key not in ("buses", "lines", "loads", "source"):
-            raise SchemaError(f"network document: unexpected top-level key '{key}'")
-
-    buses = tuple(Bus(**_check_fields(b, _BUS_FIELDS, "bus")) for b in document["buses"])
-    lines = tuple(Line(**_check_fields(l, _LINE_FIELDS, "line")) for l in document["lines"])
-    loads = tuple(LoadPoint(**_check_fields(l, _LOAD_FIELDS, "load")) for l in document["loads"])
-    source = Source(**_check_fields(document["source"], _SOURCE_FIELDS, "source"))
-    return NetworkModel(buses=buses, lines=lines, loads=loads, source=source)
+    doc = read_record(_Document, document, "network document")
+    return NetworkModel(buses=_read_records(Bus, doc.buses, "bus"),
+                        lines=_read_records(Line, doc.lines, "line"),
+                        loads=_read_records(LoadPoint, doc.loads, "load"),
+                        source=doc.source)
 
 
 def load_network(path) -> NetworkModel:
@@ -248,25 +223,11 @@ def serialize_network(net: NetworkModel) -> str:
     any model whose coordinates are already quantized to 6 decimals.
     """
     doc = {
-        "buses": [
-            {"id": b.id, "lat": round(b.lat, 6), "lon": round(b.lon, 6), "base_kv": b.base_kv}
-            for b in net.buses
-        ],
-        "lines": [
-            {
-                "id": l.id,
-                "from_bus": l.from_bus,
-                "to_bus": l.to_bus,
-                "resistance_ohm": l.resistance_ohm,
-                "reactance_ohm": l.reactance_ohm,
-                "ampacity_a": l.ampacity_a,
-            }
-            for l in net.lines
-        ],
-        "loads": [
-            {"id": l.id, "bus_id": l.bus_id, "kw": l.kw, "kvar": l.kvar} for l in net.loads
-        ],
-        "source": {"bus_id": net.source.bus_id, "voltage_pu": net.source.voltage_pu},
+        "buses": [{**asdict(b), "lat": round(b.lat, 6), "lon": round(b.lon, 6)}
+                  for b in net.buses],
+        "lines": [asdict(l) for l in net.lines],
+        "loads": [asdict(l) for l in net.loads],
+        "source": asdict(net.source),
     }
     return json.dumps(doc, indent=2)
 

@@ -311,6 +311,14 @@ class TestRunConfig:
         ("home_strategy", {"scenario": {**SCENARIO, "home_strategy": 3}}),
         ("scenario", {"scenario": [1, 2]}),
         ("network_path", {"network_path": 5}),
+        ("avg_daily_miles", {"scenario": {**SCENARIO, "avg_daily_miles": None}}),
+        ("tol_pu", {"solver": {"tol_pu": None, "max_iter": 50}}),
+        ("max_iter", {"solver": {"tol_pu": 1e-6, "max_iter": 2.5}}),
+        ("home_arrive_h", {"schedule": {"home_arrive_h": None}}),
+        ("ambient_temp_f", {"scenario": {**SCENARIO, "ambient_temp_f": "hot"}}),
+        ("l1_rate_kw", {"scenario": {**SCENARIO, "l1_rate_kw": True}}),
+        # zero dwell at home: arrival equals the default 07:00 departure
+        ("home_depart_h", {"schedule": {"home_arrive_h": 7.0}}),
     ])
     def test_wrongly_typed_value_names_key_and_exits_2(self, tmp_path, key, overrides):
         """Including NaN, which Python's json reads and every ``< 0`` check passes."""

@@ -73,6 +73,23 @@ class TestParse:
         with pytest.raises(SchemaError, match="wrong type"):
             parse_network(minimal_doc)
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("loads", "kw", float("nan")),
+        ("loads", "kvar", float("inf")),
+        ("lines", "resistance_ohm", float("nan")),
+    ])
+    def test_non_finite_number_rejected(self, minimal_doc, section, key, value):
+        """Python's json reads NaN and Infinity, and every ``< 0`` check passes NaN."""
+        minimal_doc[section][0][key] = value
+        with pytest.raises(SchemaError, match=f"field '{key}' has wrong type"):
+            parse_network(json.dumps(minimal_doc))
+
+    @pytest.mark.parametrize("key,value", [("buses", 5), ("lines", {}), ("loads", "b1")])
+    def test_non_array_section_rejected(self, minimal_doc, key, value):
+        minimal_doc[key] = value
+        with pytest.raises(SchemaError, match=f"field '{key}' has wrong type"):
+            parse_network(minimal_doc)
+
     def test_invalid_json_text(self):
         with pytest.raises(SchemaError, match="not valid JSON"):
             parse_network("{nope")
