@@ -57,8 +57,8 @@ class EvStation:
     rated_kw: float
 
     def __post_init__(self):
-        if not self.rated_kw > 0:
-            raise SchemaError(f"station {self.id}: rated_kw must be > 0")
+        if not 0 < self.rated_kw < math.inf:
+            raise SchemaError(f"station {self.id}: rated_kw must be finite and > 0")
         if not -90.0 <= self.lat <= 90.0 or not -180.0 <= self.lon <= 180.0:
             raise SchemaError(f"station {self.id}: coordinates outside WGS84 bounds")
 

@@ -7,6 +7,10 @@ solves one snapshot with plain per-line loops, and graph checks use a plain
 visited-set traversal. Shared per-unit conventions (1 MVA base, source-bus
 voltage base, 0.5 pu collapse floor) are contract, not implementation.
 
+The per-line sweep (``per_line_sweep``) is the plain form of the package's
+batched kernel: the same ladder iteration with one numpy call per line per
+pass, which the level-scheduled kernel must equal bit for bit.
+
 The plain QSTS reference (``qsts_per_step`` and its two CSV writers) checks
 the layers above the sweep: it solves every step in one batch with the
 package's own feeder compile and kernel, derives one solution object per
@@ -132,6 +136,54 @@ def scalar_sweep(parent, child, z, s, v, i_line, tol, max_iter, collapse_floor_p
         if dv < tol:
             return iterations, True, -1
     return iterations, False, -1
+
+
+def per_line_sweep(parent, child, z, s, v0, tol, max_iter, collapse_floor_pu=0.5):
+    """The batched sweep with one numpy call per line per pass.
+
+    Arguments and results follow ``powerflow.kernels.solve_batch``, whose
+    level-scheduled sweep must equal this loop bit for bit: the backward
+    pass visits the lines from last to first, so each parent sums its
+    children's currents in descending line order, and the forward pass
+    visits them from first to last.
+    """
+    batch, n = s.shape
+    m = parent.shape[0]
+    v = np.full((batch, n), complex(v0), dtype=np.complex128)
+    i_line = np.zeros((batch, m), dtype=np.complex128)
+    iters = np.zeros(batch, dtype=np.int64)
+    converged = np.zeros(batch, dtype=bool)
+    collapse = np.full(batch, -1, dtype=np.int64)
+    if m == 0:
+        iters[:] = 1
+        converged[:] = True
+        return v, i_line, iters, converged, collapse
+
+    active = np.arange(batch)
+    while active.size:
+        va = v[active]
+        ia = i_line[active]
+        i_acc = np.conj(s[active] / va)
+        for k in range(m - 1, -1, -1):
+            ia[:, k] = i_acc[:, child[k]]
+            i_acc[:, parent[k]] += ia[:, k]
+        dv = np.zeros(active.size)
+        for k in range(m):
+            v_new = va[:, parent[k]] - z[k] * ia[:, k]
+            np.maximum(dv, np.abs(v_new - va[:, child[k]]), out=dv)
+            va[:, child[k]] = v_new
+        v[active] = va
+        i_line[active] = ia
+        iters[active] += 1
+
+        low = np.abs(va) < collapse_floor_pu
+        collapsed = low.any(axis=1)
+        collapse[active[collapsed]] = np.argmax(low, axis=1)[collapsed]
+        done_ok = ~collapsed & (dv < tol)
+        converged[active[done_ok]] = True
+        exhausted = iters[active] >= max_iter
+        active = active[~(collapsed | done_ok | exhausted)]
+    return v, i_line, iters, converged, collapse
 
 
 def reachable_from(net, start_id: str) -> set[str]:

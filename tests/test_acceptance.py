@@ -189,7 +189,7 @@ SCENARIO = {
 }
 
 
-def pipeline_config(tmp_path):
+def pipeline_config(tmp_path, steps=24):
     doc = {
         "network_path": str(FIXTURES / "feeder40.json"),
         "stations_path": str(FIXTURES / "stations951.csv"),
@@ -199,7 +199,7 @@ def pipeline_config(tmp_path):
         "ampacity_threshold_a": 0.0,
         "output_dir": str(tmp_path / "out"),
         "dt_h": 1.0,
-        "steps": 24,
+        "steps": steps,
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -324,3 +324,23 @@ def test_criterion_9_qsts_performance():
         assert a.total_loss_kw == b.total_loss_kw
         assert a.source_kw == b.source_kw
         assert a.iterations == b.iterations
+
+
+@criterion(10, "8760-step gridimpact pipeline on the 40-bus test config runs under 2 s")
+def test_criterion_10_pipeline_budget(tmp_path):
+    """The whole command a user runs, beside criterion 9's ``run_qsts`` alone:
+    load, profile, allocate, assign, two snapshots and two 8,760-step series,
+    every artifact written. Measured at 0.21-0.26 s in-process on a 2-vCPU VM
+    (Python 3.11, numpy 2.4); the bound leaves about 8x headroom."""
+    warmup = tmp_path / "warmup"
+    warmup.mkdir()
+    assert main(["pipeline", "--config", str(pipeline_config(warmup)[0])]) == 0
+
+    config_path, run_dir = pipeline_config(tmp_path, steps=8760)
+    start = time.perf_counter()
+    code = main(["pipeline", "--config", str(config_path)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 2.0, f"8760-step pipeline took {elapsed:.2f} s"
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["qsts"]["steps"] == 8760

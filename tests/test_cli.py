@@ -94,6 +94,15 @@ class TestValidate:
         report = json.loads((run_dir_of(config) / "validate.json").read_text())
         assert "row 3" in report["stations"]["error"]
 
+    def test_infinite_station_rating_exits_2(self, tmp_path):
+        bad = tmp_path / "stations.csv"
+        bad.write_text("id,name,lat,lon,rated_kw\ns1,A,37.0,-121.0,60\nsx,X,37.0,-121.0,inf\n")
+        config = write_config(tmp_path, stations_path=str(bad))
+        assert main(["validate", "--config", str(config)]) == 2
+        report = json.loads((run_dir_of(config) / "validate.json").read_text())
+        assert "row 3: station sx: rated_kw must be finite" in report["stations"]["error"]
+        assert main(["pipeline", "--config", str(config)]) == 2
+
     def test_missing_config_key_exits_2(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"stations_path": "x"}))

@@ -1,10 +1,11 @@
 import dataclasses
 import io
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridimpact.errors import TopologyError, VoltageCollapseError
 from gridimpact.evfleet import DemandProfile
@@ -219,6 +220,125 @@ class TestSnapshot:
             single = kernels.solve_batch(*args, s[t:t + 1], feeder.v0, 1e-6, max_iter)
             for got, want in zip(batch, single):
                 assert got[t:t + 1].tobytes() == want.tobytes()
+
+
+TREE_SHAPES = ("star", "chain", "mix", "random")
+RELABELS = ("identity", "reversed", "random")
+
+
+def sweep_case(shape, n_buses, relabel, rows, seed):
+    """Kernel inputs ``(parent, child, z, s)`` for an n-bus tree in BFS line order.
+
+    Before relabelling bus 0 is the source. ``shape`` picks each bus's
+    parent: bus 1, which hangs on the source (``star``: a star under the
+    source, since the source's own sum feeds no line), the previous bus
+    (``chain``, n - 1 levels), the previous bus or one of the first three,
+    which grow into wide stars (``mix``), or any earlier bus (``random``).
+    ``relabel`` then renumbers the buses: ``reversed`` puts the source last
+    and every child below its parent, ``random`` draws a permutation. Row
+    loads are scaled by up to 10**3.5 and divided by the tree's depth, so
+    rows converge, collapse or run out of iterations.
+    """
+    rng = np.random.default_rng(seed)
+    up = [0] * n_buses
+    for bus in range(2, n_buses):
+        if shape == "star":
+            up[bus] = 1
+        elif shape == "chain":
+            up[bus] = bus - 1
+        elif shape == "mix":
+            up[bus] = bus - 1 if rng.random() < 0.8 else int(rng.integers(0, min(bus, 3)))
+        elif shape == "random":
+            up[bus] = int(rng.integers(0, bus))
+    label = {"identity": np.arange(n_buses), "reversed": np.arange(n_buses)[::-1],
+             "random": rng.permutation(n_buses)}[relabel]
+    kids = [[] for _ in range(n_buses)]
+    for bus in range(1, n_buses):
+        kids[up[bus]].append(bus)
+    parent, child, depth = [], [], [0] * n_buses
+    queue = deque([0])
+    while queue:
+        bus = queue.popleft()
+        for kid in kids[bus]:
+            depth[kid] = depth[bus] + 1
+            parent.append(label[bus])
+            child.append(label[kid])
+            queue.append(kid)
+    m = n_buses - 1
+    z = rng.uniform(0.001, 0.02, m) + 1j * rng.uniform(0.001, 0.02, m)
+    scale = 10.0 ** rng.uniform(0.0, 3.5, size=(rows, 1)) / max(depth, default=1)
+    s = (rng.uniform(0.0, 0.05, size=(rows, n_buses))
+         + 1j * rng.uniform(0.0, 0.02, size=(rows, n_buses))) * scale
+    return np.array(parent, dtype=np.int64), np.array(child, dtype=np.int64), z, s
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+class TestLevelSchedule:
+    """The level-scheduled kernel equals the per-line loop bit for bit."""
+
+    @given(shape=st.sampled_from(TREE_SHAPES), n_buses=st.integers(2, 260),
+           relabel=st.sampled_from(RELABELS), rows=st.integers(1, 40),
+           max_iter=st.sampled_from([2, 3, 50]), seed=st.integers(0, 2**31 - 1))
+    @example(shape="chain", n_buses=260, relabel="reversed", rows=12, max_iter=50, seed=7)
+    @example(shape="star", n_buses=260, relabel="random", rows=12, max_iter=50, seed=7)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_line_sweep(self, shape, n_buses, relabel, rows, max_iter, seed):
+        """All five outputs, for the batch and for its first row alone.
+
+        Stars give one parent many children, so ``add.at`` order decides
+        the bits; chains give one level per line.
+        """
+        parent, child, z, s = sweep_case(shape, n_buses, relabel, rows, seed)
+        for loads in (s, s[:1]):
+            assert_same_bits(kernels.solve_batch(parent, child, z, loads, 1.0, 1e-6, max_iter),
+                             oracles.per_line_sweep(parent, child, z, loads, 1.0, 1e-6,
+                                                    max_iter))
+
+    @pytest.mark.parametrize("shape", TREE_SHAPES)
+    def test_every_outcome_on_240_buses(self, shape):
+        """Converged, collapsed and exhausted rows all occur, on every tree
+        shape and labelling, and all equal the per-line loop; the chain has
+        239 levels."""
+        outcomes = np.zeros(3, dtype=np.int64)
+        for seed, relabel in enumerate(RELABELS):
+            parent, child, z, s = sweep_case(shape, 240, relabel, 30, seed)
+            for max_iter in (3, 50):
+                got = kernels.solve_batch(parent, child, z, s, 1.0, 1e-6, max_iter)
+                assert_same_bits(got, oracles.per_line_sweep(parent, child, z, s, 1.0, 1e-6,
+                                                              max_iter))
+                _, _, _, converged, collapse = got
+                outcomes += [np.sum(converged), np.sum(collapse >= 0),
+                             np.sum(~converged & (collapse < 0))]
+        assert np.all(outcomes > 0), outcomes
+
+    def test_empty_batch(self):
+        parent, child, z, s = sweep_case("random", 30, "random", 1, 0)
+        empty = s[:0]
+        assert_same_bits(kernels.solve_batch(parent, child, z, empty, 1.0, 1e-6, 50),
+                         oracles.per_line_sweep(parent, child, z, empty, 1.0, 1e-6, 50))
+
+    @pytest.mark.parametrize("shape", TREE_SHAPES)
+    def test_bus_numbering_does_not_change_the_bits(self, shape):
+        """Renumbered so the source is last and every child sits below its
+        parent, the same feeder solves to the same bits, bus for bus."""
+        parent, child, z, s = sweep_case(shape, 120, "identity", 20, 5)
+        label = np.arange(120)[::-1]
+        assert np.all(label[child] < label[parent])
+        s_relabelled = np.empty_like(s)
+        s_relabelled[:, label] = s
+        v, i_line, iters, converged, collapse = kernels.solve_batch(
+            parent, child, z, s, 1.0, 1e-6, 50)
+        v_r, i_line_r, iters_r, converged_r, collapse_r = kernels.solve_batch(
+            label[parent], label[child], z, s_relabelled, 1.0, 1e-6, 50)
+        assert v_r[:, label].tobytes() == v.tobytes()
+        assert i_line_r.tobytes() == i_line.tobytes()
+        assert np.array_equal(iters_r, iters) and np.array_equal(converged_r, converged)
+        assert np.array_equal(collapse_r >= 0, collapse >= 0)
 
 
 def two_step_profile(values, dt_h=12.0):

@@ -52,6 +52,12 @@ class TestParse:
         with pytest.raises(SchemaError, match="row 2: .*rated_kw"):
             parse_stations(csv_text("s1,A,37.0,-121.0,0\n"))
 
+    @pytest.mark.parametrize("rating", ["inf", "1e400", "-inf", "nan"])
+    def test_nonfinite_rating_reports_row(self, rating):
+        text = csv_text(f"s1,A,37.0,-121.0,60\ns2,B,37.1,-121.1,{rating}\n")
+        with pytest.raises(SchemaError, match="row 3: station s2: rated_kw must be finite"):
+            parse_stations(text)
+
     def test_fixture_census(self, stations951):
         assert StationCensus.of(stations951) == REFERENCE_CENSUS
         assert REFERENCE_CENSUS.total == 951
