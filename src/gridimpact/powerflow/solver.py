@@ -39,6 +39,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 S_BASE_MVA = 1.0
+# numpy computes ``a * b`` in place into a temporary operand from this size.
+_ELIDE_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -183,40 +185,38 @@ def _distinct_rows(s_batch):
 
 
 def _build_solutions(feeder: _CompiledFeeder, s_rows, v, i_line_bfs, iters, converged,
-                     step_row):
+                     steps: int):
     """Derive reported quantities from kernel outputs: one solution per row
-    of ``s_rows``, where step ``t`` of the run solved row ``step_row[t]``.
+    of ``s_rows``, for a run of ``steps`` steps.
 
-    Elementwise quantities are computed on the per-step arrays
-    ``v[step_row]`` and ``i_line[step_row]``, and each row keeps its first
-    step. They are not computed on the distinct rows alone, because they do
-    depend on the batch shape: once ``v[:, parent] * conj(i)`` reaches
-    256 KiB (83 steps of 199 lines), numpy multiplies in place into the
-    fancy-index result and fuses the imaginary part's multiply-add the
-    other way round, so ``line_flow_kvar`` can differ in the last bit
-    between a short and a long run of the same snapshot. At the run's own
-    shape every step keeps the bits of a plain per-step derivation. Scalar
-    reductions run per row on 1-D data, so the totals do not depend on the
-    batch shape.
+    Every quantity is derived on the distinct rows alone, never on per-step
+    copies, and keeps the bits a plain per-step derivation over the whole
+    run would give. All but one are elementwise and do not depend on the
+    batch shape. The exception is the line-flow product: in the per-step
+    form ``v[:, parent] * conj(i)``, once ``conj(i)`` reaches
+    ``_ELIDE_BYTES`` (83 steps of 199 lines) numpy elides that temporary and
+    computes ``conj(i) * v[:, parent]`` in place into it, and complex
+    multiply fuses the imaginary part's multiply-add the other way round when
+    its operands swap. So ``line_flow_kvar`` of a snapshot can differ in the
+    last bit between a short and a long run, and the product here takes the
+    operand order of a run of ``steps`` steps. Scalar reductions run per row
+    on 1-D data, so the totals do not depend on the batch shape either.
     """
-    _, first = np.unique(step_row, return_index=True)
-    v = v[step_row]
-    i_line_bfs = i_line_bfs[step_row]
-    v_mag = np.abs(v)[first]
-    v_ang = np.angle(v)[first]
+    v_mag = np.abs(v)
+    v_ang = np.angle(v)
 
     i_model = i_line_bfs[:, feeder.bfs_of_model]
-    s_send_bfs = v[:, feeder.parent] * np.conj(i_line_bfs)
-    del v, i_line_bfs
+    conj_i = np.conj(i_line_bfs)
+    if steps * conj_i.shape[1] * conj_i.itemsize >= _ELIDE_BYTES:
+        s_send_bfs = np.multiply(conj_i, v[:, feeder.parent], out=conj_i)
+    else:
+        s_send_bfs = v[:, feeder.parent] * conj_i
     s_send = s_send_bfs[:, feeder.bfs_of_model]
-    s_send_bfs = s_send_bfs[first]
 
-    flow_kw = (s_send.real * 1000.0)[first]
-    flow_kvar = (s_send.imag * 1000.0)[first]
-    del s_send
-    amps = (np.abs(i_model) * feeder.i_base_a)[first]
-    loss_kw = ((np.abs(i_model) ** 2) * feeder.r_pu_model * 1000.0)[first]
-    del i_model
+    flow_kw = s_send.real * 1000.0
+    flow_kvar = s_send.imag * 1000.0
+    amps = np.abs(i_model) * feeder.i_base_a
+    loss_kw = (np.abs(i_model) ** 2) * feeder.r_pu_model * 1000.0
 
     src_lines = np.flatnonzero(feeder.parent == feeder.source_idx)
     solutions = []
@@ -258,8 +258,7 @@ def solve_snapshot(net: NetworkModel, cfg: SolverConfig = SolverConfig()) -> Pow
     if collapse[0] >= 0:
         bus = feeder.bus_ids[collapse[0]]
         raise VoltageCollapseError(bus, float(np.abs(v[0, collapse[0]])))
-    return _build_solutions(feeder, s_batch, v, i_line, iters, converged,
-                            np.zeros(1, dtype=np.int64))[0]
+    return _build_solutions(feeder, s_batch, v, i_line, iters, converged, 1)[0]
 
 
 def run_qsts(
@@ -354,7 +353,7 @@ def run_qsts(
     if diverged:
         log.warning("%d of %d steps did not converge", diverged, steps)
 
-    solutions = _build_solutions(feeder, s_rows, v, i_line, iters, converged, step_row)
+    solutions = _build_solutions(feeder, s_rows, v, i_line, iters, converged, steps)
     return QstsResult(solutions=tuple(solutions), step_row=step_row, dt_h=dt_h)
 
 
