@@ -1,7 +1,9 @@
 import dataclasses
 import io
+import tracemalloc
 import warnings
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -321,6 +323,90 @@ class TestLevelSchedule:
         empty = s[:0]
         assert_same_bits(kernels.solve_batch(parent, child, z, empty, 1.0, 1e-6, 50),
                          oracles.per_line_sweep(parent, child, z, empty, 1.0, 1e-6, 50))
+
+    @given(n_buses=st.integers(2, 40), relabel=st.sampled_from(RELABELS),
+           rows=st.integers(1, 24), max_iter=st.sampled_from([2, 3, 50]),
+           tile=st.integers(1, 7), seed=st.integers(0, 2**31 - 1))
+    @example(n_buses=40, relabel="random", rows=23, max_iter=50, tile=7, seed=3)
+    @settings(max_examples=30, deadline=None)
+    def test_tiles_equal_per_line_sweep(self, n_buses, relabel, rows, max_iter, tile, seed):
+        """Tiles 1 to 7 columns wide, most batches split unevenly, on every
+        tree shape: each tile starts afresh and writes only its own rows."""
+        with mock.patch.object(kernels, "TILE_BYTES", 16 * n_buses * tile), \
+                mock.patch.object(kernels, "CALL_ELEMS", 0):
+            assert kernels._tile_width(n_buses, n_buses - 1, 1, rows) <= tile
+            for shape in TREE_SHAPES:
+                parent, child, z, s = sweep_case(shape, n_buses, relabel, rows, seed)
+                assert_same_bits(kernels.solve_batch(parent, child, z, s, 1.0, 1e-6, max_iter),
+                                 oracles.per_line_sweep(parent, child, z, s, 1.0, 1e-6,
+                                                        max_iter))
+
+    def test_each_outcome_in_its_own_tile(self):
+        """A 200-bus tree at the real tile width: the first tile's rows
+        converge, the second's collapse and the third's run out of
+        iterations, so a tile that inherited the last one's voltages would
+        start from collapsed buses."""
+        parent, child, z, s = sweep_case("random", 200, "random", 1500, 0)
+        levels = kernels._schedule(parent, child, 200)[1]
+        width = kernels._tile_width(200, 199, len(levels), 1500)
+        bounds = kernels._tile_bounds(1500, width)
+        assert len(bounds) == 4
+        rng = np.random.default_rng(0)
+        total = np.concatenate([rng.uniform(lo, hi, stop - start) for (lo, hi), start, stop
+                                in zip([(0.3, 4.0), (25.0, 40.0), (11.5, 12.5)],
+                                       bounds[:-1], bounds[1:])])
+        s = s / np.abs(s).sum(axis=1, keepdims=True) * total[:, np.newaxis]
+        got = kernels.solve_batch(parent, child, z, s, 1.0, 1e-6, 8)
+        assert_same_bits(got, oracles.per_line_sweep(parent, child, z, s, 1.0, 1e-6, 8))
+        _, _, _, converged, collapse = got
+        first, second, third = (slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
+        assert np.all(converged[first])
+        assert np.all(collapse[second] >= 0)
+        assert not np.any(converged[third]) and np.all(collapse[third] < 0)
+
+    @given(n=st.integers(2, 10_000), data=st.data(), batch=st.integers(0, 100_000))
+    def test_tiles_cover_the_batch_evenly(self, n, data, batch):
+        m = n - 1
+        width = kernels._tile_width(n, m, data.draw(st.integers(1, m)), batch)
+        bounds = kernels._tile_bounds(batch, width)
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == batch
+        if batch:
+            assert sizes.max() == width and sizes.max() - sizes.min() <= 1
+        else:
+            assert sizes.size == 0
+
+    def test_deep_feeders_get_fewer_wider_tiles(self):
+        chain = kernels._tile_width(240, 239, 239, 8760)
+        shallow = kernels._tile_width(240, 239, 10, 8760)
+        assert chain > shallow
+        assert len(kernels._tile_bounds(8760, chain)) < len(kernels._tile_bounds(8760, shallow))
+
+    @pytest.mark.parametrize("batch", [0, 1])
+    def test_tile_width_of_tiny_batches(self, batch):
+        width = kernels._tile_width(200, 199, 10, batch)
+        assert width == 1 and kernels._tile_bounds(batch, width) == list(range(batch + 1))
+
+    def test_working_memory_does_not_grow_with_the_batch(self):
+        """Peak traced memory of a solve, beyond its outputs, stays under a
+        fixed bound and does not grow from 2,000 to 8,760 distinct rows:
+        the working arrays are tile-sized."""
+        feeder = _CompiledFeeder(random_feeder(200, seed=200))
+        rng = np.random.default_rng(0)
+        extra = {}
+        for rows in (2_000, 8_760):
+            s = feeder.s_static_pu * rng.uniform(0.5, 1.5, size=(rows, 200))
+            tracemalloc.start()
+            try:
+                out = kernels.solve_batch(feeder.parent, feeder.child, feeder.z_bfs, s,
+                                          feeder.v0, 1e-6, 50)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.all(out[3])
+            extra[rows] = peak - sum(a.nbytes for a in out)
+        assert extra[8_760] < 16e6, extra
+        assert extra[8_760] < 1.5 * extra[2_000], extra
 
     @pytest.mark.parametrize("shape", TREE_SHAPES)
     def test_bus_numbering_does_not_change_the_bits(self, shape):
