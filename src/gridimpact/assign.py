@@ -45,12 +45,7 @@ class Assignment:
 
 def haversine(a: tuple[float, float], b: tuple[float, float]) -> float:
     """Great-circle distance in meters between two (lat, lon) points in degrees."""
-    lat1, lon1 = math.radians(a[0]), math.radians(a[1])
-    lat2, lon2 = math.radians(b[0]), math.radians(b[1])
-    s_lat = math.sin((lat2 - lat1) / 2.0)
-    s_lon = math.sin((lon2 - lon1) / 2.0)
-    h = s_lat * s_lat + math.cos(lat1) * math.cos(lat2) * s_lon * s_lon
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+    return float(_haversine_to_many(a[0], a[1], np.array([b[0]]), np.array([b[1]]))[0])
 
 
 def _haversine_to_many(lat: float, lon: float,
@@ -65,6 +60,22 @@ def _haversine_to_many(lat: float, lon: float,
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
+def _nearest_search(catalog: Sequence[tuple[str, float, float]]):
+    """Nearest-entry search over an id-sorted catalog: a function mapping a
+    station to its nearest entry's ``(bus id, distance_m)``. ``np.argmin``
+    keeps the first minimum, so distance ties resolve to the smallest id."""
+    ids = [entry[0] for entry in catalog]
+    lats = np.array([entry[1] for entry in catalog], dtype=np.float64)
+    lons = np.array([entry[2] for entry in catalog], dtype=np.float64)
+
+    def nearest(station: EvStation) -> tuple[str, float]:
+        distances = _haversine_to_many(station.lat, station.lon, lats, lons)
+        best = int(np.argmin(distances))
+        return ids[best], float(distances[best])
+
+    return nearest
+
+
 def nearest_bus(
     station: EvStation,
     catalog: Sequence[tuple[str, float, float]],
@@ -77,46 +88,28 @@ def nearest_bus(
     if not catalog:
         raise ValueError("empty bus catalog")
     ordered = sorted(catalog, key=lambda entry: entry[0].encode("utf-8"))
-    lats = np.array([entry[1] for entry in ordered], dtype=np.float64)
-    lons = np.array([entry[2] for entry in ordered], dtype=np.float64)
-    distances = _haversine_to_many(station.lat, station.lon, lats, lons)
-    best = int(np.argmin(distances))  # argmin keeps the first (smallest id) on ties
-    return ordered[best][0], float(distances[best])
+    return _nearest_search(ordered)(station)
 
 
 def assign_stations(
     stations: Iterable[EvStation],
     net: NetworkModel,
     per_station_kw: Mapping[CapacityClass, float],
-    *,
-    target_bus_ids: Iterable[str] | None = None,
 ) -> list[Assignment]:
-    """Assign every station's allocated kW to its nearest candidate bus.
-
-    By default candidates are the buses that already carry a LoadPoint; pass
-    ``target_bus_ids`` to restrict to an explicit subset instead (e.g. a
-    tagged group standing in for transformer locations).
-    """
-    if target_bus_ids is not None:
-        catalog = bus_catalog(net, only=target_bus_ids)
-    else:
-        catalog = bus_catalog(net, load_buses_only=True)
+    """Assign every station's allocated kW to its nearest bus that carries a
+    LoadPoint; distance ties resolve to the smallest bus id."""
+    catalog = bus_catalog(net, load_buses_only=True)
     if not catalog:
         raise ValueError("no candidate buses to assign stations to")
-
-    ordered = sorted(catalog, key=lambda entry: entry[0].encode("utf-8"))
-    ids = [entry[0] for entry in ordered]
-    lats = np.array([entry[1] for entry in ordered], dtype=np.float64)
-    lons = np.array([entry[2] for entry in ordered], dtype=np.float64)
+    nearest = _nearest_search(catalog)
 
     assignments = []
     for station in stations:
-        distances = _haversine_to_many(station.lat, station.lon, lats, lons)
-        best = int(np.argmin(distances))
+        bus_id, distance_m = nearest(station)
         assignments.append(Assignment(
             station_id=station.id,
-            bus_id=ids[best],
-            distance_m=float(distances[best]),
+            bus_id=bus_id,
+            distance_m=distance_m,
             assigned_kw=per_station_kw[classify(station.rated_kw)],
         ))
     return assignments

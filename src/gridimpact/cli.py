@@ -291,8 +291,9 @@ class PipelineRun:
 
     def write_impact(self) -> None:
         result = self.stage_impact()
-        report = impact.records_to_json_dict(result["summary"], result["flow_records"])
-        report["loss_records"] = impact.records_to_json(result["loss_records"])
+        report = {"summary": dataclasses.asdict(result["summary"]),
+                  "records": impact.records_to_json(result["flow_records"]),
+                  "loss_records": impact.records_to_json(result["loss_records"])}
         self._write("impact_report.json", json.dumps(report, indent=2) + "\n")
         for metric in impact.Metric:
             self._write(f"histogram_{metric.value}.csv",

@@ -9,9 +9,10 @@ category; the system summary keeps the signed convention instead.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -33,7 +34,6 @@ __all__ = [
     "summarize",
     "filter_by_ampacity",
     "records_to_json",
-    "records_to_json_dict",
     "histogram_to_csv",
 ]
 
@@ -76,8 +76,8 @@ class ImpactRecord:
 
 @dataclass(frozen=True)
 class Histogram:
-    """Counts over half-open bins; the last bin is open-ended upward and
-    values below the first edge are clamped into the first bin."""
+    """Record counts per category, in ``Category`` order; bin i spans
+    ``[bin_edges[i], bin_edges[i + 1])`` and the last bin is open-ended."""
 
     bin_edges: tuple[float, ...]
     counts: tuple[int, ...]
@@ -152,23 +152,10 @@ def build_records(
     return records
 
 
-def build_histogram(
-    records: Iterable[ImpactRecord],
-    edges: Sequence[float] = DEFAULT_EDGES,
-) -> Histogram:
-    edges = tuple(float(e) for e in edges)
-    if len(edges) < 1 or any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ValueError(f"bin edges must be strictly ascending, got {edges}")
-    values = [r.pct_change for r in records]
-    counts = [0] * len(edges)
-    finite_edges = np.asarray(edges)
-    for value in values:
-        if math.isinf(value):
-            counts[-1] += 1
-            continue
-        position = int(np.searchsorted(finite_edges, value, side="right")) - 1
-        counts[max(0, min(position, len(edges) - 1))] += 1
-    return Histogram(bin_edges=edges, counts=tuple(counts))
+def build_histogram(records: Iterable[ImpactRecord]) -> Histogram:
+    """Count the records of each category; ``categorize`` made the partition."""
+    counts = Counter(r.category for r in records)
+    return Histogram(bin_edges=DEFAULT_EDGES, counts=tuple(counts[c] for c in Category))
 
 
 def summarize(
@@ -213,11 +200,6 @@ def records_to_json(records: Iterable[ImpactRecord]) -> list[dict]:
         }
         for r in records
     ]
-
-
-def records_to_json_dict(summary: SystemSummary, records: Iterable[ImpactRecord]) -> dict:
-    """Impact report document: the system summary and the records."""
-    return {"summary": asdict(summary), "records": records_to_json(records)}
 
 
 def histogram_to_csv(hist: Histogram) -> str:

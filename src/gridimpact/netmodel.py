@@ -10,8 +10,9 @@ at parse time instead of producing silently wrong physics.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import SchemaError, read_record
 
@@ -25,6 +26,7 @@ __all__ = [
     "parse_network",
     "load_network",
     "serialize_network",
+    "tree_walk",
     "validate_radial",
     "bus_catalog",
 ]
@@ -235,53 +237,55 @@ def serialize_network(net: NetworkModel) -> str:
 # --- topology ----------------------------------------------------------------
 
 
+def tree_walk(net: NetworkModel) -> list[tuple[int, int, int]]:
+    """Breadth-first walk of the lines from the source bus.
+
+    Returns one ``(parent, child, line)`` triple per bus reached, as indices
+    into ``net.buses`` and ``net.lines``, in visit order. Each bus's
+    neighbours are taken in line-id order and the queue is FIFO, so the
+    order is fixed by the model; the sweep's summation order, and so its
+    bits, follow it. A line that closes a cycle is never walked.
+    """
+    index = {bus.id: i for i, bus in enumerate(net.buses)}
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in net.buses]
+    for j, line in enumerate(net.lines):
+        a, b = index[line.from_bus], index[line.to_bus]
+        adjacency[a].append((b, j))
+        adjacency[b].append((a, j))
+
+    source = index[net.source.bus_id]
+    seen = [False] * len(net.buses)
+    seen[source] = True
+    walk = []
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w, j in adjacency[u]:
+            if not seen[w]:
+                seen[w] = True
+                walk.append((u, w, j))
+                queue.append(w)
+    return walk
+
+
 def validate_radial(net: NetworkModel) -> TopologyReport:
     """Diagnostic check: is every bus reachable from the source, and is the
     edge count that of a tree. Never raises."""
-    adjacency: dict[str, list[str]] = {bus.id: [] for bus in net.buses}
-    for line in net.lines:
-        adjacency[line.from_bus].append(line.to_bus)
-        adjacency[line.to_bus].append(line.from_bus)
-
-    seen = {net.source.bus_id}
-    frontier = [net.source.bus_id]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for neighbor in adjacency[node]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    nxt.append(neighbor)
-        frontier = nxt
-
-    orphans = tuple(sorted((b.id for b in net.buses if b.id not in seen), key=_id_key))
+    reached = {net.source.bus_id} | {net.buses[child].id for _, child, _ in tree_walk(net)}
+    orphans = tuple(b.id for b in net.buses if b.id not in reached)  # buses are id-sorted
     connected = not orphans
     radial = connected and len(net.lines) == len(net.buses) - 1
     return TopologyReport(connected=connected, radial=radial, orphan_buses=orphans)
 
 
-def bus_catalog(
-    net: Union[NetworkModel, Iterable[Bus]],
-    *,
-    only: Iterable[str] | None = None,
-    load_buses_only: bool = False,
-) -> list[tuple[str, float, float]]:
+def bus_catalog(net: NetworkModel, *,
+                load_buses_only: bool = False) -> list[tuple[str, float, float]]:
     """Ordered (bus id, lat, lon) catalog, ascending id byte-wise.
 
-    ``only`` restricts the catalog to an explicit id subset (for runs that
-    target a tagged group of buses, e.g. transformer secondaries);
-    ``load_buses_only`` restricts to buses that carry at least one LoadPoint.
+    ``load_buses_only`` restricts it to buses that carry at least one LoadPoint.
     """
-    if isinstance(net, NetworkModel):
-        buses = net.buses
-        if load_buses_only:
-            load_bus_ids = {load.bus_id for load in net.loads}
-            buses = tuple(b for b in buses if b.id in load_bus_ids)
-    else:
-        if load_buses_only:
-            raise ValueError("load_buses_only requires a NetworkModel")
-        buses = tuple(net)
-    if only is not None:
-        wanted = set(only)
-        buses = tuple(b for b in buses if b.id in wanted)
-    return [(b.id, b.lat, b.lon) for b in sorted(buses, key=lambda b: _id_key(b.id))]
+    buses = net.buses
+    if load_buses_only:
+        load_bus_ids = {load.bus_id for load in net.loads}
+        buses = tuple(b for b in buses if b.id in load_bus_ids)
+    return [(b.id, b.lat, b.lon) for b in buses]

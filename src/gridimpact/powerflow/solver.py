@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, TextIO
@@ -21,7 +20,7 @@ import numpy as np
 
 from ..errors import TopologyError, VoltageCollapseError
 from ..evfleet import DemandProfile
-from ..netmodel import NetworkModel, validate_radial
+from ..netmodel import NetworkModel, tree_walk, validate_radial
 from . import kernels
 
 __all__ = [
@@ -124,28 +123,8 @@ class _CompiledFeeder:
         z_base_ohm = base_kv * base_kv / S_BASE_MVA
         self.i_base_a = S_BASE_MVA * 1000.0 / (math.sqrt(3.0) * base_kv)
 
-        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for j, line in enumerate(net.lines):
-            a, b = index[line.from_bus], index[line.to_bus]
-            adjacency[a].append((b, j))
-            adjacency[b].append((a, j))
-
-        parent, child, model_line = [], [], []
-        seen = [False] * n
-        seen[self.source_idx] = True
-        queue = deque([self.source_idx])
-        while queue:
-            u = queue.popleft()
-            for w, j in adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent.append(u)
-                    child.append(w)
-                    model_line.append(j)
-                    queue.append(w)
-
-        self.parent = np.array(parent, dtype=np.int64)
-        self.child = np.array(child, dtype=np.int64)
+        self.parent, self.child, model_line = (
+            np.array(tree_walk(net), dtype=np.int64).reshape(-1, 3).T.copy())
         z_model = np.array(
             [(l.resistance_ohm + 1j * l.reactance_ohm) / z_base_ohm for l in net.lines],
             dtype=np.complex128)

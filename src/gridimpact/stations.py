@@ -6,7 +6,7 @@ a station in a higher class receives a proportionally larger share:
 
     s_c = peak_kw * w_c / sum_c(n_c * w_c)
 
-with default weights 1 : 2 : 4 : 8 for the four levels.
+with the weights 1 : 2 : 4 : 8 of ``CapacityClass`` for the four levels.
 """
 
 from __future__ import annotations
@@ -154,21 +154,16 @@ def classify(rated_kw: float) -> CapacityClass:
     raise AssertionError("unreachable: class bounds cover (0, inf)")
 
 
-def allocate_peak(
-    peak_kw: float,
-    census: StationCensus,
-    weights: dict[CapacityClass, float] | None = None,
-) -> dict[CapacityClass, float]:
-    """Per-station kW share for each capacity class.
+def allocate_peak(peak_kw: float, census: StationCensus) -> dict[CapacityClass, float]:
+    """Per-station kW share for each capacity class, weighted by
+    ``CapacityClass.weight``.
 
     The reconstruction identity sum_c(n_c * s_c) == peak_kw holds to 1e-9
     relative by construction.
     """
     if peak_kw < 0:
         raise ValueError(f"peak_kw must be >= 0, got {peak_kw}")
-    if weights is None:
-        weights = {c: float(c.weight) for c in CapacityClass}
-    denominator = math.fsum(census.count(c) * weights[c] for c in CapacityClass)
+    denominator = math.fsum(census.count(c) * c.weight for c in CapacityClass)
     if denominator <= 0:
         raise ValueError("empty census: no weighted stations to allocate across")
-    return {c: peak_kw * weights[c] / denominator for c in CapacityClass}
+    return {c: peak_kw * c.weight / denominator for c in CapacityClass}

@@ -158,13 +158,23 @@ class TestAssignStations:
         assert result[0].bus_id == "b1"
         assert result[0].assigned_kw == 1.0  # L1 weight
 
-    def test_explicit_target_subset(self):
-        net = small_net()
-        stations = [station(37.0, -122.0, rated=200.0)]
+    def test_distance_tie_goes_to_smallest_load_bus_id(self):
+        # b1 and b2 mirror each other about the station, so their distances
+        # tie exactly; b0 sits on the station but carries no load
+        net = NetworkModel(
+            buses=(Bus("b0", 0.0, 0.0, 12.47),
+                   Bus("b2", 0.0, 0.01, 12.47),
+                   Bus("b1", 0.0, -0.01, 12.47)),
+            lines=(Line("l1", "b0", "b1", 0.1, 0.2, 400.0),
+                   Line("l2", "b0", "b2", 0.1, 0.2, 400.0)),
+            loads=(LoadPoint("ld1", "b2", 5.0, 1.0), LoadPoint("ld2", "b1", 5.0, 1.0)),
+            source=Source("b0", 1.0),
+        )
+        assert haversine((0.0, 0.0), (0.0, 0.01)) == haversine((0.0, 0.0), (0.0, -0.01))
         allocations = {c: float(c.weight) for c in CapacityClass}
-        result = assign_stations(stations, net, allocations, target_bus_ids=["b2"])
-        assert result[0].bus_id == "b2"
-        assert result[0].assigned_kw == 4.0  # L3 weight
+        result = assign_stations([station(0.0, 0.0)], net, allocations)
+        assert result[0].bus_id == "b1"
+        assert result[0].distance_m == haversine((0.0, 0.0), (0.0, -0.01))
 
     def test_csv_round_trip_columns(self):
         rows = assignments_to_csv([Assignment("s1", "b1", 12.5, 115.35)]).strip().split("\n")
