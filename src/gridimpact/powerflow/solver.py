@@ -147,8 +147,11 @@ def _distinct_rows(s_batch):
     """Key each load row by its bytes: returns (step_row, distinct rows in
     order of first appearance), so ``s_batch[t]`` is ``rows[step_row[t]]``.
 
-    Steps share a row only when their loads are bit-identical, so solving a
-    row once gives every one of its steps the result of its own solve.
+    ``run_qsts`` passes the rows of one profile period only: every later
+    step repeats one of them, so every distinct row of the run first appears
+    there, in the same order. Steps share a row only when their loads are
+    bit-identical, so solving a row once gives every one of its steps the
+    result of its own solve.
     """
     index: dict[bytes, int] = {}
     first: list[int] = []
@@ -251,10 +254,16 @@ def run_qsts(
 ) -> QstsResult:
     """Time-series of independent snapshot solves.
 
-    Each shaped load's kW is replaced per step by its profile sample (kvar
-    held at the nominal value); unshaped loads stay constant. Profiles wrap
-    when ``steps`` exceeds their length. Diverged or collapsed steps are
-    recorded with ``converged=False`` without aborting the run.
+    Each shaped load's kW is replaced at step ``t`` by sample ``t % L`` of
+    its profile of ``L`` samples (kvar held at the nominal value); unshaped
+    loads stay constant. So the load rows repeat with a period of the least
+    common multiple of the profile lengths (1 when no load is shaped), and
+    only the rows of the first period, or of all ``steps`` if that is
+    shorter, are built; step ``t`` takes row ``t % period``. ``steps`` still
+    sets the operand order of the derivation (see ``_build_solutions``).
+    Diverged or collapsed steps are recorded with ``converged=False`` without
+    aborting the run; each collapsed row is logged once, with its bus, its
+    step count and its first step.
 
     Each distinct load row is solved once and every step with the same row
     gets its result, which is the exact form of QSTS time reduction
@@ -291,16 +300,18 @@ def run_qsts(
     if steps < 1:
         raise ValueError("steps must be >= 1")
 
+    period = min(math.lcm(*(p.values_kw.shape[0] for p in shapes.values())), steps)
     n = len(feeder.bus_ids)
-    s_batch = np.broadcast_to(feeder.s_static_pu, (steps, n)).copy()
-    t_index = np.arange(steps)
+    s_batch = np.broadcast_to(feeder.s_static_pu, (period, n)).copy()
+    t_index = np.arange(period)
     for load_id, profile in shapes.items():
         bus = feeder.load_bus_idx[load_id]
         samples = profile.values_kw[t_index % profile.values_kw.shape[0]]
         s_batch[:, bus] += (samples - feeder.load_kw[load_id]) / 1000.0
 
-    step_row, s_rows = _distinct_rows(s_batch)
+    period_row, s_rows = _distinct_rows(s_batch)
     del s_batch
+    step_row = period_row[np.arange(steps) % period]
     rows = s_rows.shape[0]
     if workers <= 1 or rows == 1:
         v, i_line, iters, converged, collapse = kernels.solve_batch(
@@ -324,11 +335,12 @@ def run_qsts(
         converged = np.concatenate([p[3] for p in parts])
         collapse = np.concatenate([p[4] for p in parts])
 
-    step_collapse = collapse[step_row]
-    for t in np.flatnonzero(step_collapse >= 0):
-        log.warning("step %d: voltage collapse at bus %s, recorded as not converged",
-                    t, feeder.bus_ids[step_collapse[t]])
-    diverged = np.count_nonzero(~converged[step_row])
+    _, first_step, row_steps = np.unique(step_row, return_index=True, return_counts=True)
+    for r in np.flatnonzero(collapse >= 0):
+        log.warning("voltage collapse at bus %s in %d steps (first at step %d), "
+                    "recorded as not converged",
+                    feeder.bus_ids[collapse[r]], row_steps[r], first_step[r])
+    diverged = int(np.sum(row_steps[~converged]))
     if diverged:
         log.warning("%d of %d steps did not converge", diverged, steps)
 

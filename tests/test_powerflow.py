@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import logging
 import tracemalloc
 import warnings
 from collections import deque
@@ -584,6 +585,17 @@ def periodic_shapes(net, rng, period, levels):
     return shapes
 
 
+def three_step_case():
+    """A chain whose loads repeat no load, nominal load and 1000 times
+    nominal, run past the elision size: (net, shapes, cfg, steps)."""
+    net = chain_network(12, load_kvar=0.0)
+    cfg = SolverConfig(tol_pu=1e-12, max_iter=3)
+    shapes = {load.id: DemandProfile(dt_h=8.0, values_kw=np.array(
+                  [0.0, load.kw, 1e3 * load.kw]), energy_kwh=8.0 * 1001 * load.kw)
+              for load in net.loads}
+    return net, shapes, cfg, elision_steps(net) + 7
+
+
 class TestDistinctRows:
     """``run_qsts`` solves and formats each distinct load row once; every
     step must still equal ``oracles.qsts_per_step``, which solves and derives
@@ -635,16 +647,57 @@ class TestDistinctRows:
             result, oracles.qsts_per_step(feeder40, shapes, SolverConfig(),
                                           steps=steps, dt_h=1.0))
 
+    @pytest.mark.parametrize("period_edge", ["unshaped", "L-1", "L", "L+1"])
+    @pytest.mark.parametrize("length", [24, "elision"])
+    def test_period_edges_equal_per_step_oracle(self, length, period_edge):
+        """Load rows are built for one profile period of ``L`` samples: runs
+        one step short of it, exactly it and one step past it, and an unshaped
+        run (period 1) above the elision size. With ``L`` at the elision
+        size, ``L - 1`` steps derive in the other operand order."""
+        net = random_feeder(30, seed=30)
+        if length == "elision":
+            length = elision_steps(net)
+        rng = np.random.default_rng(length)
+        shapes = {}
+        for load in net.loads[::2]:
+            values = rng.uniform(0.2, 2.0, length) * load.kw
+            shapes[load.id] = DemandProfile(dt_h=24 / length, values_kw=values,
+                                            energy_kwh=float(np.sum(values)) * 24 / length)
+        if period_edge == "unshaped":
+            shapes, steps = {}, elision_steps(net) + 3
+        else:
+            steps = length + {"L-1": -1, "L": 0, "L+1": 1}[period_edge]
+        cfg = SolverConfig()
+        result = run_qsts(net, shapes, cfg, steps=steps, dt_h=24 / length)
+        assert len(result.solutions) == (1 if not shapes else min(steps, length))
+        assert_equals_per_step(
+            result, oracles.qsts_per_step(net, shapes, cfg, steps=steps, dt_h=24 / length))
+
+    def test_load_rows_cost_one_period(self):
+        """An annual run of 24-step shapes builds 24 load rows, not 8,760:
+        its traced peak stays far below the 27 MiB of a (steps, buses) array."""
+        net = random_feeder(200, seed=200)
+        rng = np.random.default_rng(200)
+        shapes = {}
+        for load in net.loads[::2]:
+            values = rng.uniform(0.2, 2.0, 24) * load.kw
+            shapes[load.id] = DemandProfile(dt_h=1.0, values_kw=values,
+                                            energy_kwh=float(np.sum(values)))
+        run_qsts(net, shapes, steps=8760)
+        tracemalloc.start()
+        try:
+            result = run_qsts(net, shapes, steps=8760)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.solutions) == 24 and result.steps == 8760
+        assert peak < 4 * 2**20, peak
+
     @pytest.mark.parametrize("workers", [1, 3])
     def test_diverging_and_collapsing_steps(self, workers):
         """A three-step pattern: no load (converged), nominal load (out of
         iterations at a 1e-12 pu tolerance) and 1000 times nominal (collapsed)."""
-        net = chain_network(12, load_kvar=0.0)
-        cfg = SolverConfig(tol_pu=1e-12, max_iter=3)
-        shapes = {load.id: DemandProfile(dt_h=8.0, values_kw=np.array(
-                      [0.0, load.kw, 1e3 * load.kw]), energy_kwh=8.0 * 1001 * load.kw)
-                  for load in net.loads}
-        steps = elision_steps(net) + 7
+        net, shapes, cfg, steps = three_step_case()
         result = run_qsts(net, shapes, cfg, steps=steps, workers=workers)
         zero, nominal, heavy = result.solutions
         assert zero.converged
@@ -653,6 +706,20 @@ class TestDistinctRows:
         assert np.count_nonzero(~result.converged) == steps - (steps + 2) // 3
         assert_equals_per_step(result, oracles.qsts_per_step(net, shapes, cfg,
                                                              steps=steps, dt_h=8.0))
+
+    def test_one_collapse_record_per_row(self, caplog):
+        """The collapsed row is logged once with its bus and step count, not
+        once per step, beside one count of the steps that did not converge."""
+        net, shapes, cfg, steps = three_step_case()
+        with caplog.at_level(logging.WARNING, logger="gridimpact.powerflow.solver"):
+            run_qsts(net, shapes, cfg, steps=steps)
+        collapsed = [r.getMessage() for r in caplog.records if "collapse" in r.getMessage()]
+        heavy_steps = len(range(2, steps, 3))
+        assert collapsed == [f"voltage collapse at bus b03 in {heavy_steps} steps "
+                             f"(first at step 2), recorded as not converged"]
+        assert len(caplog.records) == 2
+        assert caplog.records[1].getMessage() == (
+            f"{steps - (steps + 2) // 3} of {steps} steps did not converge")
 
 
 class TestTotalLosses:
