@@ -171,9 +171,12 @@ class PipelineRun:
         except OSError:  # the marker must never mask the original failure
             pass
 
-    def clear_failure_marker(self) -> None:
+    def clear_failure_marker(self, labels: set[str]) -> None:
+        """Remove FAILED if it names one of ``labels``, the stages just re-run
+        and written; another stage's artifacts are still missing or stale."""
         marker = self.run_dir / "FAILED"
-        if marker.exists():
+        if marker.exists() and marker.read_text(encoding="utf-8").startswith(
+                tuple(f"stage: {label}\n" for label in labels)):
             marker.unlink()
 
     # --- inputs -----------------------------------------------------------
@@ -365,7 +368,8 @@ STAGES = (
 
 def _run_stages(run: PipelineRun, rows) -> None:
     """Run each row's stage, then its writer. On failure mark the run FAILED
-    with the row's label and re-raise; on success clear any earlier marker."""
+    with the row's label and re-raise; on success clear an earlier marker
+    that names one of these rows."""
     for label, *methods in rows:
         try:
             for name in methods:
@@ -375,7 +379,7 @@ def _run_stages(run: PipelineRun, rows) -> None:
             log.error("stage %s failed: %s", label, exc)
             run.mark_failed(label, exc)
             raise
-    run.clear_failure_marker()
+    run.clear_failure_marker({label for label, *_ in rows})
 
 
 def cmd_validate(config: RunConfig, config_hash: str) -> int:

@@ -13,7 +13,7 @@ import logging
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, TextIO
 
 import numpy as np
@@ -57,7 +57,12 @@ class SolverConfig:
 @dataclass(frozen=True, eq=False)
 class PowerFlowSolution:
     """One converged (or flagged) steady state. Arrays follow the id-sorted
-    bus/line order of the model they were solved on."""
+    bus/line order of the model they were solved on.
+
+    ``QstsResult.rows`` stacks the steady states of many load rows in one
+    instance: each array gains a leading row axis, and each scalar field
+    becomes a ``(rows,)`` array.
+    """
 
     bus_ids: tuple[str, ...]
     line_ids: tuple[str, ...]
@@ -78,11 +83,11 @@ class PowerFlowSolution:
 class QstsResult:
     """A time series stored once per distinct load row.
 
-    ``solutions[r]`` is the steady state of the r-th distinct load row, in
-    order of first appearance, and step ``t`` solved row ``step_row[t]``.
+    ``rows`` stacks the steady states of the distinct load rows, in order of
+    first appearance, and step ``t`` solved row ``step_row[t]``.
     """
 
-    solutions: tuple[PowerFlowSolution, ...]
+    rows: PowerFlowSolution
     step_row: np.ndarray
     dt_h: float
 
@@ -91,13 +96,21 @@ class QstsResult:
         return int(self.step_row.shape[0])
 
     def step(self, t: int) -> PowerFlowSolution:
-        """The steady state of step ``t``."""
-        return self.solutions[self.step_row[t]]
+        """The steady state of step ``t``: a view of its row."""
+        return _row(self.rows, self.step_row[t])
 
     @property
     def converged(self) -> np.ndarray:
         """Whether each step converged, shape ``(steps,)``."""
-        return np.array([s.converged for s in self.solutions], dtype=bool)[self.step_row]
+        return self.rows.converged[self.step_row]
+
+
+def _row(rows: PowerFlowSolution, r) -> PowerFlowSolution:
+    """Row ``r`` of a row-stacked solution: its arrays as views, its scalar
+    fields as Python scalars."""
+    return replace(rows, **{name: value[r] if value.ndim > 1 else value[r].item()
+                            for name, value in vars(rows).items()
+                            if isinstance(value, np.ndarray)})
 
 
 class _CompiledFeeder:
@@ -168,8 +181,8 @@ def _distinct_rows(s_batch):
 
 def _build_solutions(feeder: _CompiledFeeder, s_rows, v, i_line_bfs, iters, converged,
                      steps: int):
-    """Derive reported quantities from kernel outputs: one solution per row
-    of ``s_rows``, for a run of ``steps`` steps.
+    """Derive reported quantities from kernel outputs: the row-stacked
+    solution of the rows of ``s_rows``, for a run of ``steps`` steps.
 
     Every quantity is derived on the distinct rows alone, never on per-step
     copies, and keeps the bits a plain per-step derivation over the whole
@@ -181,8 +194,10 @@ def _build_solutions(feeder: _CompiledFeeder, s_rows, v, i_line_bfs, iters, conv
     multiply fuses the imaginary part's multiply-add the other way round when
     its operands swap. So ``line_flow_kvar`` of a snapshot can differ in the
     last bit between a short and a long run, and the product here takes the
-    operand order of a run of ``steps`` steps. Scalar reductions run per row
-    on 1-D data, so the totals do not depend on the batch shape either.
+    operand order of a run of ``steps`` steps. The totals are row sums over
+    C-ordered rows, which give the bits of a sum over each row alone; the
+    column gathers come back column-major, and summing along their rows
+    would add in another order.
     """
     v_mag = np.abs(v)
     v_ang = np.angle(v)
@@ -201,28 +216,22 @@ def _build_solutions(feeder: _CompiledFeeder, s_rows, v, i_line_bfs, iters, conv
     loss_kw = (np.abs(i_model) ** 2) * feeder.r_pu_model * 1000.0
 
     src_lines = np.flatnonzero(feeder.parent == feeder.source_idx)
-    solutions = []
-    for r in range(s_rows.shape[0]):
-        total_loss = float(np.sum(loss_kw[r]))
-        total_load = float(np.sum(s_rows[r].real)) * 1000.0
-        src_flow = float(np.sum(s_send_bfs[r, src_lines].real))
-        source_kw = (src_flow + float(s_rows[r, feeder.source_idx].real)) * 1000.0
-        solutions.append(PowerFlowSolution(
-            bus_ids=feeder.bus_ids,
-            line_ids=feeder.line_ids,
-            v_mag_pu=v_mag[r],
-            v_ang_rad=v_ang[r],
-            line_flow_kw=flow_kw[r],
-            line_flow_kvar=flow_kvar[r],
-            line_current_a=amps[r],
-            line_loss_kw=loss_kw[r],
-            total_loss_kw=total_loss,
-            total_load_kw=total_load,
-            source_kw=source_kw,
-            converged=bool(converged[r]),
-            iterations=int(iters[r]),
-        ))
-    return solutions
+    src_flow = np.take(s_send_bfs, src_lines, axis=1).real.sum(axis=1)
+    return PowerFlowSolution(
+        bus_ids=feeder.bus_ids,
+        line_ids=feeder.line_ids,
+        v_mag_pu=v_mag,
+        v_ang_rad=v_ang,
+        line_flow_kw=flow_kw,
+        line_flow_kvar=flow_kvar,
+        line_current_a=amps,
+        line_loss_kw=loss_kw,
+        total_loss_kw=np.ascontiguousarray(loss_kw).sum(axis=1),
+        total_load_kw=s_rows.real.sum(axis=1) * 1000.0,
+        source_kw=(src_flow + s_rows[:, feeder.source_idx].real) * 1000.0,
+        converged=converged,
+        iterations=iters,
+    )
 
 
 def solve_snapshot(net: NetworkModel, cfg: SolverConfig = SolverConfig()) -> PowerFlowSolution:
@@ -240,7 +249,7 @@ def solve_snapshot(net: NetworkModel, cfg: SolverConfig = SolverConfig()) -> Pow
     if collapse[0] >= 0:
         bus = feeder.bus_ids[collapse[0]]
         raise VoltageCollapseError(bus, float(np.abs(v[0, collapse[0]])))
-    return _build_solutions(feeder, s_batch, v, i_line, iters, converged, 1)[0]
+    return _row(_build_solutions(feeder, s_batch, v, i_line, iters, converged, 1), 0)
 
 
 def run_qsts(
@@ -344,8 +353,8 @@ def run_qsts(
     if diverged:
         log.warning("%d of %d steps did not converge", diverged, steps)
 
-    solutions = _build_solutions(feeder, s_rows, v, i_line, iters, converged, steps)
-    return QstsResult(solutions=tuple(solutions), step_row=step_row, dt_h=dt_h)
+    rows = _build_solutions(feeder, s_rows, v, i_line, iters, converged, steps)
+    return QstsResult(rows=rows, step_row=step_row, dt_h=dt_h)
 
 
 def total_losses(result: QstsResult) -> float:
@@ -359,7 +368,7 @@ def total_losses(result: QstsResult) -> float:
     if skipped:
         warnings.warn(f"{skipped} non-converged steps excluded from loss total",
                       stacklevel=2)
-    step_loss = np.array([s.total_loss_kw for s in result.solutions])[result.step_row]
+    step_loss = result.rows.total_loss_kw[result.step_row]
     return float(np.sum(step_loss[converged]) * result.dt_h)
 
 
@@ -374,29 +383,34 @@ def _write_steps(result: QstsResult, out: TextIO, header: str, pieces: list[list
         out.write(step + step.join(pieces[r]))
 
 
-def _line_rows(sol: PowerFlowSolution, *extra: np.ndarray) -> list[str]:
-    """``line_id,kw,kvar,amps`` and then the ``extra`` per-line columns, for
-    each line of ``sol``; floats as their ``repr``, without a line end."""
-    columns = (sol.line_flow_kw, sol.line_flow_kvar, sol.line_current_a, *extra)
+def _line_rows(line_ids: tuple[str, ...], *columns: np.ndarray) -> list[str]:
+    """``line_id`` and then the per-line ``columns``, for each line; floats
+    as their ``repr``, without a line end."""
     return [",".join([line_id, *map(repr, values)])
-            for line_id, *values in zip(sol.line_ids, *(c.tolist() for c in columns))]
+            for line_id, *values in zip(line_ids, *(c.tolist() for c in columns))]
 
 
 def snapshot_csv(solution: PowerFlowSolution, out: TextIO) -> None:
     """One steady state to ``out``: ``line_id,kw,kvar,amps,loss_kw``."""
     out.write("line_id,kw,kvar,amps,loss_kw\n")
-    out.writelines(row + "\n" for row in _line_rows(solution, solution.line_loss_kw))
+    out.writelines(row + "\n" for row in _line_rows(
+        solution.line_ids, solution.line_flow_kw, solution.line_flow_kvar,
+        solution.line_current_a, solution.line_loss_kw))
 
 
 def qsts_lines_csv(result: QstsResult, out: TextIO) -> None:
     """Per-line per-step export to ``out``: ``step,line_id,kw,kvar,amps``."""
-    pieces = [["," + row + "\n" for row in _line_rows(sol)] for sol in result.solutions]
+    rows = result.rows
+    pieces = [["," + row + "\n" for row in _line_rows(rows.line_ids, *columns)]
+              for columns in zip(rows.line_flow_kw, rows.line_flow_kvar, rows.line_current_a)]
     _write_steps(result, out, "step,line_id,kw,kvar,amps\n", pieces)
 
 
 def qsts_summary_csv(result: QstsResult, out: TextIO) -> None:
     """Per-step summary to ``out``: ``step,source_kw,loss_kw,min_v_pu,max_v_pu``."""
-    pieces = [[f",{sol.source_kw!r},{sol.total_loss_kw!r},"
-               f"{float(np.min(sol.v_mag_pu))!r},{float(np.max(sol.v_mag_pu))!r}\n"]
-              for sol in result.solutions]
+    rows = result.rows
+    pieces = [[f",{source!r},{loss!r},{low!r},{high!r}\n"]
+              for source, loss, low, high in zip(
+                  rows.source_kw.tolist(), rows.total_loss_kw.tolist(),
+                  rows.v_mag_pu.min(axis=1).tolist(), rows.v_mag_pu.max(axis=1).tolist())]
     _write_steps(result, out, "step,source_kw,loss_kw,min_v_pu,max_v_pu\n", pieces)

@@ -41,6 +41,17 @@ def write_config(tmp_path, name="config.json", **overrides):
     return path
 
 
+def write_scaled_network(path, scale):
+    """feeder40 with every line impedance times ``scale`` (1000 collapses
+    the baseline snapshot). The run directory hashes the config document
+    only, so rewriting this file reruns a run in the same directory."""
+    doc = json.loads((FIXTURES / "feeder40.json").read_text())
+    for line in doc["lines"]:
+        line["resistance_ohm"] *= scale
+        line["reactance_ohm"] *= scale
+    path.write_text(json.dumps(doc))
+
+
 def run_dir_of(config_path, out=None):
     config, digest = load_run_config(config_path, out)
     return Path(config.output_dir) / f"run-{digest}"
@@ -287,19 +298,32 @@ class TestPipeline:
         assert "baseline loss must be > 0 kW, got 0.0" in marker
 
     def test_failed_marker_cleared_after_successful_rerun(self, tmp_path):
-        bad = write_config(tmp_path, peak_kw_override=1e9)
-        assert main(["pipeline", "--config", str(bad)]) == 4
-        bad_dir = run_dir_of(bad)
-        assert (bad_dir / "FAILED").exists()
-        # same run directory only when the config is identical, so rerun the
-        # same config after fixing the input in place
-        good = write_config(tmp_path, peak_kw_override=1e9)
-        doc = json.loads(good.read_text())
-        doc["peak_kw_override"] = 130_000.0
-        fixed = tmp_path / "fixed.json"
-        fixed.write_text(json.dumps(doc))
-        assert main(["pipeline", "--config", str(fixed)]) == 0
-        assert not (run_dir_of(fixed) / "FAILED").exists()
+        network = tmp_path / "network.json"
+        write_scaled_network(network, 1000.0)
+        config = write_config(tmp_path, network_path=str(network))
+        marker = run_dir_of(config) / "FAILED"
+        assert main(["pipeline", "--config", str(config)]) == 4
+        assert marker.read_text().startswith("stage: power\n")
+        write_scaled_network(network, 1.0)
+        assert main(["pipeline", "--config", str(config)]) == 0
+        assert not marker.exists()
+
+    def test_marker_stays_until_its_stage_reruns(self, tmp_path):
+        """A subcommand that does not re-run the failed stage leaves the
+        marker, since that stage's artifacts are still missing; the failed
+        stage's own subcommand then clears it."""
+        network = tmp_path / "network.json"
+        write_scaled_network(network, 1000.0)
+        config = write_config(tmp_path, network_path=str(network))
+        run_dir = run_dir_of(config)
+        assert main(["pipeline", "--config", str(config)]) == 4
+        assert main(["profile", "--config", str(config)]) == 0
+        assert (run_dir / "FAILED").read_text().startswith("stage: power\n")
+        assert not (run_dir / "before_lines.csv").exists()
+        write_scaled_network(network, 1.0)
+        assert main(["run", "--config", str(config)]) == 0
+        assert not (run_dir / "FAILED").exists()
+        assert (run_dir / "before_lines.csv").exists()
 
 
 class TestRunConfig:

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import logging
 import tracemalloc
+import typing
 import warnings
 from collections import deque
 from unittest import mock
@@ -14,7 +15,6 @@ from gridimpact.errors import TopologyError, VoltageCollapseError
 from gridimpact.evfleet import DemandProfile
 from gridimpact.netmodel import Bus, Line, LoadPoint, NetworkModel, Source
 from gridimpact.powerflow import (
-    QstsResult,
     SolverConfig,
     active_backend,
     qsts_lines_csv,
@@ -640,7 +640,7 @@ class TestDistinctRows:
 
         monkeypatch.setattr(kernels, "solve_batch", counting)
         result = run_qsts(feeder40, shapes, steps=steps, workers=workers)
-        assert len(result.solutions) == 24
+        assert len(result.rows.converged) == 24
         assert sum(solved_rows) == 24
         assert result.step_row.tolist() == [t % 24 for t in range(steps)]
         assert_equals_per_step(
@@ -669,7 +669,7 @@ class TestDistinctRows:
             steps = length + {"L-1": -1, "L": 0, "L+1": 1}[period_edge]
         cfg = SolverConfig()
         result = run_qsts(net, shapes, cfg, steps=steps, dt_h=24 / length)
-        assert len(result.solutions) == (1 if not shapes else min(steps, length))
+        assert len(result.rows.converged) == (1 if not shapes else min(steps, length))
         assert_equals_per_step(
             result, oracles.qsts_per_step(net, shapes, cfg, steps=steps, dt_h=24 / length))
 
@@ -690,7 +690,7 @@ class TestDistinctRows:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(result.solutions) == 24 and result.steps == 8760
+        assert len(result.rows.converged) == 24 and result.steps == 8760
         assert peak < 4 * 2**20, peak
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -699,10 +699,11 @@ class TestDistinctRows:
         iterations at a 1e-12 pu tolerance) and 1000 times nominal (collapsed)."""
         net, shapes, cfg, steps = three_step_case()
         result = run_qsts(net, shapes, cfg, steps=steps, workers=workers)
-        zero, nominal, heavy = result.solutions
-        assert zero.converged
-        assert not nominal.converged and nominal.iterations == 3
-        assert not heavy.converged and heavy.iterations < 3
+        converged, iterations = result.rows.converged, result.rows.iterations
+        assert converged.shape == (3,)
+        assert converged[0]
+        assert not converged[1] and iterations[1] == 3
+        assert not converged[2] and iterations[2] < 3
         assert np.count_nonzero(~result.converged) == steps - (steps + 2) // 3
         assert_equals_per_step(result, oracles.qsts_per_step(net, shapes, cfg,
                                                              steps=steps, dt_h=8.0))
@@ -720,6 +721,55 @@ class TestDistinctRows:
         assert len(caplog.records) == 2
         assert caplog.records[1].getMessage() == (
             f"{steps - (steps + 2) // 3} of {steps} steps did not converge")
+
+
+def assert_row_view_types(sol, n_buses, n_lines):
+    """Each field has its declared type: Python scalars, not numpy ones or
+    0-d arrays, and 1-D float64 arrays of the feeder's bus or line count."""
+    hints = typing.get_type_hints(type(sol))
+    for field in dataclasses.fields(sol):
+        value, hint = getattr(sol, field.name), hints[field.name]
+        if hint is np.ndarray:
+            size = n_lines if field.name.startswith("line_") else n_buses
+            assert (type(value), value.dtype, value.shape) == (np.ndarray, np.float64, (size,)), \
+                field.name
+        elif hint in (float, bool, int):
+            assert type(value) is hint, field.name
+        else:
+            assert type(value) is tuple, field.name
+
+
+class TestRowView:
+    @given(n_buses=st.integers(1, 60), feeder_seed=st.integers(0, 2**31 - 1),
+           period=st.sampled_from([1, 2, 3, 8]), levels=st.integers(1, 4),
+           steps=st.integers(1, 30), max_iter=st.sampled_from([3, 50]),
+           load_seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_snapshot_is_row_zero_and_steps_have_declared_types(
+            self, n_buses, feeder_seed, period, levels, steps, max_iter, load_seed):
+        """``solve_snapshot`` and ``step(t)`` are both views of one row of the
+        stacked derivation: the snapshot equals step 0 of a one-step run bit
+        for bit, and no numpy scalar leaks out of either."""
+        net = random_feeder(n_buses, seed=feeder_seed)
+        n_lines = len(net.lines)
+        snapshot = solve_snapshot(net)
+        step = run_qsts(net, {}, steps=1, dt_h=1.0).step(0)
+        assert_row_view_types(snapshot, n_buses, n_lines)
+        assert_row_view_types(step, n_buses, n_lines)
+        for field in dataclasses.fields(snapshot):
+            a, b = getattr(step, field.name), getattr(snapshot, field.name)
+            if isinstance(b, np.ndarray):
+                assert a.tobytes() == b.tobytes(), field.name
+            elif isinstance(b, float):
+                assert np.float64(a).tobytes() == np.float64(b).tobytes(), field.name
+            else:
+                assert a == b, field.name
+
+        shapes = periodic_shapes(net, np.random.default_rng(load_seed), period, levels)
+        result = run_qsts(net, shapes, SolverConfig(max_iter=max_iter), steps=steps,
+                          dt_h=24 / period)
+        for sol in every_step(result):
+            assert_row_view_types(sol, n_buses, n_lines)
 
 
 class TestTotalLosses:
@@ -740,12 +790,14 @@ class TestTotalLosses:
         assert total_losses(result) == pytest.approx(by_hand, rel=1e-12)
 
     def test_diverged_steps_excluded_with_warning(self):
-        good = run_qsts(chain_network(3), {}, steps=2, dt_h=1.0)
-        patched = QstsResult(
-            solutions=(good.step(0),
-                       type(good.step(1))(**{**good.step(1).__dict__, "converged": False})),
-            step_row=np.arange(2),
-            dt_h=1.0)
+        net = chain_network(3)
+        load = net.loads[0]
+        values = np.tile([load.kw, 2.0 * load.kw], 12)
+        hourly = DemandProfile(dt_h=1.0, values_kw=values, energy_kwh=float(np.sum(values)))
+        good = run_qsts(net, {load.id: hourly}, steps=2)
+        assert good.step_row.tolist() == [0, 1]
+        patched = dataclasses.replace(good, rows=dataclasses.replace(
+            good.rows, converged=np.array([True, False])))
         with pytest.warns(UserWarning, match="non-converged"):
             value = total_losses(patched)
         assert value == pytest.approx(good.step(0).total_loss_kw, rel=1e-12)
