@@ -28,11 +28,9 @@ from .evfleet import (
 from .geoexport import export_geojson, style_width
 from .impact import (
     Category,
-    Histogram,
     ImpactRecord,
     Metric,
     SystemSummary,
-    build_histogram,
     build_records,
     categorize,
     filter_by_ampacity,
@@ -63,7 +61,6 @@ from .powerflow import (
 from .stations import (
     CapacityClass,
     EvStation,
-    StationCensus,
     allocate_peak,
     classify,
     load_stations,

@@ -21,6 +21,7 @@ import logging
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -28,8 +29,7 @@ import numpy as np
 
 from . import assign as assign_mod
 from . import geoexport, impact, stations
-from .errors import (GridImpactError, SchemaError, SolverError, TopologyError,
-                     VoltageCollapseError, read_record)
+from .errors import GridImpactError, SchemaError, SolverError, read_record
 from .evfleet import (
     DEFAULT_SCHEDULE,
     DemandProfile,
@@ -206,7 +206,7 @@ class PipelineRun:
 
     @_stage
     def stage_allocate(self) -> dict:
-        census = stations.StationCensus.of(self.stations)
+        census = Counter(stations.classify(s.rated_kw) for s in self.stations)
         allocations = stations.allocate_peak(self.stage_profile()["peak_kw"], census)
         return {"census": census, "allocations": allocations}
 
@@ -262,7 +262,7 @@ class PipelineRun:
                 power["before_snapshot"], power["after_snapshot"], metric)
                 if r.line_id in high_ampacity]
             result[f"{metric.value}_records"] = records
-            result[f"{metric.value}_histogram"] = impact.build_histogram(records)
+            result[f"{metric.value}_histogram"] = Counter(r.category for r in records)
         result["summary"] = impact.summarize(
             power["before_net"].total_load_kw(),
             power["after_net"].total_load_kw(),
@@ -323,9 +323,8 @@ class PipelineRun:
             },
             "stations": {
                 "path": cfg.stations_path,
-                "count": census.total,
-                "census": {"L1": census.l1, "L2": census.l2,
-                           "L3": census.l3, "L4": census.l4},
+                "count": census.total(),
+                "census": {c.name: census[c] for c in stations.CapacityClass},
             },
             "fleet_size": cfg.scenario.fleet_size,
             "profile_peak_kw": profile["profile_peak_kw"],
@@ -346,8 +345,9 @@ class PipelineRun:
         }
         for metric in impact.Metric:
             histogram = result[f"{metric.value}_histogram"]
-            manifest[f"histogram_{metric.value}"] = {"edges": list(histogram.bin_edges),
-                                                     "counts": list(histogram.counts)}
+            manifest[f"histogram_{metric.value}"] = {
+                "edges": [c.lower_pct for c in impact.Category],
+                "counts": [histogram[c] for c in impact.Category]}
         self._write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -430,16 +430,6 @@ def cmd_stage(name: str, config: RunConfig, config_hash: str) -> int:
     return 0
 
 
-def _exit_code(exc: Exception) -> int:
-    if isinstance(exc, SchemaError):
-        return 2
-    if isinstance(exc, TopologyError):
-        return 3
-    if isinstance(exc, (SolverError, VoltageCollapseError)):
-        return 4
-    return 1
-
-
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
@@ -470,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_stage(args.command, config, config_hash)
     except GridImpactError as exc:
         log.error("%s", exc)
-        return _exit_code(exc)
+        return exc.exit_code
     except (ValueError, OSError) as exc:
         log.error("%s", exc)
         return 2

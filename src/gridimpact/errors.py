@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and ``read_record``, the one
-reader that checks decoded JSON objects against the dataclasses they build."""
+"""Exception types shared across the package, ``check_id``, the one id rule,
+and ``read_record``, the one reader that checks decoded JSON objects against
+the dataclasses they build."""
 
 from __future__ import annotations
 
@@ -12,29 +13,54 @@ import typing
 
 
 class GridImpactError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package. ``exit_code`` is the
+    command-line exit status of an uncaught error of the class."""
+
+    exit_code = 1
 
 
 class SchemaError(GridImpactError, ValueError):
     """Input document violates the expected schema (missing/unknown/mistyped field,
     duplicate id, dangling reference)."""
 
+    exit_code = 2
+
 
 class TopologyError(GridImpactError):
     """Network fails a structural precondition (not connected, not radial)."""
+
+    exit_code = 3
 
 
 class SolverError(GridImpactError):
     """A required power-flow solve did not converge."""
 
+    exit_code = 4
+
 
 class VoltageCollapseError(GridImpactError):
     """Sweep iteration drove a bus voltage below the collapse floor (0.5 pu)."""
+
+    exit_code = 4
 
     def __init__(self, bus_id: str, v_mag_pu: float):
         self.bus_id = bus_id
         self.v_mag_pu = v_mag_pu
         super().__init__(f"voltage collapse at bus {bus_id}: |V| = {v_mag_pu:.4f} pu < 0.5 pu")
+
+
+_ID_FORBIDDEN = frozenset(',"\r\n')
+
+
+def check_id(kind: str, identifier: str) -> None:
+    """Raise ``SchemaError`` naming the ``kind`` record unless ``identifier`` can
+    be written verbatim as a CSV field: non-empty, with no comma, double quote,
+    CR or LF. The artifact writers do not quote ids."""
+    if not identifier:
+        raise SchemaError(f"{kind} with empty id")
+    if not _ID_FORBIDDEN.isdisjoint(identifier):
+        raise SchemaError(f"{kind} {identifier!r}: id must not contain a comma, "
+                          "double quote, CR or LF")
 
 
 # --- typed JSON records ------------------------------------------------------

@@ -1,5 +1,8 @@
 """Before/after comparison: percent change, five-way categorization, histograms.
 
+A histogram is a ``Counter`` of records keyed by ``Category``; the category
+bounds are its bin edges.
+
 Percent change is the magnitude of relative change, |after - before| / before
 as a percentage. Lines whose baseline is effectively zero (below 1e-6 kW) but
 carry new flow are assigned an infinite sentinel and land in the top (red)
@@ -23,14 +26,11 @@ __all__ = [
     "Category",
     "Metric",
     "ImpactRecord",
-    "Histogram",
     "SystemSummary",
     "ZERO_BASELINE_KW",
-    "DEFAULT_EDGES",
     "pct_change",
     "categorize",
     "build_records",
-    "build_histogram",
     "summarize",
     "filter_by_ampacity",
     "records_to_json",
@@ -56,9 +56,6 @@ class Category(Enum):
         self.color_hex = color_hex
 
 
-DEFAULT_EDGES = tuple(c.lower_pct for c in Category)
-
-
 class Metric(Enum):
     FLOW = "flow"
     LOSS = "loss"
@@ -72,19 +69,6 @@ class ImpactRecord:
     after_kw: float
     pct_change: float
     category: Category
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Record counts per category, in ``Category`` order; bin i spans
-    ``[bin_edges[i], bin_edges[i + 1])`` and the last bin is open-ended."""
-
-    bin_edges: tuple[float, ...]
-    counts: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
 
 
 @dataclass(frozen=True)
@@ -152,12 +136,6 @@ def build_records(
     return records
 
 
-def build_histogram(records: Iterable[ImpactRecord]) -> Histogram:
-    """Count the records of each category; ``categorize`` made the partition."""
-    counts = Counter(r.category for r in records)
-    return Histogram(bin_edges=DEFAULT_EDGES, counts=tuple(counts[c] for c in Category))
-
-
 def summarize(
     before_demand_kw: float,
     after_demand_kw: float,
@@ -202,10 +180,10 @@ def records_to_json(records: Iterable[ImpactRecord]) -> list[dict]:
     ]
 
 
-def histogram_to_csv(hist: Histogram) -> str:
-    """CSV export: ``bin_lo,bin_hi,count`` with ``inf`` as the last upper edge."""
+def histogram_to_csv(counts: Counter[Category]) -> str:
+    """CSV export of a histogram: ``bin_lo,bin_hi,count`` per ``Category``,
+    with ``inf`` as the last upper edge."""
     rows = ["bin_lo,bin_hi,count"]
-    uppers = list(hist.bin_edges[1:]) + [math.inf]
-    for lo, hi, count in zip(hist.bin_edges, uppers, hist.counts):
-        rows.append(f"{lo!r},{hi!r},{count}")
+    for c in Category:
+        rows.append(f"{c.lower_pct!r},{c.upper_pct!r},{counts[c]}")
     return "\n".join(rows) + "\n"

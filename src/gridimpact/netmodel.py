@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Union
 
-from .errors import SchemaError, read_record
+from .errors import SchemaError, check_id, read_record
 
 __all__ = [
     "Bus",
@@ -47,8 +47,7 @@ class Bus:
     base_kv: float
 
     def __post_init__(self):
-        if not self.id:
-            raise SchemaError("bus with empty id")
+        check_id("bus", self.id)
         if not -90.0 <= self.lat <= 90.0:
             raise SchemaError(f"bus {self.id}: lat {self.lat} outside [-90, 90]")
         if not -180.0 <= self.lon <= 180.0:
@@ -70,8 +69,7 @@ class Line:
     ampacity_a: float
 
     def __post_init__(self):
-        if not self.id:
-            raise SchemaError("line with empty id")
+        check_id("line", self.id)
         if self.from_bus == self.to_bus:
             raise SchemaError(f"line {self.id}: from_bus equals to_bus ({self.from_bus})")
         if not self.ampacity_a > 0:
@@ -92,8 +90,7 @@ class LoadPoint:
     kvar: float
 
     def __post_init__(self):
-        if not self.id:
-            raise SchemaError("load with empty id")
+        check_id("load", self.id)
         if self.kw < 0:
             raise SchemaError(f"load {self.id}: kw must be >= 0")
 

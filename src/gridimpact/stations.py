@@ -14,15 +14,15 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import SchemaError
+from .errors import SchemaError, check_id
 
 __all__ = [
     "CapacityClass",
     "EvStation",
-    "StationCensus",
     "parse_stations",
     "load_stations",
     "classify",
@@ -57,40 +57,11 @@ class EvStation:
     rated_kw: float
 
     def __post_init__(self):
+        check_id("station", self.id)
         if not 0 < self.rated_kw < math.inf:
             raise SchemaError(f"station {self.id}: rated_kw must be finite and > 0")
         if not -90.0 <= self.lat <= 90.0 or not -180.0 <= self.lon <= 180.0:
             raise SchemaError(f"station {self.id}: coordinates outside WGS84 bounds")
-
-
-@dataclass(frozen=True)
-class StationCensus:
-    """Per-class station counts."""
-
-    l1: int
-    l2: int
-    l3: int
-    l4: int
-
-    @classmethod
-    def of(cls, stations) -> "StationCensus":
-        counts = {c: 0 for c in CapacityClass}
-        for station in stations:
-            counts[classify(station.rated_kw)] += 1
-        return cls(counts[CapacityClass.L1], counts[CapacityClass.L2],
-                   counts[CapacityClass.L3], counts[CapacityClass.L4])
-
-    def count(self, klass: CapacityClass) -> int:
-        return {
-            CapacityClass.L1: self.l1,
-            CapacityClass.L2: self.l2,
-            CapacityClass.L3: self.l3,
-            CapacityClass.L4: self.l4,
-        }[klass]
-
-    @property
-    def total(self) -> int:
-        return self.l1 + self.l2 + self.l3 + self.l4
 
 
 _COLUMNS = ("id", "name", "lat", "lon", "rated_kw")
@@ -141,7 +112,8 @@ def parse_stations(table: str) -> list[EvStation]:
 
 
 def load_stations(path) -> list[EvStation]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         return parse_stations(handle.read())
 
 
@@ -154,16 +126,17 @@ def classify(rated_kw: float) -> CapacityClass:
     raise AssertionError("unreachable: class bounds cover (0, inf)")
 
 
-def allocate_peak(peak_kw: float, census: StationCensus) -> dict[CapacityClass, float]:
+def allocate_peak(peak_kw: float, census: Counter[CapacityClass]) -> dict[CapacityClass, float]:
     """Per-station kW share for each capacity class, weighted by
-    ``CapacityClass.weight``.
+    ``CapacityClass.weight``. ``census`` counts the stations of each class,
+    ``Counter(classify(s.rated_kw) for s in stations)``; an absent class has none.
 
     The reconstruction identity sum_c(n_c * s_c) == peak_kw holds to 1e-9
     relative by construction.
     """
     if peak_kw < 0:
         raise ValueError(f"peak_kw must be >= 0, got {peak_kw}")
-    denominator = math.fsum(census.count(c) * c.weight for c in CapacityClass)
+    denominator = math.fsum(census[c] * c.weight for c in CapacityClass)
     if denominator <= 0:
         raise ValueError("empty census: no weighted stations to allocate across")
     return {c: peak_kw * c.weight / denominator for c in CapacityClass}

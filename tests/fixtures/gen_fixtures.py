@@ -1,12 +1,13 @@
 """Regenerate the bundled fixtures. Run from the repo root:
 
-    python tests/fixtures/gen_fixtures.py
+    python tests/fixtures/gen_fixtures.py [OUT_DIR]
 
-The outputs are committed; this script exists so their provenance is
-reproducible. Seeds and parameters must not change casually, since tests
-freeze values derived from these exact files.
+OUT_DIR defaults to this directory. The outputs are committed; this script
+exists so their provenance is reproducible. Seeds and parameters must not
+change casually, since tests freeze values derived from these exact files.
 """
 
+import sys
 from pathlib import Path
 
 from gridimpact.netmodel import serialize_network
@@ -15,7 +16,7 @@ from gridimpact.synth import random_feeder, random_stations
 HERE = Path(__file__).parent
 
 
-def main() -> None:
+def main(out_dir: Path = HERE) -> None:
     # 40-bus subtransmission-scale feeder: strong enough to absorb a
     # 130 MW peak-hour EV injection while staying comfortably convergent.
     feeder40 = random_feeder(
@@ -24,18 +25,18 @@ def main() -> None:
         resistance_ohm_range=(0.1, 0.4),
         reactance_ohm_range=(0.2, 0.8),
     )
-    (HERE / "feeder40.json").write_text(serialize_network(feeder40) + "\n")
+    (out_dir / "feeder40.json").write_text(serialize_network(feeder40) + "\n")
 
     # 20-bus distribution feeder for solver oracle comparisons.
     feeder20 = random_feeder(20, seed=20, base_kv=12.47, load_kw_range=(10.0, 120.0))
-    (HERE / "feeder20.json").write_text(serialize_network(feeder20) + "\n")
+    (out_dir / "feeder20.json").write_text(serialize_network(feeder20) + "\n")
 
     # 951-station registry with a 895/24/18/14 class census.
     stations = random_stations(951, seed=7, class_counts=(895, 24, 18, 14))
     rows = ["id,name,lat,lon,rated_kw"]
     rows += [f"{s.id},{s.name},{s.lat},{s.lon},{s.rated_kw}" for s in stations]
-    (HERE / "stations951.csv").write_text("\n".join(rows) + "\n")
+    (out_dir / "stations951.csv").write_text("\n".join(rows) + "\n")
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else HERE)

@@ -9,6 +9,7 @@ import functools
 import json
 import math
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +21,14 @@ from gridimpact.evfleet import ChargingStrategy, Cohort, Location, cohort_profil
 from gridimpact.impact import Category, categorize
 from gridimpact.netmodel import load_network
 from gridimpact.powerflow import SolverConfig, run_qsts, solve_snapshot
-from gridimpact.stations import CapacityClass, StationCensus, allocate_peak
+from gridimpact.stations import CapacityClass, allocate_peak
 from gridimpact.synth import random_feeder
 
 from oracles import newton_solve, two_bus_closed_form
 
 FIXTURES = Path(__file__).parent / "fixtures"
-REFERENCE_CENSUS = StationCensus(l1=895, l2=24, l3=18, l4=14)
+REFERENCE_CENSUS = Counter({CapacityClass.L1: 895, CapacityClass.L2: 24,
+                            CapacityClass.L3: 18, CapacityClass.L4: 14})
 
 
 def criterion(number, description):

@@ -114,6 +114,38 @@ class TestValidate:
         assert "row 3: station sx: rated_kw must be finite" in report["stations"]["error"]
         assert main(["pipeline", "--config", str(config)]) == 2
 
+    def test_line_id_with_comma_exits_2(self, tmp_path):
+        doc = json.loads((FIXTURES / "feeder40.json").read_text())
+        doc["lines"][0]["id"] = "l,1"
+        net_path = tmp_path / "network.json"
+        net_path.write_text(json.dumps(doc))
+        config = write_config(tmp_path, network_path=str(net_path))
+        assert main(["validate", "--config", str(config)]) == 2
+        report = json.loads((run_dir_of(config) / "validate.json").read_text())
+        assert "line 'l,1': id must not contain a comma" in report["network"]["error"]
+        assert main(["pipeline", "--config", str(config)]) == 2
+
+    def test_quoted_station_id_with_comma_exits_2(self, tmp_path):
+        rows = (FIXTURES / "stations951.csv").read_text().split("\n")
+        assert rows[1].startswith("s000,")
+        rows[1] = '"s,000"' + rows[1][len("s000"):]
+        bad = tmp_path / "stations.csv"
+        bad.write_text("\n".join(rows))
+        config = write_config(tmp_path, stations_path=str(bad))
+        assert main(["validate", "--config", str(config)]) == 2
+        report = json.loads((run_dir_of(config) / "validate.json").read_text())
+        assert "row 2: station 's,000': id must not contain" in report["stations"]["error"]
+        assert main(["pipeline", "--config", str(config)]) == 2
+
+    def test_registry_with_byte_order_mark_passes(self, tmp_path):
+        path = tmp_path / "stations.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "stations951.csv").read_bytes())
+        config = write_config(tmp_path, stations_path=str(path))
+        assert main(["validate", "--config", str(config)]) == 0
+        report = json.loads((run_dir_of(config) / "validate.json").read_text())
+        assert report["stations"]["count"] == 951
+        assert main(["pipeline", "--config", str(config)]) == 0
+
     def test_missing_config_key_exits_2(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"stations_path": "x"}))

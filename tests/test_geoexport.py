@@ -77,9 +77,10 @@ class TestExport:
 
     def test_fixture_color_multiset_matches_records(self, feeder40, stations951):
         from gridimpact.assign import assign_stations, inject_loads
-        from gridimpact.stations import StationCensus, allocate_peak
+        from gridimpact.stations import allocate_peak, classify
 
-        allocations = allocate_peak(130_000.0, StationCensus.of(stations951))
+        census = Counter(classify(s.rated_kw) for s in stations951)
+        allocations = allocate_peak(130_000.0, census)
         assignments = assign_stations(stations951, feeder40, allocations)
         before = solve_snapshot(feeder40)
         after = solve_snapshot(inject_loads(feeder40, assignments))

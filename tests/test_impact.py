@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,10 +9,8 @@ from hypothesis import given, strategies as st
 from gridimpact.assign import Assignment, inject_loads
 from gridimpact.impact import (
     Category,
-    Histogram,
     ImpactRecord,
     Metric,
-    build_histogram,
     build_records,
     categorize,
     filter_by_ampacity,
@@ -158,38 +157,45 @@ NEAR_BOUNDS = sorted({x for c in Category for bound in (c.lower_pct, c.upper_pct
 
 
 class TestHistogram:
-    def records(self, pcts):
-        return [ImpactRecord(f"l{i}", Metric.FLOW, 1.0, 1.0, p, categorize(p))
-                for i, p in enumerate(pcts)]
+    """A histogram is ``Counter(r.category for r in records)``; ``counts``
+    reads its bins in ``Category`` order, absent categories as 0."""
+
+    def histogram(self, pcts):
+        records = [ImpactRecord(f"l{i}", Metric.FLOW, 1.0, 1.0, p, categorize(p))
+                   for i, p in enumerate(pcts)]
+        return Counter(r.category for r in records)
+
+    def counts(self, hist):
+        return tuple(hist[c] for c in Category)
 
     def test_one_per_default_bin(self):
-        hist = build_histogram(self.records([0.01, 5.0, 25.0, 60.0, 90.0]))
-        assert hist.counts == (1, 1, 1, 1, 1)
+        hist = self.histogram([0.01, 5.0, 25.0, 60.0, 90.0])
+        assert self.counts(hist) == (1, 1, 1, 1, 1)
 
     def test_empty_records(self):
-        hist = build_histogram([])
-        assert hist.counts == (0, 0, 0, 0, 0)
-        assert hist.total == 0
+        hist = self.histogram([])
+        assert self.counts(hist) == (0, 0, 0, 0, 0)
+        assert hist.total() == 0
 
     def test_sentinel_goes_to_last_bin(self):
-        hist = build_histogram(self.records([math.inf]))
-        assert hist.counts == (0, 0, 0, 0, 1)
+        hist = self.histogram([math.inf])
+        assert self.counts(hist) == (0, 0, 0, 0, 1)
 
     def test_fixture_count_conservation(self, feeder20):
         sol = solve_snapshot(feeder20)
         records = build_records(sol, sol, Metric.FLOW)
-        hist = build_histogram(records)
-        assert hist.total == len(feeder20.lines)
+        hist = Counter(r.category for r in records)
+        assert hist.total() == len(feeder20.lines)
 
     @given(pcts=st.lists(st.one_of(st.floats(0.0, 500.0), st.sampled_from(NEAR_BOUNDS)),
                          max_size=60))
     def test_conservation_property(self, pcts):
-        hist = build_histogram(self.records(pcts))
-        assert hist.counts == tuple(sum(categorize(p) is c for p in pcts) for c in Category)
-        assert hist.total == len(pcts)
+        hist = self.histogram(pcts)
+        assert self.counts(hist) == tuple(sum(categorize(p) is c for p in pcts) for c in Category)
+        assert hist.total() == len(pcts)
 
     def test_csv_export(self):
-        hist = Histogram(bin_edges=(0.0, 0.05, 10.0, 50.0, 80.0), counts=(3, 2, 1, 0, 4))
+        hist = Counter(dict(zip(Category, (3, 2, 1, 0, 4))))
         rows = histogram_to_csv(hist).strip().split("\n")
         assert rows[0] == "bin_lo,bin_hi,count"
         assert rows[1] == "0.0,0.05,3"

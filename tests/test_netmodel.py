@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -105,6 +106,16 @@ class TestParse:
         minimal_doc["lines"][0]["resistance_ohm"] = 0.0
         minimal_doc["lines"][0]["reactance_ohm"] = 0.0
         with pytest.raises(SchemaError, match="both zero"):
+            parse_network(minimal_doc)
+
+    @pytest.mark.parametrize("section,kind", [("buses", "bus"), ("lines", "line"),
+                                              ("loads", "load")])
+    @pytest.mark.parametrize("bad", ["", "x,1", 'x"1', "x\r1", "x\n1"])
+    def test_id_must_be_writable_verbatim(self, minimal_doc, section, kind, bad):
+        minimal_doc[section][-1]["id"] = bad
+        message = (f"{kind} with empty id" if not bad else
+                   f"{kind} {bad!r}: id must not contain a comma, double quote, CR or LF")
+        with pytest.raises(SchemaError, match=re.escape(message)):
             parse_network(minimal_doc)
 
     def test_fixture_counts(self, feeder40):

@@ -1,5 +1,8 @@
 import math
+import re
 import textwrap
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,13 +10,17 @@ from hypothesis import given, strategies as st
 from gridimpact.errors import SchemaError
 from gridimpact.stations import (
     CapacityClass,
-    StationCensus,
+    EvStation,
     allocate_peak,
     classify,
+    load_stations,
     parse_stations,
 )
 
-REFERENCE_CENSUS = StationCensus(l1=895, l2=24, l3=18, l4=14)
+REFERENCE_CENSUS = Counter({CapacityClass.L1: 895, CapacityClass.L2: 24,
+                            CapacityClass.L3: 18, CapacityClass.L4: 14})
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def csv_text(rows: str) -> str:
@@ -58,9 +65,28 @@ class TestParse:
         with pytest.raises(SchemaError, match="row 3: station s2: rated_kw must be finite"):
             parse_stations(text)
 
+    @pytest.mark.parametrize("cell,message", [
+        ('""', "row 2: station with empty id"),
+        ('"s,000"', "row 2: station 's,000': id must not contain a comma"),
+        ('"s""000"', "row 2: station 's\"000': id must not contain a comma"),
+    ])
+    def test_id_must_be_writable_verbatim(self, cell, message):
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            parse_stations(csv_text(f"{cell},A,37.0,-121.0,60\n"))
+
+    @pytest.mark.parametrize("bad", ["s\r1", "s\n1"])
+    def test_id_rejects_line_breaks(self, bad):
+        with pytest.raises(SchemaError, match="id must not contain"):
+            EvStation(bad, "A", 37.0, -121.0, 60.0)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, stations951):
+        path = tmp_path / "stations.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "stations951.csv").read_bytes())
+        assert load_stations(path) == stations951
+
     def test_fixture_census(self, stations951):
-        assert StationCensus.of(stations951) == REFERENCE_CENSUS
-        assert REFERENCE_CENSUS.total == 951
+        assert Counter(classify(s.rated_kw) for s in stations951) == REFERENCE_CENSUS
+        assert REFERENCE_CENSUS.total() == 951
 
 
 class TestClassify:
@@ -103,7 +129,7 @@ class TestAllocate:
             assert alloc[klass] == pytest.approx(expected, rel=1e-3)
 
     def test_weighted_station_total_is_1127(self):
-        assert sum(REFERENCE_CENSUS.count(c) * c.weight for c in CapacityClass) == 1127
+        assert sum(REFERENCE_CENSUS[c] * c.weight for c in CapacityClass) == 1127
 
     def test_zero_peak(self):
         alloc = allocate_peak(0.0, REFERENCE_CENSUS)
@@ -111,7 +137,7 @@ class TestAllocate:
 
     def test_empty_census_rejected(self):
         with pytest.raises(ValueError, match="empty census"):
-            allocate_peak(100.0, StationCensus(0, 0, 0, 0))
+            allocate_peak(100.0, Counter())
 
     def test_negative_peak_rejected(self):
         with pytest.raises(ValueError):
@@ -122,14 +148,14 @@ class TestAllocate:
         counts=st.tuples(*[st.integers(0, 5000)] * 4).filter(lambda t: sum(t) > 0),
     )
     def test_reconstruction_property(self, peak, counts):
-        census = StationCensus(*counts)
+        census = Counter(dict(zip(CapacityClass, counts)))
         alloc = allocate_peak(peak, census)
-        rebuilt = math.fsum(census.count(c) * alloc[c] for c in CapacityClass)
+        rebuilt = math.fsum(census[c] * alloc[c] for c in CapacityClass)
         assert rebuilt == pytest.approx(peak, rel=1e-9, abs=1e-12)
 
     @given(counts=st.tuples(*[st.integers(0, 5000)] * 4).filter(lambda t: sum(t) > 0))
     def test_ratio_law_exact(self, counts):
-        alloc = allocate_peak(1234.5, StationCensus(*counts))
+        alloc = allocate_peak(1234.5, Counter(dict(zip(CapacityClass, counts))))
         assert alloc[CapacityClass.L2] == 2 * alloc[CapacityClass.L1]
         assert alloc[CapacityClass.L3] == 4 * alloc[CapacityClass.L1]
         assert alloc[CapacityClass.L4] == 8 * alloc[CapacityClass.L1]
