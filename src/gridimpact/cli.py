@@ -54,6 +54,12 @@ from .powerflow import (
 log = logging.getLogger("gridimpact")
 
 ALLOWED_DT_H = (0.25, 0.5, 1.0)
+# Write buffer of an artifact's temp file. Python's default 8 KiB passes each
+# ~12 KB step of a 200-line *_lines.csv straight through, about two write
+# calls per step. Writing both *_lines.csv of the annual 200-bus run takes
+# 0.24 s CPU at 8 KiB, 0.18 s at 256 KiB and 0.20 s at 1 MiB (best of 11,
+# 2-vCPU VM); 1 MiB adds 1.0 MB to the pipeline's peak RSS, 256 KiB 0.1 MB.
+ARTIFACT_BUFFER_BYTES = 256 << 10
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,7 +159,7 @@ class PipelineRun:
         path = self.run_dir / name
         tmp = self.run_dir / f".{name}.{os.getpid()}.tmp"
         try:
-            with open(tmp, "w", encoding="utf-8") as out:
+            with open(tmp, "w", encoding="utf-8", buffering=ARTIFACT_BUFFER_BYTES) as out:
                 yield out
             os.replace(tmp, path)
         except BaseException:

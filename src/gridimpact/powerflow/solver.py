@@ -374,13 +374,14 @@ def total_losses(result: QstsResult) -> float:
 
 def _write_steps(result: QstsResult, out: TextIO, header: str, pieces: list[list[str]]):
     """Write ``header``, then for each step ``t`` the pieces of its row,
-    each prefixed with ``t``: every row is formatted once, not per step."""
+    each prefixed with ``t``: every row is formatted once, not per step, and
+    a step costs one join."""
     out.write(header)
     if not pieces[0]:  # a feeder without lines has no line rows
         return
+    pieces = [["", *row] for row in pieces]  # the join puts t before each piece
     for t, r in enumerate(result.step_row.tolist()):
-        step = str(t)
-        out.write(step + step.join(pieces[r]))
+        out.write(str(t).join(pieces[r]))
 
 
 def _line_rows(line_ids: tuple[str, ...], *columns: np.ndarray) -> list[str]:

@@ -83,6 +83,7 @@ def parse_stations(table: str) -> list[EvStation]:
         if column not in header:
             raise SchemaError(f"row 1: missing column '{column}'")
         positions[column] = header.index(column)
+    width = max(positions.values()) + 1  # a row may omit columns past those read
 
     stations: list[EvStation] = []
     seen: set[str] = set()
@@ -90,8 +91,8 @@ def parse_stations(table: str) -> list[EvStation]:
         row_num = reader.line_num
         if not row or all(not cell.strip() for cell in row):
             continue
-        if len(row) < len(header):
-            raise SchemaError(f"row {row_num}: expected {len(header)} columns, got {len(row)}")
+        if len(row) < width:
+            raise SchemaError(f"row {row_num}: expected {width} columns, got {len(row)}")
         raw = {col: row[positions[col]].strip() for col in _COLUMNS}
         numeric = {}
         for col in ("lat", "lon", "rated_kw"):

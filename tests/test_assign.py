@@ -1,8 +1,11 @@
 import math
+import struct
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridimpact import assign
 from gridimpact.assign import (
     Assignment,
     assign_stations,
@@ -12,7 +15,7 @@ from gridimpact.assign import (
     injection_targets,
     nearest_bus,
 )
-from gridimpact.netmodel import Bus, Line, LoadPoint, NetworkModel, Source
+from gridimpact.netmodel import Bus, Line, LoadPoint, NetworkModel, Source, bus_catalog
 from gridimpact.stations import CapacityClass, EvStation
 
 
@@ -175,6 +178,40 @@ class TestAssignStations:
         result = assign_stations([station(0.0, 0.0)], net, allocations)
         assert result[0].bus_id == "b1"
         assert result[0].distance_m == haversine((0.0, 0.0), (0.0, -0.01))
+
+    @given(spread=st.lists(st.tuples(*[st.floats(-0.05, 0.05)] * 2), min_size=1, max_size=12),
+           mirrored=st.lists(st.tuples(*[st.floats(-0.05, 0.05)] * 2), max_size=4),
+           sites=st.lists(st.tuples(st.floats(-0.05, 0.05),
+                                    st.one_of(st.just(0.0), st.floats(-0.05, 0.05))),
+                          min_size=1, max_size=30),
+           block=st.integers(1, 64), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_per_station_nearest_bus(self, spread, mirrored, sites, block, data):
+        """All stations matched at once, in blocks of ``block`` distances,
+        equal ``nearest_bus`` per station and the smallest ``(haversine, id)``
+        pair bit for bit. Buses mirrored about longitude 0 tie exactly for a
+        station on it."""
+        points = spread + [p for lat, d in mirrored for p in ((lat, d), (lat, -d))]
+        ids = data.draw(st.permutations([f"b{i:02d}" for i in range(len(points))]))
+        net = NetworkModel(
+            buses=(Bus("src", 10.0, 10.0, 12.47),
+                   *(Bus(bid, lat, lon, 12.47) for bid, (lat, lon) in zip(ids, points))),
+            lines=tuple(Line(f"l{bid}", "src", bid, 0.1, 0.2, 400.0) for bid in ids),
+            loads=tuple(LoadPoint(f"ld{bid}", bid, 5.0, 1.0) for bid in ids),
+            source=Source("src", 1.0),
+        )
+        stations = [station(lat, lon, sid=f"s{i}") for i, (lat, lon) in enumerate(sites)]
+        allocations = {c: float(c.weight) for c in CapacityClass}
+        with mock.patch.object(assign, "_BLOCK_ELEMENTS", block):
+            result = assign_stations(stations, net, allocations)
+        catalog = bus_catalog(net, load_buses_only=True)
+        assert len(result) == len(stations)
+        for got, s in zip(result, stations):
+            bus_id, distance_m = nearest_bus(s, catalog)
+            assert (got.station_id, got.bus_id) == (s.id, bus_id)
+            assert struct.pack("<d", got.distance_m) == struct.pack("<d", distance_m)
+            assert min((haversine((s.lat, s.lon), (lat, lon)), bid)
+                       for bid, lat, lon in catalog) == (distance_m, bus_id)
 
     def test_csv_round_trip_columns(self):
         rows = assignments_to_csv([Assignment("s1", "b1", 12.5, 115.35)]).strip().split("\n")

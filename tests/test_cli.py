@@ -1,8 +1,10 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+import oracles
 from gridimpact.cli import load_run_config, main
 from gridimpact.errors import SchemaError
 
@@ -104,6 +106,22 @@ class TestValidate:
         assert main(["validate", "--config", str(config)]) == 2
         report = json.loads((run_dir_of(config) / "validate.json").read_text())
         assert "row 3" in report["stations"]["error"]
+
+    def test_row_omitting_ignored_trailing_column_passes(self, tmp_path):
+        path = tmp_path / "stations.csv"
+        path.write_text("id,name,lat,lon,rated_kw,notes\ns1,A,37.0,-122.0,7.2\n")
+        config = write_config(tmp_path, stations_path=str(path))
+        assert main(["validate", "--config", str(config)]) == 0
+        report = json.loads((run_dir_of(config) / "validate.json").read_text())
+        assert report["stations"]["count"] == 1
+
+    def test_row_missing_rating_exits_2(self, tmp_path):
+        bad = tmp_path / "stations.csv"
+        bad.write_text("id,name,lat,lon,rated_kw,notes\ns1,A,37.0,-122.0,7.2\ns2,B,37.0,-122.0\n")
+        config = write_config(tmp_path, stations_path=str(bad))
+        assert main(["validate", "--config", str(config)]) == 2
+        report = json.loads((run_dir_of(config) / "validate.json").read_text())
+        assert "row 3: expected 5 columns, got 4" in report["stations"]["error"]
 
     def test_infinite_station_rating_exits_2(self, tmp_path):
         bad = tmp_path / "stations.csv"
@@ -273,8 +291,9 @@ class TestPipeline:
         assert not [p.name for p in run_dir.iterdir() if p.name.endswith(".tmp")]
 
     def test_failed_stream_keeps_previous_lines_csv(self, tmp_path, monkeypatch):
-        """A QSTS writer that raises after writing part of its rows leaves
-        the earlier file in place and no temp file behind."""
+        """A QSTS writer that raises after writing part of its rows, a few
+        bytes or more than one write buffer that has reached the temp file,
+        leaves the earlier file in place and no temp file behind."""
         from gridimpact import cli
 
         config_path = write_config(tmp_path)
@@ -283,18 +302,40 @@ class TestPipeline:
         before = {name: (run_dir / name).read_bytes()
                   for name in ("before_lines.csv", "after_lines.csv")}
 
-        def failing_writer(result, out):
-            out.write("step,line_id,kw,kvar,amps\n0,l1,")
-            out.flush()
-            raise OSError("disk full")
+        for rows in ("0,l1,", "0,l1,1.0,2.0,3.0\n" * (cli.ARTIFACT_BUFFER_BYTES // 16 + 1)):
+            def failing_writer(result, out):
+                out.write("step,line_id,kw,kvar,amps\n" + rows)
+                if len(rows) > cli.ARTIFACT_BUFFER_BYTES:
+                    assert os.fstat(out.fileno()).st_size > 0
+                out.flush()
+                raise OSError("disk full")
 
-        monkeypatch.setattr(cli, "qsts_lines_csv", failing_writer)
-        run = cli.PipelineRun(*load_run_config(config_path))
-        with pytest.raises(OSError, match="disk full"):
-            run.write_power()
-        for name, content in before.items():
-            assert (run_dir / name).read_bytes() == content
-        assert not [p.name for p in run_dir.iterdir() if p.name.endswith(".tmp")]
+            monkeypatch.setattr(cli, "qsts_lines_csv", failing_writer)
+            run = cli.PipelineRun(*load_run_config(config_path))
+            with pytest.raises(OSError, match="disk full"):
+                run.write_power()
+            for name, content in before.items():
+                assert (run_dir / name).read_bytes() == content
+            assert not [p.name for p in run_dir.iterdir() if p.name.endswith(".tmp")]
+
+    def test_step_csvs_across_digit_widths_and_write_buffers(self, tmp_path):
+        """1,001 steps grow the step number from 1 to 4 digits and each
+        *_lines.csv past one write buffer; both step CSVs of both sides equal
+        the per-step oracle text byte for byte."""
+        from gridimpact import cli
+
+        run = cli.PipelineRun(*load_run_config(write_config(tmp_path, steps=1001)))
+        run.write_power()
+        power = run.stage_power()
+        assert len(power["after_series"].rows.converged) > 1  # shaped EV loads
+        for side in ("before", "after"):
+            series = power[f"{side}_series"]
+            solutions = [series.step(t) for t in range(series.steps)]
+            lines = (run.run_dir / f"{side}_lines.csv").read_bytes()
+            assert len(lines) > cli.ARTIFACT_BUFFER_BYTES
+            assert lines == oracles.qsts_lines_csv(solutions).encode()
+            assert (run.run_dir / f"{side}_steps.csv").read_bytes() == \
+                oracles.qsts_summary_csv(solutions).encode()
 
     def test_out_flag_overrides_output_dir(self, tmp_path):
         config = write_config(tmp_path)

@@ -55,6 +55,15 @@ class TestParse:
         text = "id,name,lat,lon,rated_kw,city\ns1,A,37.0,-121.0,60,San Jose\n"
         assert parse_stations(text)[0].rated_kw == 60.0
 
+    def test_row_may_omit_ignored_trailing_columns(self):
+        text = "id,name,lat,lon,rated_kw,notes\ns1,A,37.0,-122.0,7.2\ns2,B,37.1,-122.1,60,x\n"
+        assert [s.rated_kw for s in parse_stations(text)] == [7.2, 60.0]
+
+    def test_row_missing_a_read_column_reports_row(self):
+        text = "notes,id,name,lat,lon,rated_kw\nx,s1,A,37.0,-122.0,7.2\ny,s2,B,37.1,-122.1\n"
+        with pytest.raises(SchemaError, match="row 3: expected 6 columns, got 5"):
+            parse_stations(text)
+
     def test_nonpositive_rating_reports_row(self):
         with pytest.raises(SchemaError, match="row 2: .*rated_kw"):
             parse_stations(csv_text("s1,A,37.0,-121.0,0\n"))
