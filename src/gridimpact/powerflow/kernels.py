@@ -29,9 +29,21 @@ currents need no array of their own.
 - Forward, shallowest level first: one vectorized update per level. Every
   parent is already updated when its children's level runs. The largest
   voltage change is a max, which no order changes.
-- Rows that converge, collapse or run out of iterations are copied out and
-  the working arrays shrink to the rows still active; until the first row
-  of a tile leaves, the kernel works on the tile's arrays with no gather.
+- Exit test, after each forward pass. A row has collapsed when some bus's
+  ``|v|`` is under ``COLLAPSE_FLOOR_PU``. ``|v|`` is a faithfully rounded
+  ``hypot``, never below ``|re(v)|``, so a column whose real parts all
+  clear the floor cannot have collapsed. The test therefore takes each
+  column's smallest real part first (``np.fmin`` skips NaN, so a column is
+  picked exactly when some ``re(v)`` is under the floor) and computes
+  ``|v|`` only for the picked columns; NaN and ±inf decide as they would
+  on ``|v|``, and the collapse bus is still the first bus under the floor.
+- Rows that converge, collapse or run out of iterations are copied out.
+  When every active row of a tile leaves at once (on the benchmark feeder
+  all rows take the same number of iterations), one ``np.take`` of whole
+  rows per output copies the tile out in bus and line order. When only
+  some leave, their columns are gathered with ``np.ix_`` and the working
+  arrays shrink to the rows still active; until the first row of a tile
+  leaves, the kernel works on the tile's arrays with no gather.
 
 Column tiles. The batch is solved in tiles of whole rows of ``s`` (columns
 of the working arrays), one tile after the other, with the level schedule
@@ -197,13 +209,23 @@ def solve_batch(parent, child, z, s, v0, tol, max_iter):
                 kids[...] = v_new
             iters[rows] += 1
 
-            low = np.abs(va) < COLLAPSE_FLOOR_PU
-            collapsed = low.any(axis=0)
-            if collapsed.any():
-                collapse[rows[collapsed]] = np.argmax(low[bus_row][:, collapsed], axis=0)
+            # |v| >= |re(v)|, so only a column with some re(v) under the
+            # floor can have collapsed; |v| is computed for those alone.
+            # fmin skips NaN: the column's least non-NaN real part.
+            maybe = np.flatnonzero(np.fmin.reduce(va.real, axis=0) < COLLAPSE_FLOOR_PU)
+            collapsed = np.zeros(width, dtype=bool)
+            if maybe.size:
+                low = np.abs(va[:, maybe]) < COLLAPSE_FLOOR_PU
+                hit = low.any(axis=0)
+                collapsed[maybe[hit]] = True
+                collapse[rows[maybe[hit]]] = np.argmax(low[bus_row][:, hit], axis=0)
             done_ok = ~collapsed & (dv < tol)
             converged[rows[done_ok]] = True
             leaving = collapsed | done_ok | (iters[rows] >= max_iter)
+            if leaving.all():
+                v_out[rows] = np.take(va, bus_row, axis=0).T
+                i_out[rows] = np.take(i_acc, line_row, axis=0).T
+                break
             if leaving.any():
                 out = np.flatnonzero(leaving)
                 v_out[rows[out]] = va[np.ix_(bus_row, out)].T

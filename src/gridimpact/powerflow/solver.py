@@ -117,8 +117,11 @@ class _CompiledFeeder:
     """Array form of a validated radial network, BFS-ordered for the sweep."""
 
     def __init__(self, net: NetworkModel):
-        report = validate_radial(net)
-        if not report.radial:
+        # Radial exactly when the walk reaches every bus and no line is left
+        # out of it; validate_radial only words the error.
+        walk = tree_walk(net)
+        if not len(walk) == len(net.buses) - 1 == len(net.lines):
+            report = validate_radial(net)
             detail = (f"orphan buses: {', '.join(report.orphan_buses)}"
                       if not report.connected else
                       f"{len(net.lines)} lines for {len(net.buses)} buses")
@@ -137,7 +140,7 @@ class _CompiledFeeder:
         self.i_base_a = S_BASE_MVA * 1000.0 / (math.sqrt(3.0) * base_kv)
 
         self.parent, self.child, model_line = (
-            np.array(tree_walk(net), dtype=np.int64).reshape(-1, 3).T.copy())
+            np.array(walk, dtype=np.int64).reshape(-1, 3).T.copy())
         z_model = np.array(
             [(l.resistance_ohm + 1j * l.reactance_ohm) / z_base_ohm for l in net.lines],
             dtype=np.complex128)

@@ -1,5 +1,6 @@
 import json
 import re
+from unittest import mock
 
 import pytest
 
@@ -16,6 +17,8 @@ from gridimpact.netmodel import (
     tree_walk,
     validate_radial,
 )
+from gridimpact import netmodel
+from gridimpact.powerflow import solve_snapshot, solver
 from gridimpact.powerflow.solver import _CompiledFeeder
 
 from oracles import is_tree, reachable_from
@@ -206,6 +209,15 @@ class TestOneWalk:
             assert all(bus in str(exc) for bus in report.orphan_buses)
         else:
             assert report.radial
+
+    def test_one_walk_per_snapshot(self, feeder40):
+        """Compiling a radial feeder walks it once: the walk itself decides
+        radiality, and ``validate_radial`` runs only to word an error."""
+        for net in (WALK_CASES["radial"], WALK_CASES["single_bus"], feeder40):
+            with mock.patch.object(solver, "tree_walk", wraps=tree_walk) as in_solver, \
+                    mock.patch.object(netmodel, "tree_walk", wraps=tree_walk) as in_netmodel:
+                solve_snapshot(net)
+            assert in_solver.call_count + in_netmodel.call_count == 1
 
     def test_walk_order_is_line_id_adjacency_fifo(self):
         # b0 meets b3, b4, b1 in line-id order (b0 is l2's to_bus); then the

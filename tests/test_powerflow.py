@@ -319,6 +319,42 @@ class TestLevelSchedule:
                              np.sum(~converged & (collapse < 0))]
         assert np.all(outcomes > 0), outcomes
 
+    @pytest.mark.parametrize("max_iter", [*range(1, 9), 12, 200])
+    def test_real_part_under_the_floor_is_not_collapse(self, max_iter):
+        """A 3-bus chain whose far bus turns past -60 degrees: from the 12th
+        iteration on ``re(v) < 0.5 <= |v|``, and the sweep converges there,
+        at 0.439-0.846j (|v| 0.953), after 82 iterations. The collapse test
+        looks at real parts first, but only ``|v|`` decides."""
+        parent, child = np.array([0, 1]), np.array([1, 2])
+        z = np.array([0.01 + 1j, 0.01 + 1j])
+        s = np.array([[0.0, 0.4 - 0.4j, 0.3]])
+        got = kernels.solve_batch(parent, child, z, s, 1.0, 1e-6, max_iter)
+        assert_same_bits(got, oracles.per_line_sweep(parent, child, z, s, 1.0, 1e-6, max_iter))
+        v, _, iters, converged, collapse = got
+        assert collapse[0] == -1
+        if max_iter >= 12:
+            assert v[0, 2].real < 0.5 <= abs(v[0, 2])
+        assert converged[0] == (max_iter == 200) and iters[0] == min(max_iter, 82)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 50])
+    def test_nan_and_inf_voltages_decide_collapse_as_abs_does(self, max_iter):
+        """Bus 1 of a 3-bus star turns NaN or infinite, and under a 5 pu load
+        bus 2 collapses beside it: the real-part prefilter must neither skip
+        that collapse nor invent one."""
+        parent, child = np.array([0, 0]), np.array([1, 2])
+        z = np.array([0.01 + 1j, 0.01 + 1j])
+        nan, inf = np.nan, np.inf
+        s = np.array([[0, nan, 0.1], [0, nan, 5.0], [0, complex(0.1, nan), 5.0],
+                      [0, inf, 5.0], [0, -inf, 0.1], [0, complex(0, inf), 5.0],
+                      [0, complex(0, -inf), 0.1], [0, complex(inf, inf), 5.0]])
+        with np.errstate(all="ignore"):
+            got = kernels.solve_batch(parent, child, z, s, 1.0, 1e-6, max_iter)
+            want = oracles.per_line_sweep(parent, child, z, s, 1.0, 1e-6, max_iter)
+        assert_same_bits(got, want)
+        heavy = np.abs(s[:, 2]) > 1
+        assert np.all(got[4][~heavy] == -1)
+        assert np.all(got[4][heavy] == (2 if max_iter > 1 else -1))
+
     def test_empty_batch(self):
         parent, child, z, s = sweep_case("random", 30, "random", 1, 0)
         empty = s[:0]
