@@ -23,33 +23,18 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import TYPE_CHECKING, Iterator, TextIO
 
-import numpy as np
-
-from . import assign as assign_mod
-from . import geoexport, impact, stations
+# Only what ``validate`` needs is imported here. The stages and writers
+# import numpy, evfleet, assign, powerflow, impact and geoexport where they
+# run, so the pre-flight check starts without loading or compiling them.
+from . import stations
+from .config import DEFAULT_SCHEDULE, ScenarioConfig, Schedule, SolverConfig
 from .errors import GridImpactError, SchemaError, SolverError, read_record
-from .evfleet import (
-    DEFAULT_SCHEDULE,
-    DemandProfile,
-    Schedule,
-    aggregate_profiles,
-    build_cohorts,
-    cohort_profile,
-    find_peak,
-    profile_to_csv,
-    ScenarioConfig,
-)
 from .netmodel import NetworkModel, load_network, validate_radial
-from .powerflow import (
-    SolverConfig,
-    qsts_lines_csv,
-    qsts_summary_csv,
-    run_qsts,
-    snapshot_csv,
-    solve_snapshot,
-)
+
+if TYPE_CHECKING:
+    from .assign import Assignment
 
 log = logging.getLogger("gridimpact")
 
@@ -199,6 +184,8 @@ class PipelineRun:
 
     @_stage
     def stage_profile(self) -> dict:
+        from .evfleet import aggregate_profiles, build_cohorts, cohort_profile, find_peak
+
         cfg = self.config
         profiles = [cohort_profile(c, cfg.dt_h) for c in build_cohorts(cfg.scenario, cfg.schedule)]
         total = aggregate_profiles(profiles, dt_h=cfg.dt_h)
@@ -217,16 +204,23 @@ class PipelineRun:
         return {"census": census, "allocations": allocations}
 
     @_stage
-    def stage_assign(self) -> list[assign_mod.Assignment]:
-        return assign_mod.assign_stations(
-            self.stations, self.network, self.stage_allocate()["allocations"])
+    def stage_assign(self) -> list[Assignment]:
+        from .assign import assign_stations
+
+        return assign_stations(self.stations, self.network, self.stage_allocate()["allocations"])
 
     @_stage
     def stage_power(self) -> dict:
+        import numpy as np
+
+        from .assign import inject_loads, injection_targets
+        from .evfleet import DemandProfile
+        from .powerflow import run_qsts, solve_snapshot
+
         cfg = self.config
         assignments = self.stage_assign()
         before_net = self.network
-        after_net = assign_mod.inject_loads(before_net, assignments)
+        after_net = inject_loads(before_net, assignments)
         result = {"before_net": before_net, "after_net": after_net}
         for side, net, label in (("before", before_net, "baseline"), ("after", after_net, "EV")):
             snapshot = solve_snapshot(net, cfg.solver)
@@ -242,7 +236,7 @@ class PipelineRun:
         values_kw, peak_kw = profile["profile"].values_kw, profile["profile_peak_kw"]
         factor = values_kw / peak_kw if peak_kw > 0 else np.ones_like(values_kw)
         shapes: dict[str, DemandProfile] = {}
-        for bus_id, (load_id, base_kw, added_kw) in assign_mod.injection_targets(
+        for bus_id, (load_id, base_kw, added_kw) in injection_targets(
                 before_net, assignments).items():
             series = base_kw + added_kw * factor
             shapes[load_id] = DemandProfile(
@@ -259,6 +253,8 @@ class PipelineRun:
     def stage_impact(self) -> dict:
         """``{metric}_records`` and ``{metric}_histogram`` per ``impact.Metric``
         (lines above the ampacity threshold only), plus the system summary."""
+        from . import impact
+
         power = self.stage_power()
         high_ampacity = set(impact.filter_by_ampacity(
             self.network, self.config.ampacity_threshold_a))
@@ -279,17 +275,25 @@ class PipelineRun:
 
     @_stage
     def stage_export(self) -> dict:
-        return geoexport.export_geojson(self.network, self.stage_impact()["flow_records"])
+        from .geoexport import export_geojson
+
+        return export_geojson(self.network, self.stage_impact()["flow_records"])
 
     # --- artifact writers ---------------------------------------------------
 
     def write_profile(self) -> None:
+        from .evfleet import profile_to_csv
+
         self._write("profile.csv", profile_to_csv(self.stage_profile()["profile"]))
 
     def write_assignments(self) -> None:
-        self._write("assignments.csv", assign_mod.assignments_to_csv(self.stage_assign()))
+        from .assign import assignments_to_csv
+
+        self._write("assignments.csv", assignments_to_csv(self.stage_assign()))
 
     def write_power(self) -> None:
+        from .powerflow import qsts_lines_csv, qsts_summary_csv, snapshot_csv
+
         power = self.stage_power()
         for name, writer, kind in (("snapshot", snapshot_csv, "snapshot"),
                                    ("lines", qsts_lines_csv, "series"),
@@ -299,6 +303,8 @@ class PipelineRun:
                     writer(power[f"{side}_{kind}"], out)
 
     def write_impact(self) -> None:
+        from . import impact
+
         result = self.stage_impact()
         report = {"summary": dataclasses.asdict(result["summary"]),
                   "records": impact.records_to_json(result["flow_records"]),
@@ -309,9 +315,15 @@ class PipelineRun:
                         impact.histogram_to_csv(result[f"{metric.value}_histogram"]))
 
     def write_export(self) -> None:
-        self._write("network_styled.geojson", geoexport.geojson_dumps(self.stage_export()))
+        from .geoexport import geojson_dumps
+
+        self._write("network_styled.geojson", geojson_dumps(self.stage_export()))
 
     def write_manifest(self) -> None:
+        import numpy as np
+
+        from . import impact
+
         cfg = self.config
         profile = self.stage_profile()
         allocate = self.stage_allocate()
@@ -389,29 +401,41 @@ def _run_stages(run: PipelineRun, rows) -> None:
 
 
 def cmd_validate(config: RunConfig, config_hash: str) -> int:
-    """Check the network document and station registry; exit 0 only when the
-    network is radial and the stations parse cleanly."""
+    """Check the network document and station registry without solving
+    anything; numpy is never imported. Exit 0 only when the network is
+    radial and has at least one load bus to take stations, and the registry
+    parses cleanly and lists at least one station. Otherwise exit 3 for a
+    non-radial network and 2 for any other fault, except that an unreadable
+    or malformed input file exits 2 even when the network is not radial."""
     run = PipelineRun(config, config_hash)
     report: dict[str, object] = {"config_hash": config_hash}
     code = 0
     try:
         net = run.network
         topology = validate_radial(net)
-        report["network"] = {
+        report["network"] = network = {
             "buses": len(net.buses), "lines": len(net.lines), "loads": len(net.loads),
             "connected": topology.connected, "radial": topology.radial,
             "orphan_buses": list(topology.orphan_buses),
         }
         if not topology.radial:
             code = 3
-            log.error("network is not radial: %s", report["network"])
+            log.error("network is not radial: %s", network)
+        elif not net.loads:
+            network["error"] = "network has no loads: no bus to assign stations to"
+            log.error("%s", network["error"])
+            code = 2
     except (SchemaError, OSError) as exc:
         report["network"] = {"error": str(exc)}
         log.error("network error: %s", exc)
         code = 2
     try:
         parsed = run.stations
-        report["stations"] = {"count": len(parsed)}
+        report["stations"] = registry = {"count": len(parsed)}
+        if not parsed:
+            registry["error"] = "station registry lists no stations: nothing to allocate"
+            log.error("%s", registry["error"])
+            code = code or 2
     except (SchemaError, OSError) as exc:
         report["stations"] = {"error": str(exc)}
         log.error("station registry error: %s", exc)

@@ -12,16 +12,18 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Mapping, TextIO
+from typing import TYPE_CHECKING, Mapping, TextIO
 
 import numpy as np
 
+from ..config import SolverConfig
 from ..errors import TopologyError, VoltageCollapseError
-from ..evfleet import DemandProfile
 from ..netmodel import NetworkModel, tree_walk, validate_radial
 from . import kernels
+
+if TYPE_CHECKING:
+    from ..evfleet import DemandProfile
 
 __all__ = [
     "SolverConfig",
@@ -40,18 +42,6 @@ log = logging.getLogger(__name__)
 S_BASE_MVA = 1.0
 # numpy computes ``a * b`` in place into a temporary operand from this size.
 _ELIDE_BYTES = 256 * 1024
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    tol_pu: float = 1e-6
-    max_iter: int = 50
-
-    def __post_init__(self):
-        if not self.tol_pu > 0:
-            raise ValueError("tol_pu must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,6 +320,8 @@ def run_qsts(
             feeder.parent, feeder.child, feeder.z_bfs, s_rows,
             feeder.v0, cfg.tol_pu, cfg.max_iter)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         bounds = np.linspace(0, rows, min(workers, rows) + 1, dtype=int)
         chunks = [(int(bounds[i]), int(bounds[i + 1])) for i in range(len(bounds) - 1)]
 

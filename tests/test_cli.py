@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gridimpact
 import oracles
 from gridimpact.cli import load_run_config, main
 from gridimpact.errors import SchemaError
@@ -182,6 +185,48 @@ class TestValidate:
         report = json.loads((run_dir_of(config) / "validate.json").read_text())
         assert "error" in report["network"]
 
+    def test_empty_registry_exits_2(self, tmp_path):
+        empty = tmp_path / "stations.csv"
+        empty.write_text("id,name,lat,lon,rated_kw\n")
+        config = write_config(tmp_path, stations_path=str(empty))
+        assert main(["validate", "--config", str(config)]) == 2
+        report = json.loads((run_dir_of(config) / "validate.json").read_text())
+        assert report["ok"] is False
+        assert report["stations"]["count"] == 0
+        assert "lists no stations" in report["stations"]["error"]
+        assert main(["pipeline", "--config", str(config)]) == 2
+
+    def test_network_without_loads_exits_2(self, tmp_path):
+        doc = json.loads((FIXTURES / "feeder40.json").read_text())
+        doc["loads"] = []
+        net_path = tmp_path / "network.json"
+        net_path.write_text(json.dumps(doc))
+        config = write_config(tmp_path, network_path=str(net_path))
+        assert main(["validate", "--config", str(config)]) == 2
+        report = json.loads((run_dir_of(config) / "validate.json").read_text())
+        assert report["ok"] is False
+        assert report["network"]["radial"] is True
+        assert "network has no loads" in report["network"]["error"]
+        assert main(["pipeline", "--config", str(config)]) == 2
+
+    def test_validate_loads_no_numpy(self, tmp_path):
+        """In a fresh interpreter, validate passes on feeder40 and leaves
+        numpy, the solver and the writers unimported."""
+        config = write_config(tmp_path)
+        script = (
+            "import json, sys\n"
+            "from gridimpact import cli\n"
+            f"code = cli.main(['validate', '--config', {str(config)!r}])\n"
+            "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n")
+        src = Path(gridimpact.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["code"] == 0
+        assert "numpy" not in result["modules"]
+        for module in ("assign", "evfleet", "geoexport", "impact", "powerflow"):
+            assert f"gridimpact.{module}" not in result["modules"]
+
 
 class TestPipeline:
     def test_reference_allocations_in_manifest(self, tmp_path):
@@ -294,7 +339,7 @@ class TestPipeline:
         """A QSTS writer that raises after writing part of its rows, a few
         bytes or more than one write buffer that has reached the temp file,
         leaves the earlier file in place and no temp file behind."""
-        from gridimpact import cli
+        from gridimpact import cli, powerflow
 
         config_path = write_config(tmp_path)
         assert main(["run", "--config", str(config_path)]) == 0
@@ -310,7 +355,8 @@ class TestPipeline:
                 out.flush()
                 raise OSError("disk full")
 
-            monkeypatch.setattr(cli, "qsts_lines_csv", failing_writer)
+            # write_power imports its writers from gridimpact.powerflow when it runs
+            monkeypatch.setattr(powerflow, "qsts_lines_csv", failing_writer)
             run = cli.PipelineRun(*load_run_config(config_path))
             with pytest.raises(OSError, match="disk full"):
                 run.write_power()

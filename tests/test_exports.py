@@ -1,6 +1,11 @@
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +26,49 @@ def test_all_lists_exactly_the_public_definitions(name):
                and (inspect.isfunction(obj) or inspect.isclass(obj))
                and obj.__module__ == name}
     assert sorted(defined - set(module.__all__)) == []
+
+
+# The names the package exported when it imported every submodule eagerly.
+PACKAGE_NAMES = """
+    Assignment assign_stations haversine inject_loads nearest_bus
+    GridImpactError SchemaError SolverError TopologyError VoltageCollapseError
+    ChargingStrategy Cohort DemandProfile ScenarioConfig Schedule aggregate_profiles
+    build_cohorts cohort_profile find_peak export_geojson style_width
+    Category ImpactRecord Metric SystemSummary build_records categorize
+    filter_by_ampacity pct_change summarize
+    Bus Line LoadPoint NetworkModel Source TopologyReport bus_catalog load_network
+    parse_network serialize_network validate_radial
+    PowerFlowSolution QstsResult SolverConfig run_qsts solve_snapshot total_losses
+    CapacityClass EvStation allocate_peak classify load_stations parse_stations
+""".split()
+
+
+def test_package_exports_the_same_names():
+    assert sorted(gridimpact.__all__) == sorted(PACKAGE_NAMES)
+    assert set(PACKAGE_NAMES) <= set(dir(gridimpact))
+
+
+@pytest.mark.parametrize("name", PACKAGE_NAMES)
+def test_package_name_is_its_defining_modules_object(name):
+    value = getattr(gridimpact, name)
+    assert value is getattr(importlib.import_module(value.__module__), name)
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from gridimpact import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(PACKAGE_NAMES)
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gridimpact.no_such_name
+
+
+def test_bare_import_loads_no_submodule():
+    src = Path(gridimpact.__file__).resolve().parents[1]
+    script = ("import json, sys, gridimpact\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('gridimpact.'))))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert json.loads(done.stdout) == []
