@@ -20,10 +20,15 @@ level then reads and writes whole rows, and once a child's current sum is
 complete it is also the current of the line into that child, so line
 currents need no array of their own.
 
-- Backward, deepest level first: ``np.add.at`` adds the level's child sums
-  into their parents. ``add.at`` is unbuffered and adds in index order, and
-  a level lists its lines in descending line order. A parent's children
-  all share one level, so every parent sums its children's currents in
+- Backward, deepest level first: a line's sibling rank is its position
+  among its parent's lines, counted in descending line order, and a level
+  lists its lines by rank, then by descending line index. So each
+  (level, rank) group is one contiguous block of child rows whose parents
+  are all distinct, and one row add, ``i_acc[parents] += i_acc[lo:hi]``,
+  serves the whole group; ``parents`` is a slice when their rows are
+  contiguous, and the add then runs on a view with no gather or scatter.
+  Within a level the groups run rank 0 first, and a parent's children all
+  share one level, so every parent sums its children's currents in
   descending line order, exactly as a per-line loop from the last line to
   the first does. The sums, and so the bits, are the same.
 - Forward, shallowest level first: one vectorized update per level. Every
@@ -40,28 +45,34 @@ currents need no array of their own.
 - Rows that converge, collapse or run out of iterations are copied out.
   When every active row of a tile leaves at once (on the benchmark feeder
   all rows take the same number of iterations), one ``np.take`` of whole
-  rows per output copies the tile out in bus and line order. When only
-  some leave, their columns are gathered with ``np.ix_`` and the working
-  arrays shrink to the rows still active; until the first row of a tile
-  leaves, the kernel works on the tile's arrays with no gather.
+  rows per output gathers the tile into its load buffer, which is free by
+  then, in bus and line order. When only some leave, their columns are
+  gathered with ``np.ix_`` and the working arrays shrink to the rows still
+  active; until the first row of a tile leaves, the kernel works on the
+  tile's arrays with no gather. Every ``np.take`` into a buffer uses
+  ``mode="clip"``: its indices are valid by construction, and the default
+  ``mode="raise"`` would copy the result through a buffer of its own.
 
 Column tiles. The batch is solved in tiles of whole rows of ``s`` (columns
 of the working arrays), one tile after the other, with the level schedule
 computed once per call and the working buffers allocated once at tile
-size. Every tile keeps its bus-major arrays near a core's L2 cache, and
-the working memory no longer grows with the batch. Tiling cannot change
-any bits: every arithmetic step is per column, each column starts from
-``v0`` in its tile as it does in the whole batch, and rows already leave
-the active set without touching the rows that stay (which is also why a
-batch row equals its 1-row solve). The width rule has no knob:
-``TILE_BYTES // (16 * n)`` columns fill one complex working array with
-``TILE_BYTES``, unless a level's numpy calls would then average fewer
-than ``CALL_ELEMS`` elements; a deep feeder has few lines per level, so
-the width is at least ``CALL_ELEMS * levels / lines``. The batch is then
-cut into ``ceil(batch / width)`` tiles whose sizes differ by at most 1.
-A smaller ``TILE_BYTES`` keeps more of each pass in cache but multiplies
-the numpy calls; a larger ``CALL_ELEMS`` saves calls on deep feeders but
-lets their tiles outgrow the cache.
+size. A tile holds three complex working arrays (loads, voltages and
+currents), and the working memory no longer grows with the batch. Tiling
+cannot change any bits: every arithmetic step is per column, each column
+starts from ``v0`` in its tile as it does in the whole batch, and rows
+already leave the active set without touching the rows that stay (which
+is also why a batch row equals its 1-row solve). The width rule has no
+knob: ``TILE_BYTES`` is a third of one core's 2 MiB L2, and
+``TILE_BYTES // (16 * n)`` columns keep each array within it, so all three
+fit the 2 MiB, unless a level's numpy calls would then average fewer than
+``CALL_ELEMS`` elements; a feeder with few lines per level gets at
+least ``CALL_ELEMS * levels / lines`` columns. On the 10-level, 200-bus
+benchmark feeder that floor decides (at most 412 columns), and on deeper
+feeders it decided already. The batch is then cut into
+``ceil(batch / width)`` tiles whose sizes differ by at most 1. A smaller
+``TILE_BYTES`` keeps more of each pass in cache but multiplies the numpy
+calls; a larger ``CALL_ELEMS`` saves calls on deep feeders but lets their
+tiles outgrow the cache.
 
 The tests check this kernel bit for bit against the per-line loop
 (``tests/oracles.per_line_sweep``) and against a scalar per-snapshot sweep
@@ -69,8 +80,9 @@ The tests check this kernel bit for bit against the per-line loop
 
 Array conventions: ``parent[k]``/``child[k]`` are the bus indices of line k,
 ordered so that the line into a bus comes before the lines out of it (BFS
-order does this); ``z[k]`` is its per-unit impedance and ``s`` the
-(batch, n_bus) per-unit complex bus loads. Bus indices may be in any order.
+order does this; ``ValueError`` otherwise, and also when a bus is fed by
+two lines); ``z[k]`` is its per-unit impedance and ``s`` the (batch, n_bus)
+per-unit complex bus loads. Bus indices may be in any order.
 """
 
 from __future__ import annotations
@@ -80,12 +92,16 @@ import numpy as np
 COLLAPSE_FLOOR_PU = 0.5
 # Column tiles, measured in fresh processes on a 2-vCPU Xeon VM with 2 MiB
 # of L2 per core (Python 3.11, numpy 2.4), 8,760 distinct rows, five runs
-# per setting. On the 10-level, 200-bus benchmark feeder, tiles of 1, 2 or
-# 4 MiB ran in a median 0.32-0.42 s against 0.46-0.53 s untiled. On a
-# 239-level, 240-bus chain, 1 and 2 MiB tiles with no call-size floor took
-# 1.32 and 0.90 s against 0.61 s untiled; any floor from 4,096 to 32,768
-# elements brought it back to 0.59-0.70 s, within the runs' spread.
-TILE_BYTES = 2 << 20  # one complex working array per tile: one core's L2
+# per setting, when one working array took the whole 2 MiB. On the 10-level,
+# 200-bus benchmark feeder, arrays of 1, 2 or 4 MiB ran in a median
+# 0.32-0.42 s against 0.46-0.53 s untiled. On a 239-level, 240-bus chain,
+# 1 and 2 MiB arrays with no call-size floor took 1.32 and 0.90 s against
+# 0.61 s untiled; any floor from 4,096 to 32,768 elements brought it back to
+# 0.59-0.70 s, within the runs' spread. With the three arrays sharing the
+# 2 MiB, the floor decides on the benchmark feeder (412 columns), and an
+# 8,760-row solve holds 4.8 MB of working memory beyond its outputs, against
+# 10.1 MB with np.add.at in the backward pass and 2 MiB per array.
+TILE_BYTES = (2 << 20) // 3  # each of a tile's three complex working arrays
 CALL_ELEMS = 8192  # least average elements per numpy call of a level
 
 
@@ -100,36 +116,70 @@ def active_backend() -> str:
 def _schedule(parent, child, n):
     """The level schedule of a feeder's lines, and bus rows to match it.
 
-    Lines are sorted by level, shallowest first, and by descending line
-    index within a level. Buses get new rows: every bus that is no line's
-    child comes first (the source), then the child of each line in that
-    order, so each level's children fill one contiguous block of rows.
-    Returns (order, levels, bus_row, first): ``order`` lists the lines in
-    schedule order, ``levels`` each level's ``(lo, hi)`` bounds in it,
-    ``bus_row[b]`` the row of bus ``b``, and the child of ``order[j]`` sits at
-    row ``first + j``.
+    Lines are sorted by level, shallowest first, then by sibling rank (a
+    line's position among its parent's lines in descending line order),
+    then by descending line index. Buses get new rows: every bus that is no
+    line's child comes first (the source), then the child of each line in
+    that order, so each level's children fill one contiguous block of rows.
+    Returns (order, levels, bus_row, first, groups): ``order`` lists the
+    lines in schedule order, ``levels`` each level's ``(lo, hi)`` bounds in
+    it, ``bus_row[b]`` the row of bus ``b``, the child of ``order[j]`` sits
+    at row ``first + j``, and ``groups`` holds the ``(lo, hi)`` bounds of
+    the (level, rank) blocks in the order the backward pass adds them:
+    deepest level first, rank 0 first within a level.
+
+    Raises ``ValueError`` when a bus is fed by two lines, or when a line
+    leaves a bus before the line into that bus is listed: depths are taken
+    in line order, so such a line would get the wrong level.
     """
+    parents, children = parent.tolist(), child.tolist()
+    fed_by = [-1] * n
+    for k, c in enumerate(children):
+        if fed_by[c] >= 0:
+            raise ValueError(f"bus {c} is fed by two lines, {fed_by[c]} and {k}")
+        fed_by[c] = k
     depth = [0] * n
-    for p, c in zip(parent.tolist(), child.tolist()):
+    for k, (p, c) in enumerate(zip(parents, children)):
+        if fed_by[p] >= k:
+            raise ValueError(f"line {k} leaves bus {p} before line {fed_by[p]} feeds it: "
+                             "the line into a bus must come before the lines out of it")
         depth[c] = depth[p] + 1
+    lines_out = [0] * n
+    rank = [0] * len(parents)
+    for k in range(len(parents) - 1, -1, -1):
+        rank[k] = lines_out[parents[k]]
+        lines_out[parents[k]] += 1
     line_depth = np.array(depth, dtype=np.int64)[child]
-    order = np.lexsort((-np.arange(line_depth.size), line_depth))
-    cuts = np.flatnonzero(np.diff(line_depth[order])) + 1
-    bounds = np.concatenate(([0], cuts, [order.size])).tolist()
+    line_rank = np.array(rank, dtype=np.int64)
+    order = np.lexsort((-np.arange(line_depth.size), line_rank, line_depth))
+    level_of = line_depth[order]
+    new_level = np.diff(level_of) != 0
+    new_group = new_level | (np.diff(line_rank[order]) != 0)
+    levels = _blocks(np.flatnonzero(new_level) + 1, order.size)
+    groups = _blocks(np.flatnonzero(new_group) + 1, order.size)
+    level_of = level_of.tolist()
+    groups.sort(key=lambda g: -level_of[g[0]])  # stable: ranks stay ascending
     is_child = np.zeros(n, dtype=bool)
     is_child[child] = True
     roots = np.flatnonzero(~is_child)
     bus_row = np.empty(n, dtype=np.int64)
     bus_row[np.concatenate((roots, child[order]))] = np.arange(n)
-    return order, list(zip(bounds[:-1], bounds[1:])), bus_row, roots.size
+    return order, levels, bus_row, roots.size, groups
+
+
+def _blocks(cuts, size):
+    """``(lo, hi)`` bounds of the blocks that ``cuts`` make of ``range(size)``."""
+    bounds = [0, *cuts.tolist(), size]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _tile_width(n, m, n_levels, batch):
     """Columns per tile: the widest tile of a balanced split of ``batch``.
 
-    The tile's working array fills ``TILE_BYTES`` at 16 bytes per complex
-    element, unless that would leave the average numpy call of a level
-    under ``CALL_ELEMS`` elements; then the tile widens to that floor.
+    Each of the tile's three working arrays fills ``TILE_BYTES`` at 16
+    bytes per complex element, unless that would leave the average numpy
+    call of a level under ``CALL_ELEMS`` elements; then the tile widens to
+    that floor.
     The width is then balanced: ``ceil(batch / width)`` tiles of at most
     ``ceil(batch / tiles)`` columns each. At least 1, also for no rows.
     """
@@ -166,11 +216,19 @@ def solve_batch(parent, child, z, s, v0, tol, max_iter):
         return (np.full((batch, n), complex(v0), dtype=np.complex128),
                 np.zeros((batch, 0), dtype=np.complex128), iters, converged, collapse)
 
-    order, levels, bus_row, first = _schedule(parent, child, n)
+    order, levels, bus_row, first, groups = _schedule(parent, child, n)
     par_row = bus_row[parent[order]]
     z_col = z[order][:, np.newaxis]
     line_row = first + np.argsort(order)  # row of each line's current
     row_bus = np.argsort(bus_row)  # bus at each row
+    # One row add per (level, rank) group: child rows, and parent rows as a
+    # slice where they are contiguous.
+    backward = []
+    for lo, hi in groups:
+        parents = par_row[lo:hi]
+        if np.array_equal(parents, np.arange(parents[0], parents[0] + parents.size)):
+            parents = slice(int(parents[0]), int(parents[0]) + parents.size)
+        backward.append((first + lo, first + hi, parents))
 
     v_out = np.empty((batch, n), dtype=np.complex128)
     i_out = np.empty((batch, m), dtype=np.complex128)
@@ -185,22 +243,21 @@ def solve_batch(parent, child, z, s, v0, tol, max_iter):
         # line order[j]'s current: a child's sum is final once its level is
         # done.
         sa = s_buf[:n * rows.size].reshape(n, rows.size)
-        np.take(s[start:stop].T, row_bus, axis=0, out=sa)
+        # np.take copies a non-contiguous source first, so the loads are
+        # transposed into the current buffer, free until the first
+        # iteration, and gathered from there.
+        staged = buffer[:n * rows.size].reshape(n, rows.size)
+        np.copyto(staged, s[start:stop].T)
+        np.take(staged, row_bus, axis=0, out=sa, mode="clip")
         va = v_buf[:n * rows.size].reshape(n, rows.size)
         va.fill(complex(v0))
         while rows.size:
             width = rows.size
-            acc = buffer[:n * width]
-            i_acc = acc.reshape(n, width)
+            i_acc = buffer[:n * width].reshape(n, width)
             np.divide(sa, va, out=i_acc)
             np.conjugate(i_acc, out=i_acc)
-            cols = np.arange(width)
-            for lo, hi in reversed(levels):
-                # Flat indices and unshared values keep add.at on its fast
-                # 1-D path; it still adds in index order.
-                flat = (par_row[lo:hi, np.newaxis] * width + cols).ravel()
-                sums = acc[(first + lo) * width:(first + hi) * width].copy()
-                np.add.at(acc, flat, sums)
+            for lo, hi, parents in backward:
+                i_acc[parents] += i_acc[lo:hi]
             dv = np.zeros(width)
             for lo, hi in levels:
                 kids = va[first + lo:first + hi]
@@ -223,8 +280,9 @@ def solve_batch(parent, child, z, s, v0, tol, max_iter):
             converged[rows[done_ok]] = True
             leaving = collapsed | done_ok | (iters[rows] >= max_iter)
             if leaving.all():
-                v_out[rows] = np.take(va, bus_row, axis=0).T
-                i_out[rows] = np.take(i_acc, line_row, axis=0).T
+                # The loads are spent: gather into their buffer (m < n).
+                v_out[rows] = np.take(va, bus_row, axis=0, out=sa, mode="clip").T
+                i_out[rows] = np.take(i_acc, line_row, axis=0, out=sa[:m], mode="clip").T
                 break
             if leaving.any():
                 out = np.flatnonzero(leaving)
