@@ -27,13 +27,18 @@ currents need no array of their own.
   are all distinct, and one row add, ``i_acc[parents] += i_acc[lo:hi]``,
   serves the whole group; ``parents`` is a slice when their rows are
   contiguous, and the add then runs on a view with no gather or scatter.
+  Otherwise the parent rows are gathered into level scratch, added to and
+  scattered back (addition commutes bit for bit).
   Within a level the groups run rank 0 first, and a parent's children all
   share one level, so every parent sums its children's currents in
   descending line order, exactly as a per-line loop from the last line to
   the first does. The sums, and so the bits, are the same.
 - Forward, shallowest level first: one vectorized update per level. Every
   parent is already updated when its children's level runs. The largest
-  voltage change is a max, which no order changes.
+  voltage change is a max, which no order changes. Each step of a level
+  (``z * i``, parent gather, difference, change, ``|change|`` and its
+  column max) writes into level scratch with ``out=``, so a level makes
+  no temporaries.
 - Exit test, after each forward pass. A row has collapsed when some bus's
   ``|v|`` is under ``COLLAPSE_FLOOR_PU``. ``|v|`` is a faithfully rounded
   ``hypot``, never below ``|re(v)|``, so a column whose real parts all
@@ -45,31 +50,45 @@ currents need no array of their own.
 - Rows that converge, collapse or run out of iterations are copied out.
   When every active row of a tile leaves at once (on the benchmark feeder
   all rows take the same number of iterations), one ``np.take`` of whole
-  rows per output gathers the tile into its load buffer, which is free by
-  then, in bus and line order. When only some leave, their columns are
-  gathered with ``np.ix_`` and the working arrays shrink to the rows still
-  active; until the first row of a tile leaves, the kernel works on the
-  tile's arrays with no gather. Every ``np.take`` into a buffer uses
-  ``mode="clip"``: its indices are valid by construction, and the default
-  ``mode="raise"`` would copy the result through a buffer of its own.
+  rows per output gathers the tile into its load region, which is free by
+  then, in bus and line order. When only some leave, the tile's four
+  regions change roles: the leaving columns of the currents, then of the
+  voltages, are gathered into the free region and from there, in line or
+  bus order, into the spent current region, and copied out; the staying
+  columns of the loads and voltages are then gathered into those two
+  regions, which become the load and voltage regions, while the old load
+  and voltage regions become the current and free ones. Until the first
+  row of a tile leaves, the kernel works on the tile's arrays with no
+  gather. Every ``np.take`` writes into a region with ``mode="clip"``: its
+  indices are valid by construction, and the default ``mode="raise"``
+  would copy the result through a buffer of its own.
 
 Column tiles. The batch is solved in tiles of whole rows of ``s`` (columns
 of the working arrays), one tile after the other, with the level schedule
-computed once per call and the working buffers allocated once at tile
-size. A tile holds three complex working arrays (loads, voltages and
-currents), and the working memory no longer grows with the batch. Tiling
-cannot change any bits: every arithmetic step is per column, each column
-starts from ``v0`` in its tile as it does in the whole batch, and rows
-already leave the active set without touching the rows that stay (which
-is also why a batch row equals its 1-row solve). The width rule has no
-knob: ``TILE_BYTES`` is a third of one core's 2 MiB L2, and
+computed once per call. The call's working memory is one anonymous
+``mmap``, sized by ``_block_bytes`` for the call's widest tile, and cut
+into array views: four tile regions (loads, voltages, currents, and a
+free one that only partial exits touch; an anonymous page costs no
+memory until it is touched), the forward and backward passes' level
+scratch (two complex and one float array of the most lines of one level
+by the tile width) and two rows of the tile width (a level's largest
+change and ``dv``). The mapping goes back to the operating system when
+the call returns and its last view is dropped; freed heap would stay with
+the process. Nothing of it is cached between calls, so concurrent calls
+never share it, and the working memory does not grow with the batch.
+Tiling cannot change any bits: every arithmetic step is per column, each
+column starts from ``v0`` in its tile as it does in the whole batch, and
+rows already leave the active set without touching the rows that stay
+(which is also why a batch row equals its 1-row solve). The width rule
+has no knob: ``TILE_BYTES`` is a third of one core's 2 MiB L2, and
 ``TILE_BYTES // (16 * n)`` columns keep each array within it, so all three
 fit the 2 MiB, unless a level's numpy calls would then average fewer than
 ``CALL_ELEMS`` elements; a feeder with few lines per level gets at
 least ``CALL_ELEMS * levels / lines`` columns. On the 10-level, 200-bus
 benchmark feeder that floor decides (at most 412 columns), and on deeper
 feeders it decided already. The batch is then cut into
-``ceil(batch / width)`` tiles whose sizes differ by at most 1. A smaller
+``ceil(batch / width)`` tiles whose sizes differ by at most 1: 22 tiles of
+at most 399 columns for 8,760 rows on the benchmark feeder. A smaller
 ``TILE_BYTES`` keeps more of each pass in cache but multiplies the numpy
 calls; a larger ``CALL_ELEMS`` saves calls on deep feeders but lets their
 tiles outgrow the cache.
@@ -82,10 +101,14 @@ Array conventions: ``parent[k]``/``child[k]`` are the bus indices of line k,
 ordered so that the line into a bus comes before the lines out of it (BFS
 order does this; ``ValueError`` otherwise, and also when a bus is fed by
 two lines); ``z[k]`` is its per-unit impedance and ``s`` the (batch, n_bus)
-per-unit complex bus loads. Bus indices may be in any order.
+per-unit complex bus loads. Bus indices may be in any order, within
+``[0, n_bus)``, and ``parent``, ``child`` and ``z`` have one length
+(``ValueError`` otherwise).
 """
 
 from __future__ import annotations
+
+import mmap
 
 import numpy as np
 
@@ -98,9 +121,10 @@ COLLAPSE_FLOOR_PU = 0.5
 # 1 and 2 MiB arrays with no call-size floor took 1.32 and 0.90 s against
 # 0.61 s untiled; any floor from 4,096 to 32,768 elements brought it back to
 # 0.59-0.70 s, within the runs' spread. With the three arrays sharing the
-# 2 MiB, the floor decides on the benchmark feeder (412 columns), and an
-# 8,760-row solve holds 4.8 MB of working memory beyond its outputs, against
-# 10.1 MB with np.add.at in the backward pass and 2 MiB per array.
+# 2 MiB, the floor decides on the benchmark feeder (412 columns). There an
+# 8,760-row solve maps a 5.78 MB block, of which it touches the three tile
+# regions and the level scratch, and holds 0.16 MB on the heap beyond its
+# outputs.
 TILE_BYTES = (2 << 20) // 3  # each of a tile's three complex working arrays
 CALL_ELEMS = 8192  # least average elements per numpy call of a level
 
@@ -195,17 +219,55 @@ def _tile_bounds(batch, width):
     return [t * batch // tiles for t in range(tiles + 1)] if tiles else [0]
 
 
+def _block_bytes(n, widest, tile):
+    """Bytes of a call's working block for tiles of up to ``tile`` columns.
+
+    Four ``(n, tile)`` complex tile regions, two ``(widest, tile)`` complex
+    and one ``(widest, tile)`` float level scratch arrays (``widest`` is the
+    most lines of one level), and two float rows of ``tile``: a level's
+    largest voltage change and ``dv``.
+    """
+    return tile * (16 * (4 * n + 2 * widest) + 8 * (widest + 2))
+
+
+def _parent_rows(par_row, blocks):
+    """The parent rows of each ``(lo, hi)`` block of lines: a slice where
+    they are consecutive, so that indexing with them gives a view, and the
+    row array otherwise."""
+    runs = np.concatenate(([0], np.cumsum(np.diff(par_row) != 1))).tolist()
+    rows = par_row.tolist()
+    return [slice(rows[lo], rows[lo] + hi - lo) if runs[lo] == runs[hi - 1] else par_row[lo:hi]
+            for lo, hi in blocks]
+
+
+def _view(buf, rows, cols):
+    """The first ``rows * cols`` elements of ``buf`` as a C-ordered 2-D view."""
+    return buf[:rows * cols].reshape(rows, cols)
+
+
 def solve_batch(parent, child, z, s, v0, tol, max_iter):
     """Solve a batch of snapshots.
 
     Returns (v, i_line, iterations, converged, collapse_bus) where collapse
     is the first bus index whose voltage fell below 0.5 pu, or -1.
+
+    Raises ``ValueError`` unless ``parent``, ``child`` and ``z`` have one
+    length and every bus index lies in ``[0, n)``: the gathers clip their
+    indices, so a bad one would otherwise solve as some other bus.
     """
     parent = np.ascontiguousarray(parent, dtype=np.int64)
     child = np.ascontiguousarray(child, dtype=np.int64)
     z = np.ascontiguousarray(z, dtype=np.complex128)
     s = np.ascontiguousarray(s, dtype=np.complex128)
     batch, n = s.shape
+    if not parent.shape == child.shape == z.shape:
+        raise ValueError(f"parent, child and z must have one length, not "
+                         f"{parent.shape}, {child.shape} and {z.shape}")
+    bad = np.flatnonzero((parent < 0) | (parent >= n) | (child < 0) | (child >= n))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"line {k} joins buses {parent[k]} and {child[k]}: "
+                         f"bus indices must be in [0, {n})")
     m = parent.shape[0]
     iters = np.zeros(batch, dtype=np.int64)
     converged = np.zeros(batch, dtype=bool)
@@ -223,18 +285,32 @@ def solve_batch(parent, child, z, s, v0, tol, max_iter):
     row_bus = np.argsort(bus_row)  # bus at each row
     # One row add per (level, rank) group: child rows, and parent rows as a
     # slice where they are contiguous.
-    backward = []
-    for lo, hi in groups:
-        parents = par_row[lo:hi]
-        if np.array_equal(parents, np.arange(parents[0], parents[0] + parents.size)):
-            parents = slice(int(parents[0]), int(parents[0]) + parents.size)
-        backward.append((first + lo, first + hi, parents))
+    backward = [(first + lo, first + hi, parents)
+                for (lo, hi), parents in zip(groups, _parent_rows(par_row, groups))]
+    forward = [(first + lo, first + hi, par_row[lo:hi], z_col[lo:hi]) for lo, hi in levels]
 
     v_out = np.empty((batch, n), dtype=np.complex128)
     i_out = np.empty((batch, m), dtype=np.complex128)
     tile = _tile_width(n, m, len(levels), batch)
-    # Tile-sized buffers, allocated once and reused by every tile.
-    s_buf, v_buf, buffer = (np.empty(n * tile, dtype=np.complex128) for _ in range(3))
+    # The call's working memory: one anonymous mapping, cut into views. It
+    # is unmapped, not kept on the heap, once the last view goes at return.
+    # ACCESS_COPY makes it private: a shared anonymous mapping is backed by
+    # shared memory and faults slower (touching 67 MB: 58 against 41 ms on a
+    # 2-vCPU VM).
+    widest = max(hi - lo for lo, hi in levels)
+    mapping = mmap.mmap(-1, _block_bytes(n, widest, tile), access=mmap.ACCESS_COPY)
+    block = np.frombuffer(mapping, dtype=np.complex128, count=(4 * n + 2 * widest) * tile)
+    floats = np.frombuffer(mapping, dtype=np.float64, offset=block.nbytes)
+    del mapping
+    # Three tile regions in their first roles (loads, voltages, currents),
+    # the level scratch of both passes, and last the free tile region, which
+    # only partial exits touch.
+    region = n * tile
+    s_reg, v_reg, i_reg = (block[r * region:(r + 1) * region] for r in range(3))
+    new_buf = block[3 * region:3 * region + widest * tile]
+    step_buf = block[3 * region + widest * tile:-region]
+    f_reg = block[-region:]
+    abs_buf, level_dv_buf, dv_buf = floats[:widest * tile], floats[-2 * tile:-tile], floats[-tile:]
     bounds = _tile_bounds(batch, tile)
     for start, stop in zip(bounds[:-1], bounds[1:]):
         rows = np.arange(start, stop)
@@ -242,28 +318,39 @@ def solve_batch(parent, child, z, s, v0, tol, max_iter):
         # bus_row order. After the backward pass, row first + j of i_acc is
         # line order[j]'s current: a child's sum is final once its level is
         # done.
-        sa = s_buf[:n * rows.size].reshape(n, rows.size)
+        sa = _view(s_reg, n, rows.size)
         # np.take copies a non-contiguous source first, so the loads are
-        # transposed into the current buffer, free until the first
+        # transposed into the current region, free until the first
         # iteration, and gathered from there.
-        staged = buffer[:n * rows.size].reshape(n, rows.size)
+        staged = _view(i_reg, n, rows.size)
         np.copyto(staged, s[start:stop].T)
-        np.take(staged, row_bus, axis=0, out=sa, mode="clip")
-        va = v_buf[:n * rows.size].reshape(n, rows.size)
+        staged.take(row_bus, axis=0, out=sa, mode="clip")
+        va = _view(v_reg, n, rows.size)
         va.fill(complex(v0))
         while rows.size:
             width = rows.size
-            i_acc = buffer[:n * width].reshape(n, width)
+            i_acc = _view(i_reg, n, width)
             np.divide(sa, va, out=i_acc)
             np.conjugate(i_acc, out=i_acc)
             for lo, hi, parents in backward:
-                i_acc[parents] += i_acc[lo:hi]
-            dv = np.zeros(width)
-            for lo, hi in levels:
-                kids = va[first + lo:first + hi]
-                v_new = va[par_row[lo:hi]] - z_col[lo:hi] * i_acc[first + lo:first + hi]
-                np.maximum(dv, np.abs(v_new - kids).max(axis=0), out=dv)
-                kids[...] = v_new
+                if isinstance(parents, slice):
+                    i_acc[parents] += i_acc[lo:hi]
+                else:
+                    sums = i_acc.take(parents, axis=0, mode="clip",
+                                      out=_view(new_buf, hi - lo, width))
+                    np.add(sums, i_acc[lo:hi], out=sums)
+                    i_acc[parents] = sums
+            dv, level_dv = dv_buf[:width], level_dv_buf[:width]
+            dv.fill(0.0)
+            for lo, hi, parents, z_level in forward:
+                kids = va[lo:hi]
+                step = np.multiply(z_level, i_acc[lo:hi], out=_view(step_buf, hi - lo, width))
+                v_new = va.take(parents, axis=0, out=_view(new_buf, hi - lo, width), mode="clip")
+                np.subtract(v_new, step, out=v_new)
+                np.subtract(v_new, kids, out=step)
+                change = np.abs(step, out=_view(abs_buf, hi - lo, width))
+                np.maximum(dv, np.maximum.reduce(change, axis=0, out=level_dv), out=dv)
+                np.copyto(kids, v_new)
             iters[rows] += 1
 
             # |v| >= |re(v)|, so only a column with some re(v) under the
@@ -280,15 +367,25 @@ def solve_batch(parent, child, z, s, v0, tol, max_iter):
             converged[rows[done_ok]] = True
             leaving = collapsed | done_ok | (iters[rows] >= max_iter)
             if leaving.all():
-                # The loads are spent: gather into their buffer (m < n).
-                v_out[rows] = np.take(va, bus_row, axis=0, out=sa, mode="clip").T
-                i_out[rows] = np.take(i_acc, line_row, axis=0, out=sa[:m], mode="clip").T
+                # The loads are spent: gather into their region (m < n).
+                v_out[rows] = va.take(bus_row, axis=0, out=sa, mode="clip").T
+                i_out[rows] = i_acc.take(line_row, axis=0, out=sa[:m], mode="clip").T
                 break
             if leaving.any():
-                out = np.flatnonzero(leaving)
-                v_out[rows[out]] = va[np.ix_(bus_row, out)].T
-                i_out[rows[out]] = i_acc[np.ix_(line_row, out)].T
-                stay = np.flatnonzero(~leaving)
+                # The leaving columns go out through the free region and then
+                # the spent current region; the staying loads and voltages
+                # are compacted into those two, and the regions they held
+                # become the current and free regions.
+                out, stay = np.flatnonzero(leaving), np.flatnonzero(~leaving)
+                spare = _view(f_reg, n, out.size)
+                i_acc.take(out, axis=1, out=spare, mode="clip")
+                i_out[rows[out]] = spare.take(line_row, axis=0, mode="clip",
+                                              out=_view(i_reg, m, out.size)).T
+                va.take(out, axis=1, out=spare, mode="clip")
+                v_out[rows[out]] = spare.take(bus_row, axis=0, mode="clip",
+                                              out=_view(i_reg, n, out.size)).T
                 rows = rows[stay]
-                sa, va = np.take(sa, stay, axis=1), np.take(va, stay, axis=1)
+                sa = sa.take(stay, axis=1, out=_view(f_reg, n, stay.size), mode="clip")
+                va = va.take(stay, axis=1, out=_view(i_reg, n, stay.size), mode="clip")
+                s_reg, v_reg, i_reg, f_reg = f_reg, i_reg, s_reg, v_reg
     return v_out, i_out, iters, converged, collapse

@@ -1,9 +1,12 @@
+import contextlib
 import dataclasses
 import io
 import logging
+import mmap
 import tracemalloc
 import typing
 import warnings
+import weakref
 from collections import deque
 from unittest import mock
 
@@ -281,6 +284,30 @@ def assert_same_bits(got, want):
         assert a.tobytes() == b.tobytes()
 
 
+@contextlib.contextmanager
+def recorded_mappings():
+    """Record every ``mmap.mmap`` made inside the block: the list gets a
+    ``(weak reference, length)`` pair per mapping."""
+    made = []
+
+    class Recorded(mmap.mmap):
+        def __new__(cls, *args, **kwargs):
+            mapping = super().__new__(cls, *args, **kwargs)
+            made.append((weakref.ref(mapping), len(mapping)))
+            return mapping
+
+    with mock.patch.object(kernels.mmap, "mmap", Recorded):
+        yield made
+
+
+def exits_per_tile(parent, child, n_buses, iters):
+    """How many iterations of each tile some of its rows left at."""
+    levels = kernels._schedule(parent, child, n_buses)[1]
+    width = kernels._tile_width(n_buses, n_buses - 1, len(levels), iters.size)
+    bounds = kernels._tile_bounds(iters.size, width)
+    return [np.unique(iters[a:b]).size for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 class TestLevelSchedule:
     """The level-scheduled kernel equals the per-line loop bit for bit."""
 
@@ -445,6 +472,23 @@ class TestLevelSchedule:
         with pytest.raises(ValueError, match="bus 2 is fed by two lines, 1 and 2"):
             kernels.solve_batch(np.array([0, 1, 0]), np.array([1, 2, 2]), z, s, 1.0, 1e-6, 50)
 
+    def test_negative_bus_index_is_rejected(self):
+        """-3 on 3 buses would wrap to bus 0 in a Python list and clip to
+        it in a gather."""
+        z, s = np.full(2, 0.01 + 0.02j), np.full((1, 3), 0.1 + 0.0j)
+        with pytest.raises(ValueError, match=r"line 1 joins buses -3 and 2: .* \[0, 3\)"):
+            kernels.solve_batch(np.array([0, -3]), np.array([1, 2]), z, s, 1.0, 1e-6, 50)
+
+    def test_bus_index_past_the_last_bus_is_rejected(self):
+        z, s = np.full(2, 0.01 + 0.02j), np.full((1, 3), 0.1 + 0.0j)
+        with pytest.raises(ValueError, match=r"line 1 joins buses 1 and 3: .* \[0, 3\)"):
+            kernels.solve_batch(np.array([0, 1]), np.array([1, 3]), z, s, 1.0, 1e-6, 50)
+
+    def test_short_impedance_array_is_rejected(self):
+        z, s = np.full(1, 0.01 + 0.02j), np.full((1, 3), 0.1 + 0.0j)
+        with pytest.raises(ValueError, match=r"one length, not \(2,\), \(2,\) and \(1,\)"):
+            kernels.solve_batch(np.array([0, 1]), np.array([1, 2]), z, s, 1.0, 1e-6, 50)
+
     @given(n=st.integers(2, 10_000), data=st.data(), batch=st.integers(0, 100_000))
     def test_tiles_cover_the_batch_evenly(self, n, data, batch):
         m = n - 1
@@ -469,25 +513,76 @@ class TestLevelSchedule:
         assert width == 1 and kernels._tile_bounds(batch, width) == list(range(batch + 1))
 
     def test_working_memory_does_not_grow_with_the_batch(self):
-        """Peak traced memory of a solve, beyond its outputs, stays under a
-        fixed bound and does not grow from 2,000 to 8,760 distinct rows:
-        the working arrays are tile-sized."""
+        """The working memory is one mapping, no larger at 8,760 distinct
+        rows than at 2,000, and what a solve holds on the heap beyond its
+        outputs stays under 256 KiB and does not grow with the batch either.
+        ``tracemalloc`` does not see the mapping, so its size is read from
+        the mapping itself."""
         feeder = _CompiledFeeder(random_feeder(200, seed=200))
         rng = np.random.default_rng(0)
-        extra = {}
+        extra, mapped = {}, {}
         for rows in (2_000, 8_760):
             s = feeder.s_static_pu * rng.uniform(0.5, 1.5, size=(rows, 200))
-            tracemalloc.start()
-            try:
-                out = kernels.solve_batch(feeder.parent, feeder.child, feeder.z_bfs, s,
-                                          feeder.v0, 1e-6, 50)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            with recorded_mappings() as made:
+                tracemalloc.start()
+                try:
+                    out = kernels.solve_batch(feeder.parent, feeder.child, feeder.z_bfs, s,
+                                              feeder.v0, 1e-6, 50)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
             assert np.all(out[3])
             extra[rows] = peak - sum(a.nbytes for a in out)
-        assert extra[8_760] < 6e6, extra
+            (mapped[rows],) = [size for _, size in made]
+        assert mapped[8_760] <= mapped[2_000] < 6e6, mapped
+        assert extra[8_760] < 256 * 1024, extra
         assert extra[8_760] < 1.5 * extra[2_000], extra
+
+    def test_partial_exits_keep_no_tile_on_the_heap(self):
+        """On the 240-bus random tree as drawn, rows converge or collapse
+        over many iterations, so tiles shrink by partial exits; these copy
+        out and compact within the mapping, and the heap peak beyond the
+        outputs stays under 2 MB (one tile's three arrays are 4.7 MB, and
+        compacting a tile's loads and voltages into new arrays reads 2.4 MB)."""
+        parent, child, z, s = sweep_case("random", 240, "identity", 8_760, 0)
+        tracemalloc.start()
+        try:
+            out = kernels.solve_batch(parent, child, z, s, 1.0, 1e-6, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _, _, iters, converged, collapse = out
+        assert np.any(converged) and np.any(collapse >= 0)
+        assert min(exits_per_tile(parent, child, 240, iters)) > 1
+        assert peak - sum(a.nbytes for a in out) < 2e6
+
+    @pytest.mark.parametrize("rows_collapse", [False, True], ids=["converging", "collapsing"])
+    def test_working_memory_is_unmapped_on_return(self, rows_collapse):
+        """Each call makes one mapping, and none is alive once it returns,
+        whether every row converges or some collapse and leave early."""
+        parent, child, z, s = sweep_case("random", 240, "identity", 600, 0)
+        if not rows_collapse:
+            s = s * 3e-4
+        with recorded_mappings() as made:
+            _, _, _, converged, collapse = kernels.solve_batch(parent, child, z, s, 1.0,
+                                                               1e-6, 50)
+        assert np.any(collapse >= 0) == rows_collapse
+        assert np.all(converged) != rows_collapse
+        assert len(made) == 1
+        assert made[0][0]() is None
+
+    @pytest.mark.parametrize("shape", TREE_SHAPES)
+    def test_region_roles_cycle_with_the_per_line_bits(self, shape):
+        """50-column tiles of rows that leave over at least five iterations
+        each, so every tile makes four or more partial exits and its four
+        regions pass through each role; all five outputs equal the per-line
+        loop."""
+        parent, child, z, s = sweep_case(shape, 240, "random", 200, 0)
+        with mock.patch.object(kernels, "TILE_BYTES", 16 * 240 * 50), \
+                mock.patch.object(kernels, "CALL_ELEMS", 0):
+            got = kernels.solve_batch(parent, child, z, s, 1.0, 1e-6, 50)
+            assert min(exits_per_tile(parent, child, 240, got[2])) >= 5
+        assert_same_bits(got, oracles.per_line_sweep(parent, child, z, s, 1.0, 1e-6, 50))
 
     @pytest.mark.parametrize("shape", TREE_SHAPES)
     def test_bus_numbering_does_not_change_the_bits(self, shape):
