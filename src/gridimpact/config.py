@@ -43,8 +43,11 @@ def _check_fraction(name: str, value: float) -> None:
 class ScenarioConfig:
     """Fleet-level factor settings driving demand synthesis.
 
-    ``sedan_share`` is carried and reported but does not alter demand; the
-    charger-level mixes do, by assigning cohorts their per-vehicle max rate.
+    ``ambient_temp_f`` (any finite number) and ``sedan_share`` (a share) are
+    checked but do not yet alter demand; the charger-level mixes do, by
+    assigning cohorts their per-vehicle max rate. ``fleet_size`` stops at
+    10**12 so that ``evfleet.build_cohorts`` can apportion it exactly in
+    float64.
     """
 
     fleet_size: int
@@ -58,16 +61,10 @@ class ScenarioConfig:
     home_preference: float
     home_strategy: ChargingStrategy
     work_strategy: ChargingStrategy
-    kwh_per_mile_bev: float = 0.30
-    kwh_per_mile_phev: float = 0.28
-    temp_multiplier: float = 1.0
-    phev_battery_kwh: float = 10.0
-    l1_rate_kw: float = 1.4
-    l2_rate_kw: float = 7.2
 
     def __post_init__(self):
-        if self.fleet_size < 0:
-            raise ValueError(f"fleet_size must be >= 0, got {self.fleet_size}")
+        if not 0 <= self.fleet_size <= 10**12:
+            raise ValueError(f"fleet_size must be in [0, 10**12], got {self.fleet_size}")
         if not self.avg_daily_miles > 0:
             raise ValueError(f"avg_daily_miles must be > 0, got {self.avg_daily_miles}")
         for name in ("bev_share", "sedan_share", "work_mix_l1", "home_access",
@@ -75,10 +72,6 @@ class ScenarioConfig:
             _check_fraction(name, getattr(self, name))
         if self.work_strategy is ChargingStrategy.DELAYED_START_MIDNIGHT:
             raise ValueError("delayed_start_midnight is a home-only strategy")
-        for name in ("kwh_per_mile_bev", "kwh_per_mile_phev", "temp_multiplier",
-                     "phev_battery_kwh", "l1_rate_kw", "l2_rate_kw"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ produce byte-identical profiles.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -26,7 +25,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import DEFAULT_SCHEDULE, ChargingStrategy, ScenarioConfig, Schedule
-from .errors import read_record
 
 __all__ = [
     "ChargingStrategy",
@@ -36,7 +34,6 @@ __all__ = [
     "Schedule",
     "Cohort",
     "DemandProfile",
-    "scenario_from_json",
     "build_cohorts",
     "cohort_profile",
     "aggregate_profiles",
@@ -117,13 +114,6 @@ class DemandProfile:
             )
 
 
-def scenario_from_json(text: str | bytes | dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from its JSON document (field names as in the
-    dataclass; strategies as their string tokens)."""
-    doc = json.loads(text) if isinstance(text, (str, bytes)) else text
-    return read_record(ScenarioConfig, doc, "scenario")
-
-
 def _largest_remainder(fractions: Sequence[float], total: int) -> list[int]:
     """Integer apportionment of ``total`` by ``fractions`` (summing to <= 1+eps).
     Floors first, then hands out the remainder by largest fractional part,
@@ -135,6 +125,14 @@ def _largest_remainder(fractions: Sequence[float], total: int) -> list[int]:
     for i in order[:shortfall]:
         counts[i] += 1
     return counts
+
+
+# Fleet-model constants: energy per mile by vehicle type, the PHEV battery
+# that caps a PHEV's daily need, and the Level 1 and Level 2 charger rates.
+KWH_PER_MILE = {VehicleType.BEV: 0.30, VehicleType.PHEV: 0.28}
+PHEV_BATTERY_KWH = 10.0
+L1_RATE_KW = 1.4
+L2_RATE_KW = 7.2
 
 
 def build_cohorts(cfg: ScenarioConfig, schedule: Schedule = DEFAULT_SCHEDULE) -> list[Cohort]:
@@ -156,12 +154,10 @@ def build_cohorts(cfg: ScenarioConfig, schedule: Schedule = DEFAULT_SCHEDULE) ->
     ):
         for vtype in (VehicleType.BEV, VehicleType.PHEV):
             type_fraction = cfg.bev_share if vtype is VehicleType.BEV else 1.0 - cfg.bev_share
-            kwh_per_mile = (cfg.kwh_per_mile_bev if vtype is VehicleType.BEV
-                            else cfg.kwh_per_mile_phev)
-            energy = cfg.avg_daily_miles * kwh_per_mile * cfg.temp_multiplier
+            energy = cfg.avg_daily_miles * KWH_PER_MILE[vtype]
             if vtype is VehicleType.PHEV:
-                energy = min(energy, cfg.phev_battery_kwh)
-            for rate, level_fraction in ((cfg.l1_rate_kw, mix_l1), (cfg.l2_rate_kw, 1.0 - mix_l1)):
+                energy = min(energy, PHEV_BATTERY_KWH)
+            for rate, level_fraction in ((L1_RATE_KW, mix_l1), (L2_RATE_KW, 1.0 - mix_l1)):
                 fraction = loc_fraction * type_fraction * level_fraction
                 if fraction == 0.0:
                     continue

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 import gridimpact
 import oracles
 from gridimpact.cli import load_run_config, main
+from gridimpact.config import ScenarioConfig
 from gridimpact.errors import SchemaError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -172,11 +175,21 @@ class TestValidate:
         path.write_text(json.dumps({"stations_path": "x"}))
         assert main(["pipeline", "--config", str(path)]) == 2
 
-    def test_unknown_config_key_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("path", [
+        "peak_kw_overide",  # typo must not pass silently
+        # fleet-model constants that are no longer scenario inputs
+        *[f"scenario.{key}" for key in (
+            "kwh_per_mile_bev", "kwh_per_mile_phev", "temp_multiplier",
+            "phev_battery_kwh", "l1_rate_kw", "l2_rate_kw")],
+    ])
+    def test_unknown_config_key_exits_2(self, tmp_path, path):
         config = write_config(tmp_path)
         doc = json.loads(config.read_text())
-        doc["peak_kw_overide"] = 1.0  # typo must not pass silently
+        section, _, key = path.rpartition(".")
+        (doc[section] if section else doc)[key] = 1.0
         config.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"unexpected field '{key}'"):
+            load_run_config(config)
         assert main(["validate", "--config", str(config)]) == 2
 
     def test_unreadable_network_path_reported(self, tmp_path):
@@ -468,9 +481,13 @@ class TestRunConfig:
         ("max_iter", {"solver": {"tol_pu": 1e-6, "max_iter": 2.5}}),
         ("home_arrive_h", {"schedule": {"home_arrive_h": None}}),
         ("ambient_temp_f", {"scenario": {**SCENARIO, "ambient_temp_f": "hot"}}),
+        # a fleet-model constant now, so the scenario refuses it by name
         ("l1_rate_kw", {"scenario": {**SCENARIO, "l1_rate_kw": True}}),
         # zero dwell at home: arrival equals the default 07:00 departure
         ("home_depart_h", {"schedule": {"home_arrive_h": 7.0}}),
+        # past 10**12 vehicles, float64 apportionment stops summing to the fleet
+        ("fleet_size", {"scenario": {**SCENARIO, "fleet_size": 10**17 + 3}}),
+        ("ampacity_threshold_a", {"ampacity_threshold_a": True}),
     ])
     def test_wrongly_typed_value_names_key_and_exits_2(self, tmp_path, key, overrides):
         """Including NaN, which Python's json reads and every ``< 0`` check passes."""
@@ -486,6 +503,24 @@ class TestRunConfig:
         (tmp_path / "stations951.csv").write_text(stations.read_text())
         config = write_config(tmp_path, network_path="feeder40.json",
                               stations_path="stations951.csv")
+        assert main(["validate", "--config", str(config)]) == 0
+
+    def test_readme_run_config_is_accepted(self, tmp_path):
+        """The README's example run config passes the strict reader as
+        written, its scenario sets every ScenarioConfig field, the scenario
+        table lists the same fields, and with its data paths pointed at the
+        fixtures the config validates."""
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        (doc,) = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, re.S)
+                  if '"network_path"' in block]
+        fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+        assert set(doc["scenario"]) == fields
+        assert set(re.findall(r"^\| `(\w+)` \|", readme, re.M)) == fields
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        load_run_config(config)
+        config.write_text(json.dumps({**doc, "network_path": str(FIXTURES / "feeder40.json"),
+                                      "stations_path": str(FIXTURES / "stations951.csv")}))
         assert main(["validate", "--config", str(config)]) == 0
 
     def test_dt_quarter_hour_profile_length(self, tmp_path):

@@ -1,8 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridimpact.evfleet import (
     ChargingStrategy,
@@ -16,8 +17,8 @@ from gridimpact.evfleet import (
     cohort_profile,
     find_peak,
     profile_to_csv,
-    scenario_from_json,
 )
+from gridimpact.errors import read_record
 
 
 def make_config(**overrides) -> ScenarioConfig:
@@ -69,6 +70,7 @@ class TestBuildCohorts:
         energies = {round(c.energy_need_kwh, 6) for c in cohorts}
         # BEV: 45 * 0.30 = 13.5; PHEV: min(45 * 0.28, 10) = 10 (battery cap)
         assert energies == {13.5, 10.0}
+        assert {c.max_rate_kw for c in cohorts} == {1.4, 7.2}  # Level 1, Level 2
 
     def test_largest_remainder_conserves_fleet(self):
         cfg = make_config(fleet_size=101, bev_share=1 / 3, home_mix_l1=0.25,
@@ -97,13 +99,32 @@ class TestBuildCohorts:
             "home_access": 1.0, "home_mix_l1": 0.5, "home_preference": 0.8,
             "home_strategy": "immediate_slow", "work_strategy": "immediate_fast"
         }"""
-        cfg = scenario_from_json(text)
+        cfg = read_record(ScenarioConfig, json.loads(text), "scenario")
         assert cfg.fleet_size == 350_000
         assert cfg.home_strategy is ChargingStrategy.IMMEDIATE_SLOW
 
     def test_scenario_json_bad_strategy(self):
         with pytest.raises(ValueError, match="unknown charging strategy"):
-            scenario_from_json('{"home_strategy": "whenever"}')
+            read_record(ScenarioConfig, {"home_strategy": "whenever"}, "scenario")
+
+    def test_fleet_size_past_exact_apportionment_rejected(self):
+        assert make_config(fleet_size=10**12).fleet_size == 10**12
+        for size in (10**12 + 1, 10**17 + 3):
+            with pytest.raises(ValueError, match="fleet_size"):
+                make_config(fleet_size=size)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fleet_size=st.integers(0, 10**12),
+        shares=st.tuples(*[st.floats(0.0, 1.0)] * 5),
+    )
+    @example(fleet_size=10**12, shares=(1 / 3, 0.1, 0.7, 1 / 7, 0.9))
+    def test_counts_sum_to_fleet_size(self, fleet_size, shares):
+        bev, work_l1, access, home_l1, preference = shares
+        cfg = make_config(fleet_size=fleet_size, bev_share=bev, work_mix_l1=work_l1,
+                          home_access=access, home_mix_l1=home_l1,
+                          home_preference=preference)
+        assert sum(c.count for c in build_cohorts(cfg)) == fleet_size
 
 
 class TestCohortProfile:
