@@ -215,19 +215,12 @@ class PipelineRun:
 
         from .assign import inject_loads, injection_targets
         from .evfleet import DemandProfile
-        from .powerflow import run_qsts, solve_snapshot
+        from .powerflow.solver import raise_if_collapsed, run_qsts
 
         cfg = self.config
         assignments = self.stage_assign()
         before_net = self.network
         after_net = inject_loads(before_net, assignments)
-        result = {"before_net": before_net, "after_net": after_net}
-        for side, net, label in (("before", before_net, "baseline"), ("after", after_net, "EV")):
-            snapshot = solve_snapshot(net, cfg.solver)
-            if not snapshot.converged:
-                raise SolverError(
-                    f"{label} snapshot diverged after {snapshot.iterations} iterations")
-            result[f"{side}_snapshot"] = snapshot
 
         # EV loads follow the fleet profile normalized to its own peak, so the
         # peak step carries exactly the allocated kW. With no usable shape
@@ -243,10 +236,17 @@ class PipelineRun:
                 dt_h=cfg.dt_h, values_kw=series,
                 energy_kwh=float(np.sum(series)) * cfg.dt_h)
 
-        result["before_series"] = run_qsts(before_net, {}, cfg.solver,
-                                           steps=cfg.steps, dt_h=cfg.dt_h)
-        result["after_series"] = run_qsts(after_net, shapes, cfg.solver,
-                                          steps=cfg.steps, dt_h=cfg.dt_h)
+        # One solve per side: the snapshot is a row of the series' batch.
+        result = {"before_net": before_net, "after_net": after_net}
+        for side, net, side_shapes, label in (("before", before_net, {}, "baseline"),
+                                              ("after", after_net, shapes, "EV")):
+            series = run_qsts(net, side_shapes, cfg.solver, steps=cfg.steps, dt_h=cfg.dt_h)
+            snapshot = series.snapshot
+            raise_if_collapsed(snapshot)
+            if not snapshot.converged:
+                raise SolverError(
+                    f"{label} snapshot diverged after {snapshot.iterations} iterations")
+            result[f"{side}_series"], result[f"{side}_snapshot"] = series, snapshot
         return result
 
     @_stage

@@ -30,6 +30,7 @@ __all__ = [
     "PowerFlowSolution",
     "QstsResult",
     "solve_snapshot",
+    "raise_if_collapsed",
     "run_qsts",
     "total_losses",
     "snapshot_csv",
@@ -74,12 +75,14 @@ class QstsResult:
     """A time series stored once per distinct load row.
 
     ``rows`` stacks the steady states of the distinct load rows, in order of
-    first appearance, and step ``t`` solved row ``step_row[t]``.
+    first appearance, and step ``t`` solved row ``step_row[t]``. ``snapshot``
+    is the steady state of the network's own loads, derived as a one-step run.
     """
 
     rows: PowerFlowSolution
     step_row: np.ndarray
     dt_h: float
+    snapshot: PowerFlowSolution
 
     @property
     def steps(self) -> int:
@@ -153,11 +156,12 @@ def _distinct_rows(s_batch):
     """Key each load row by its bytes: returns (step_row, distinct rows in
     order of first appearance), so ``s_batch[t]`` is ``rows[step_row[t]]``.
 
-    ``run_qsts`` passes the rows of one profile period only: every later
-    step repeats one of them, so every distinct row of the run first appears
-    there, in the same order. Steps share a row only when their loads are
-    bit-identical, so solving a row once gives every one of its steps the
-    result of its own solve.
+    ``run_qsts`` passes the rows of one profile period, then the network's
+    own row: every later step repeats one of the period's rows, so every
+    distinct row of the run first appears there, in the same order, and the
+    network's row is a row of its own only when no step carries it. Steps
+    share a row only when their loads are bit-identical, so solving a row
+    once gives every one of its steps the result of its own solve.
     """
     index: dict[bytes, int] = {}
     first: list[int] = []
@@ -227,22 +231,26 @@ def _build_solutions(feeder: _CompiledFeeder, s_rows, v, i_line_bfs, iters, conv
     )
 
 
+def raise_if_collapsed(solution: PowerFlowSolution) -> None:
+    """Raise VoltageCollapseError if some bus of ``solution`` is under the
+    collapse floor, naming the first such bus in model order: the bus that
+    ``kernels.solve_batch`` reports for a collapsed row."""
+    low = np.flatnonzero(solution.v_mag_pu < kernels.COLLAPSE_FLOOR_PU)
+    if low.size:
+        raise VoltageCollapseError(solution.bus_ids[low[0]], float(solution.v_mag_pu[low[0]]))
+
+
 def solve_snapshot(net: NetworkModel, cfg: SolverConfig = SolverConfig()) -> PowerFlowSolution:
-    """Solve one steady state by backward/forward sweep.
+    """Solve one steady state by backward/forward sweep: the snapshot of a
+    one-step ``run_qsts``.
 
     Raises TopologyError on non-radial input and VoltageCollapseError if any
     bus dips below 0.5 pu during iteration. A solve that merely fails to
     converge within max_iter returns with ``converged=False``.
     """
-    feeder = _CompiledFeeder(net)
-    s_batch = feeder.s_static_pu[np.newaxis, :]
-    v, i_line, iters, converged, collapse = kernels.solve_batch(
-        feeder.parent, feeder.child, feeder.z_bfs, s_batch,
-        feeder.v0, cfg.tol_pu, cfg.max_iter)
-    if collapse[0] >= 0:
-        bus = feeder.bus_ids[collapse[0]]
-        raise VoltageCollapseError(bus, float(np.abs(v[0, collapse[0]])))
-    return _row(_build_solutions(feeder, s_batch, v, i_line, iters, converged, 1), 0)
+    snapshot = run_qsts(net, {}, cfg, steps=1, dt_h=1.0).snapshot
+    raise_if_collapsed(snapshot)
+    return snapshot
 
 
 def run_qsts(
@@ -271,12 +279,16 @@ def run_qsts(
     gets its result, which is the exact form of QSTS time reduction
     (Deboever, Reno et al., SAND2017-5743): a row's solve never depends on
     the rest of the batch, so each step equals its own solve bit for bit.
+    The network's own load row joins the batch after the period's rows, and
+    costs a solve only when no step carries it; its steady state is
+    ``snapshot``, derived as a one-step run, while ``rows`` and ``step_row``
+    keep only the rows some step solved.
 
-    ``workers`` > 1 splits the distinct rows into contiguous chunks solved
-    on a thread pool; per-step results are identical to a sequential run.
-    The pipeline always runs sequentially; the pool stays because the
-    benchmark measures ``workers=2`` against ``workers=1`` and acceptance
-    criterion 9 checks that the merge is identical.
+    The distinct rows are solved in ``workers`` contiguous chunks, one
+    kernel call each: one chunk runs in the calling thread, more run on a
+    thread pool and are merged, identical to one chunk. The pipeline runs
+    one chunk; the pool stays because the benchmark measures ``workers=2``
+    against ``workers=1`` and acceptance criterion 9 checks the merge.
     """
     feeder = _CompiledFeeder(net)
 
@@ -304,52 +316,50 @@ def run_qsts(
 
     period = min(math.lcm(*(p.values_kw.shape[0] for p in shapes.values())), steps)
     n = len(feeder.bus_ids)
-    s_batch = np.broadcast_to(feeder.s_static_pu, (period, n)).copy()
+    # One period of load rows, then the network's own row for the snapshot.
+    s_batch = np.broadcast_to(feeder.s_static_pu, (period + 1, n)).copy()
     t_index = np.arange(period)
     for load_id, profile in shapes.items():
         bus = feeder.load_bus_idx[load_id]
         samples = profile.values_kw[t_index % profile.values_kw.shape[0]]
-        s_batch[:, bus] += (samples - feeder.load_kw[load_id]) / 1000.0
+        s_batch[:period, bus] += (samples - feeder.load_kw[load_id]) / 1000.0
 
-    period_row, s_rows = _distinct_rows(s_batch)
+    batch_row, s_rows = _distinct_rows(s_batch)
     del s_batch
-    step_row = period_row[np.arange(steps) % period]
+    step_row = batch_row[np.arange(steps) % period]
+    snapshot_row = int(batch_row[-1])
+    used = int(batch_row[:period].max()) + 1  # the rows some step solved
     rows = s_rows.shape[0]
-    if workers <= 1 or rows == 1:
-        v, i_line, iters, converged, collapse = kernels.solve_batch(
-            feeder.parent, feeder.child, feeder.z_bfs, s_rows,
-            feeder.v0, cfg.tol_pu, cfg.max_iter)
+    bounds = np.linspace(0, rows, min(max(workers, 1), rows) + 1, dtype=int).tolist()
+
+    def solve_chunk(lo, hi):
+        return kernels.solve_batch(feeder.parent, feeder.child, feeder.z_bfs, s_rows[lo:hi],
+                                   feeder.v0, cfg.tol_pu, cfg.max_iter)
+
+    if len(bounds) == 2:
+        v, i_line, iters, converged, collapse = solve_chunk(*bounds)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        bounds = np.linspace(0, rows, min(workers, rows) + 1, dtype=int)
-        chunks = [(int(bounds[i]), int(bounds[i + 1])) for i in range(len(bounds) - 1)]
-
-        def solve_chunk(span):
-            lo, hi = span
-            return kernels.solve_batch(
-                feeder.parent, feeder.child, feeder.z_bfs, s_rows[lo:hi],
-                feeder.v0, cfg.tol_pu, cfg.max_iter)
-
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(solve_chunk, chunks))
-        v = np.concatenate([p[0] for p in parts])
-        i_line = np.concatenate([p[1] for p in parts])
-        iters = np.concatenate([p[2] for p in parts])
-        converged = np.concatenate([p[3] for p in parts])
-        collapse = np.concatenate([p[4] for p in parts])
+        with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
+            parts = list(pool.map(solve_chunk, bounds[:-1], bounds[1:]))
+        v, i_line, iters, converged, collapse = map(np.concatenate, zip(*parts))
 
     _, first_step, row_steps = np.unique(step_row, return_index=True, return_counts=True)
-    for r in np.flatnonzero(collapse >= 0):
+    for r in np.flatnonzero(collapse[:used] >= 0):
         log.warning("voltage collapse at bus %s in %d steps (first at step %d), "
                     "recorded as not converged",
                     feeder.bus_ids[collapse[r]], row_steps[r], first_step[r])
-    diverged = int(np.sum(row_steps[~converged]))
+    diverged = int(np.sum(row_steps[~converged[:used]]))
     if diverged:
         log.warning("%d of %d steps did not converge", diverged, steps)
 
-    rows = _build_solutions(feeder, s_rows, v, i_line, iters, converged, steps)
-    return QstsResult(rows=rows, step_row=step_row, dt_h=dt_h)
+    def derive(span, run_steps):
+        return _build_solutions(feeder, s_rows[span], v[span], i_line[span], iters[span],
+                                converged[span], run_steps)
+
+    return QstsResult(rows=derive(slice(used), steps), step_row=step_row, dt_h=dt_h,
+                      snapshot=_row(derive(slice(snapshot_row, snapshot_row + 1), 1), 0))
 
 
 def total_losses(result: QstsResult) -> float:

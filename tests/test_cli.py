@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import os
 import re
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gridimpact
@@ -15,6 +17,8 @@ from gridimpact.config import ScenarioConfig
 from gridimpact.errors import SchemaError
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# The fleet profile's peak step in a ``write_config`` run at dt_h 1.0
+PEAK_INDEX = 9
 
 SCENARIO = {
     "fleet_size": 1000,
@@ -58,6 +62,16 @@ def write_scaled_network(path, scale):
         line["resistance_ohm"] *= scale
         line["reactance_ohm"] *= scale
     path.write_text(json.dumps(doc))
+
+
+def assert_same_solution(got, want):
+    """Every field of two steady states, bit for bit."""
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+        else:
+            assert type(a) is type(b) and repr(a) == repr(b), field.name
 
 
 def run_dir_of(config_path, out=None):
@@ -325,10 +339,51 @@ class TestPipeline:
         run = PipelineRun(config, digest)
         power = run.stage_power()
         peak_index = run.stage_profile()["profile_peak_index"]
-        at_peak = power["after_series"].step(peak_index)
-        snapshot = power["after_snapshot"]
-        assert at_peak.v_mag_pu.tobytes() == snapshot.v_mag_pu.tobytes()
-        assert at_peak.source_kw == snapshot.source_kw
+        assert_same_solution(power["after_series"].step(peak_index), power["after_snapshot"])
+
+    @pytest.mark.parametrize("overrides, peak_beyond_run", [
+        ({"steps": PEAK_INDEX}, True),
+        ({"steps": PEAK_INDEX + 1}, False),
+        ({"scenario": {**SCENARIO, "fleet_size": 0}}, False),
+        ({"dt_h": 0.25, "steps": 24}, True),  # the peak is step 36
+    ], ids=["peak-beyond-run", "peak-is-last-step", "zero-fleet-override", "quarter-hour"])
+    def test_one_kernel_call_per_side_gives_the_snapshots(self, tmp_path, monkeypatch,
+                                                          overrides, peak_beyond_run):
+        """``gridimpact pipeline`` solves each side once: the snapshot is the
+        network's own load row of the series' batch, one more kernel row
+        only when no step of the run carries it (the EV side's peak step
+        does). Each snapshot, and its CSV, equals the network's solve on
+        its own."""
+        from gridimpact import cli
+        from gridimpact.powerflow import kernels, snapshot_csv, solve_snapshot
+
+        solved_rows = []
+        solve_batch = kernels.solve_batch
+
+        def counting(parent, child, z, s, *args):
+            solved_rows.append(s.shape[0])
+            return solve_batch(parent, child, z, s, *args)
+
+        config_path = write_config(tmp_path, **overrides)
+        monkeypatch.setattr(kernels, "solve_batch", counting)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        assert len(solved_rows) == 2
+
+        run = cli.PipelineRun(*load_run_config(config_path))
+        power = run.stage_power()
+        peak_index = run.stage_profile()["profile_peak_index"]
+        assert (peak_index >= run.config.steps) == peak_beyond_run
+        series_rows = sum(len(power[f"{side}_series"].rows.converged)
+                          for side in ("before", "after"))
+        assert solved_rows[:2] == solved_rows[2:]  # the stage rerun solves the same rows
+        assert sum(solved_rows[:2]) == series_rows + peak_beyond_run
+        for side in ("before", "after"):
+            net, snapshot = power[f"{side}_net"], power[f"{side}_snapshot"]
+            assert_same_solution(snapshot, solve_snapshot(net, run.config.solver))
+            alone = io.StringIO()
+            snapshot_csv(oracles.qsts_per_step(net, {}, run.config.solver, steps=1, dt_h=1.0)[0],
+                         alone)
+            assert (run.run_dir / f"{side}_snapshot.csv").read_text() == alone.getvalue()
 
     def test_failed_write_keeps_previous_artifact(self, tmp_path, monkeypatch):
         from gridimpact import cli
@@ -406,8 +461,14 @@ class TestPipeline:
         config = write_config(tmp_path, peak_kw_override=1e9)  # guaranteed collapse
         assert main(["pipeline", "--config", str(config)]) == 4
         marker = run_dir_of(config) / "FAILED"
-        assert marker.exists()
-        assert "power" in marker.read_text()
+        assert marker.read_text() == ("stage: power\nerror: voltage collapse at bus b003: "
+                                      "|V| = 0.1840 pu < 0.5 pu\n")
+
+    def test_diverged_snapshot_marks_stage_and_exits_4(self, tmp_path):
+        config = write_config(tmp_path, solver={"tol_pu": 1e-12, "max_iter": 1})
+        assert main(["pipeline", "--config", str(config)]) == 4
+        assert (run_dir_of(config) / "FAILED").read_text() == (
+            "stage: power\nerror: baseline snapshot diverged after 1 iterations\n")
 
     def test_subcommand_failure_marks_its_own_stage(self, tmp_path):
         config = write_config(tmp_path, peak_kw_override=1e9)  # guaranteed collapse

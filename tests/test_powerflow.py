@@ -27,7 +27,7 @@ from gridimpact.powerflow import (
     total_losses,
 )
 from gridimpact.powerflow import kernels
-from gridimpact.powerflow.solver import _CompiledFeeder
+from gridimpact.powerflow.solver import _CompiledFeeder, raise_if_collapsed
 from gridimpact.synth import random_feeder
 
 import oracles
@@ -816,7 +816,9 @@ class TestDistinctRows:
         monkeypatch.setattr(kernels, "solve_batch", counting)
         result = run_qsts(feeder40, shapes, steps=steps, workers=workers)
         assert len(result.rows.converged) == 24
-        assert sum(solved_rows) == 24
+        # The 25th row is the network's own, for the snapshot: no random step
+        # carries it.
+        assert sum(solved_rows) == 25
         assert result.step_row.tolist() == [t % 24 for t in range(steps)]
         assert_equals_per_step(
             result, oracles.qsts_per_step(feeder40, shapes, SolverConfig(),
@@ -912,6 +914,44 @@ def assert_row_view_types(sol, n_buses, n_lines):
             assert type(value) is hint, field.name
         else:
             assert type(value) is tuple, field.name
+
+
+class TestCollapseRule:
+    @given(n_buses=st.integers(2, 60), feeder_seed=st.integers(0, 2**31 - 1),
+           period=st.sampled_from([1, 2, 3, 8, 24]), levels=st.integers(1, 6),
+           max_iter=st.sampled_from([2, 3, 50]), load_seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    @example(n_buses=12, feeder_seed=3, period=3, levels=6, max_iter=50, load_seed=3)
+    def test_solution_names_the_kernels_collapse_bus(self, n_buses, feeder_seed, period,
+                                                     levels, max_iter, load_seed):
+        """``raise_if_collapsed`` reads collapse from a solution: it raises for
+        exactly the rows ``kernels.solve_batch`` flags, naming the kernel's
+        bus and that bus's ``|V|``, for every step and for the snapshot."""
+        net = random_feeder(n_buses, seed=feeder_seed)
+        shapes = periodic_shapes(net, np.random.default_rng(load_seed), period, levels)
+        cfg = SolverConfig(max_iter=max_iter)
+        calls = []
+        solve_batch = kernels.solve_batch
+
+        def recording(*args):
+            calls.append((args[3].copy(), solve_batch(*args)))
+            return calls[-1][1]
+
+        with mock.patch.object(kernels, "solve_batch", recording):
+            result = run_qsts(net, shapes, cfg, steps=period, dt_h=24 / period)
+        ((s_rows, (v, _, _, _, collapse)),) = calls
+        static = _CompiledFeeder(net).s_static_pu.tobytes()
+        snapshot_row = [row.tobytes() for row in s_rows].index(static)
+        solutions = [(result.step(t), r) for t, r in enumerate(result.step_row.tolist())]
+        for sol, r in solutions + [(result.snapshot, snapshot_row)]:
+            if collapse[r] < 0:
+                raise_if_collapsed(sol)
+                continue
+            with pytest.raises(VoltageCollapseError) as caught:
+                raise_if_collapsed(sol)
+            bus = collapse[r]
+            assert caught.value.bus_id == net.buses[bus].id
+            assert np.float64(caught.value.v_mag_pu).tobytes() == np.abs(v[r, bus]).tobytes()
 
 
 class TestRowView:
