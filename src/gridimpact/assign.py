@@ -128,58 +128,42 @@ def injection_targets(
     """Resolve where each bus's accumulated assignment kW will land.
 
     Returns ``bus_id -> (load_id, existing_kw, added_kw)``. The target is the
-    bus's existing LoadPoint with the smallest id; a bus without one gets a
-    fresh ``ev_<bus_id>`` load (suffixed on the rare id collision). Buses
-    whose accumulated addition is zero are omitted.
+    bus's existing LoadPoint with the smallest id; an assignment to a bus
+    without one is rejected. Buses whose accumulated addition is zero are
+    omitted.
     """
+    first_load_at: dict[str, LoadPoint] = {}
+    for load in net.loads:  # loads are id-sorted, so first occurrence wins
+        first_load_at.setdefault(load.bus_id, load)
+
     known_buses = {b.id for b in net.buses}
     added_kw: dict[str, float] = {}
     for assignment in assignments:
         if assignment.bus_id not in known_buses:
             raise ValueError(f"unknown bus id: {assignment.bus_id}")
+        if assignment.bus_id not in first_load_at:
+            raise ValueError(f"bus {assignment.bus_id} carries no load to take station kW")
         added_kw[assignment.bus_id] = added_kw.get(assignment.bus_id, 0.0) + assignment.assigned_kw
 
-    first_load_at: dict[str, LoadPoint] = {}
-    for load in net.loads:  # loads are id-sorted, so first occurrence wins
-        first_load_at.setdefault(load.bus_id, load)
-
-    existing_ids = {load.id for load in net.loads}
-    targets: dict[str, tuple[str, float, float]] = {}
-    for bus_id, extra in sorted(added_kw.items()):
-        if extra == 0.0:
-            continue
-        if bus_id in first_load_at:
-            target = first_load_at[bus_id]
-            targets[bus_id] = (target.id, target.kw, extra)
-        else:
-            new_id = f"ev_{bus_id}"
-            while new_id in existing_ids:
-                new_id += "_x"
-            existing_ids.add(new_id)
-            targets[bus_id] = (new_id, 0.0, extra)
-    return targets
+    return {bus_id: (first_load_at[bus_id].id, first_load_at[bus_id].kw, extra)
+            for bus_id, extra in sorted(added_kw.items()) if extra != 0.0}
 
 
 def inject_loads(net: NetworkModel, assignments: Iterable[Assignment]) -> NetworkModel:
     """Return a new model with each assignment's kW added at its bus.
 
-    The kW lands on the bus's existing LoadPoint (smallest id if several); a
-    bus without one gets a new zero-kvar LoadPoint. The input model is never
-    mutated, and the model's total load grows by exactly the summed
-    assignment kW (up to one rounding of the accumulated sum).
+    The kW lands where ``injection_targets`` resolves it, so only load kW
+    changes. The input model is never mutated, and the model's total load
+    grows by exactly the summed assignment kW (up to one rounding of the
+    accumulated sum).
     """
     targets = injection_targets(net, assignments)
     if not targets:
         return net
 
-    patched = {load_id: (base + extra) for _, (load_id, base, extra) in targets.items()}
+    patched = {load_id: (base + extra) for load_id, base, extra in targets.values()}
     new_loads = [replace(load, kw=patched[load.id]) if load.id in patched else load
                  for load in net.loads]
-    present = {load.id for load in net.loads}
-    for bus_id, (load_id, _, extra) in targets.items():
-        if load_id not in present:
-            new_loads.append(LoadPoint(id=load_id, bus_id=bus_id, kw=extra, kvar=0.0))
-
     return NetworkModel(buses=net.buses, lines=net.lines, loads=tuple(new_loads),
                         source=net.source)
 

@@ -38,15 +38,19 @@ class SolverError(GridImpactError):
     exit_code = 4
 
 
+COLLAPSE_FLOOR_PU = 0.5
+
+
 class VoltageCollapseError(GridImpactError):
-    """Sweep iteration drove a bus voltage below the collapse floor (0.5 pu)."""
+    """Sweep iteration drove a bus voltage below ``COLLAPSE_FLOOR_PU``."""
 
     exit_code = 4
 
     def __init__(self, bus_id: str, v_mag_pu: float):
         self.bus_id = bus_id
         self.v_mag_pu = v_mag_pu
-        super().__init__(f"voltage collapse at bus {bus_id}: |V| = {v_mag_pu:.4f} pu < 0.5 pu")
+        super().__init__(f"voltage collapse at bus {bus_id}: |V| = {v_mag_pu:.4f} pu "
+                         f"< {COLLAPSE_FLOOR_PU} pu")
 
 
 _ID_FORBIDDEN = frozenset(',"\r\n')

@@ -7,9 +7,11 @@ level, and each cohort is turned into a 24-hour kW profile under one of four
 charging strategies:
 
 * immediate_fast: full rate from arrival until the energy need is met,
-* immediate_slow: the need spread evenly over the whole dwell,
+* immediate_slow: the need spread evenly over the whole dwell, or the
+  immediate_fast window when the need exceeds rate x dwell,
 * delayed_finish_by_departure: full rate, timed to end exactly at departure,
-* delayed_start_midnight: full rate from 00:00 (home charging only).
+* delayed_start_midnight: full rate from 00:00 to departure at the latest
+  (home charging only; none if the vehicle is not parked at midnight).
 
 Everything here is a pure function of its inputs; identical configurations
 produce byte-identical profiles.
@@ -179,28 +181,19 @@ def _charging_window(c: Cohort) -> tuple[float, float, float, bool]:
     energy = c.energy_need_kwh
     rate = c.max_rate_kw
 
-    if c.strategy is ChargingStrategy.IMMEDIATE_SLOW:
-        even = energy / dwell
-        if even <= rate:
-            return c.arrive_h, dwell, even, False
-        # even spread is infeasible at this rate: fall back to full rate on arrival
-        deliverable = min(energy, rate * dwell)
-        return c.arrive_h, deliverable / rate, rate, deliverable < energy
+    if c.strategy is ChargingStrategy.IMMEDIATE_SLOW and energy / dwell <= rate:
+        return c.arrive_h, dwell, energy / dwell, False
 
-    if c.strategy is ChargingStrategy.IMMEDIATE_FAST:
-        deliverable = min(energy, rate * dwell)
-        return c.arrive_h, deliverable / rate, rate, deliverable < energy
-
-    if c.strategy is ChargingStrategy.DELAYED_FINISH_BY_DEPARTURE:
-        deliverable = min(energy, rate * dwell)
-        duration = deliverable / rate
-        return (c.depart_h - duration) % HOURS_PER_DAY, duration, rate, deliverable < energy
-
-    # delayed start at midnight: the vehicle must be parked at 00:00
-    midnight_parked = c.arrive_h > c.depart_h or c.arrive_h == 0.0
-    available = c.depart_h if midnight_parked else 0.0
+    # every other case is one full-rate window over the time available
+    start, available = c.arrive_h, dwell
+    if c.strategy is ChargingStrategy.DELAYED_START_MIDNIGHT:
+        midnight_parked = c.arrive_h > c.depart_h or c.arrive_h == 0.0
+        start, available = 0.0, (c.depart_h if midnight_parked else 0.0)
     deliverable = min(energy, rate * available)
-    return 0.0, deliverable / rate, rate, deliverable < energy
+    duration = deliverable / rate
+    if c.strategy is ChargingStrategy.DELAYED_FINISH_BY_DEPARTURE:
+        start = (c.depart_h - duration) % HOURS_PER_DAY
+    return start, duration, rate, deliverable < energy
 
 
 def cohort_profile(c: Cohort, dt_h: float) -> DemandProfile:

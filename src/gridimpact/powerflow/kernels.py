@@ -112,7 +112,8 @@ import mmap
 
 import numpy as np
 
-COLLAPSE_FLOOR_PU = 0.5
+from ..errors import COLLAPSE_FLOOR_PU
+
 # Column tiles, measured in fresh processes on a 2-vCPU Xeon VM with 2 MiB
 # of L2 per core (Python 3.11, numpy 2.4), 8,760 distinct rows, five runs
 # per setting, when one working array took the whole 2 MiB. On the 10-level,

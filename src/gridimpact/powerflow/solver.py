@@ -382,8 +382,6 @@ def _write_steps(result: QstsResult, out: TextIO, header: str, pieces: list[list
     each prefixed with ``t``: every row is formatted once, not per step, and
     a step costs one join."""
     out.write(header)
-    if not pieces[0]:  # a feeder without lines has no line rows
-        return
     pieces = [["", *row] for row in pieces]  # the join puts t before each piece
     for t, r in enumerate(result.step_row.tolist()):
         out.write(str(t).join(pieces[r]))

@@ -15,6 +15,10 @@ The plain QSTS reference (``qsts_per_step`` and its two CSV writers) checks
 the layers above the sweep: it solves every step in one batch with the
 package's own feeder compile and kernel, derives one solution object per
 step and formats every step's rows, with no dedup and no streaming.
+
+``charging_window_per_strategy`` resolves a cohort's charging window with
+one branch per strategy, each computing its own full-rate window; the
+package's single full-rate window must equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -277,3 +281,36 @@ def qsts_summary_csv(solutions) -> str:
         rows.append(f"{t},{sol.source_kw!r},{sol.total_loss_kw!r},"
                     f"{float(np.min(sol.v_mag_pu))!r},{float(np.max(sol.v_mag_pu))!r}")
     return "\n".join(rows) + "\n"
+
+
+def charging_window_per_strategy(c):
+    """(start_h, duration_h, rate_kw, truncated) of one vehicle of cohort
+    ``c``, one branch per charging strategy."""
+    dwell = (c.depart_h - c.arrive_h) % 24.0
+    energy = c.energy_need_kwh
+    rate = c.max_rate_kw
+    strategy = c.strategy.value
+
+    if strategy == "immediate_slow":
+        even = energy / dwell
+        if even <= rate:
+            return c.arrive_h, dwell, even, False
+        # even spread is infeasible at this rate: fall back to full rate on arrival
+        deliverable = min(energy, rate * dwell)
+        return c.arrive_h, deliverable / rate, rate, deliverable < energy
+
+    if strategy == "immediate_fast":
+        deliverable = min(energy, rate * dwell)
+        return c.arrive_h, deliverable / rate, rate, deliverable < energy
+
+    if strategy == "delayed_finish_by_departure":
+        deliverable = min(energy, rate * dwell)
+        duration = deliverable / rate
+        return (c.depart_h - duration) % 24.0, duration, rate, deliverable < energy
+
+    assert strategy == "delayed_start_midnight", strategy
+    # delayed start at midnight: the vehicle must be parked at 00:00
+    midnight_parked = c.arrive_h > c.depart_h or c.arrive_h == 0.0
+    available = c.depart_h if midnight_parked else 0.0
+    deliverable = min(energy, rate * available)
+    return 0.0, deliverable / rate, rate, deliverable < energy

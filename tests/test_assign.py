@@ -100,7 +100,23 @@ def small_net():
     )
 
 
+def two_load_net():
+    """``small_net`` with two loads on b2 as well, listed out of id order."""
+    net = small_net()
+    return NetworkModel(buses=net.buses, lines=net.lines, source=net.source,
+                        loads=(*net.loads, LoadPoint("ld3", "b2", 1.0, 0.5),
+                               LoadPoint("ld2", "b2", 2.0, 0.5)))
+
+
 class TestInjectLoads:
+    @pytest.mark.parametrize("distance_m,assigned_kw,message", [
+        (-1.0, 5.0, "distance_m must be >= 0"),
+        (0.0, -5.0, "assigned_kw must be >= 0"),
+    ])
+    def test_assignment_checks(self, distance_m, assigned_kw, message):
+        with pytest.raises(ValueError, match=message):
+            Assignment("s1", "b1", distance_m, assigned_kw)
+
     def test_adds_to_existing_load(self):
         net = small_net()
         out = inject_loads(net, [Assignment("s1", "b1", 10.0, 115.35)])
@@ -117,14 +133,14 @@ class TestInjectLoads:
                                  Assignment("s2", "b1", 0.0, 10.0)])
         assert out.loads[0].kw == pytest.approx(25.0, rel=1e-12)
 
-    def test_creates_load_when_bus_has_none(self):
+    def test_bus_without_load_rejected(self):
+        """Station kW lands only on an existing load: b2 carries none."""
         net = small_net()
-        out = inject_loads(net, [Assignment("s1", "b2", 0.0, 40.0)])
-        created = [l for l in out.loads if l.bus_id == "b2"]
-        assert len(created) == 1
-        assert created[0].id == "ev_b2"
-        assert created[0].kw == 40.0
-        assert created[0].kvar == 0.0
+        assigned = [Assignment("s1", "b1", 0.0, 4.0), Assignment("s2", "b2", 0.0, 40.0)]
+        for resolve in (inject_loads, injection_targets):
+            with pytest.raises(ValueError, match="bus b2 carries no load"):
+                resolve(net, assigned)
+        assert net == small_net()
 
     def test_unknown_bus_rejected(self):
         with pytest.raises(ValueError, match="unknown bus id: zz"):
@@ -136,19 +152,21 @@ class TestInjectLoads:
         assert net.loads[0].kw == 5.0
 
     def test_conservation_of_injected_kw(self):
-        net = small_net()
+        net = two_load_net()
         assigned = [Assignment(f"s{i}", "b1" if i % 2 else "b2", 0.0, 0.1 + i * 0.37)
                     for i in range(200)]
         out = inject_loads(net, assigned)
         delta = out.total_load_kw() - net.total_load_kw()
         expected = math.fsum(a.assigned_kw for a in assigned)
         assert delta == pytest.approx(expected, rel=1e-9)
+        assert [(l.id, l.bus_id, l.kvar) for l in out.loads] == [
+            (l.id, l.bus_id, l.kvar) for l in net.loads]
 
     def test_injection_targets_mapping(self):
-        net = small_net()
-        targets = injection_targets(net, [Assignment("s1", "b1", 0.0, 7.0),
-                                          Assignment("s2", "b2", 0.0, 3.0)])
-        assert targets == {"b1": ("ld1", 5.0, 7.0), "b2": ("ev_b2", 0.0, 3.0)}
+        """Each bus's kW lands on its load with the smallest id."""
+        targets = injection_targets(two_load_net(), [Assignment("s1", "b1", 0.0, 7.0),
+                                                     Assignment("s2", "b2", 0.0, 3.0)])
+        assert targets == {"b1": ("ld1", 5.0, 7.0), "b2": ("ld2", 2.0, 3.0)}
 
 
 class TestAssignStations:

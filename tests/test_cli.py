@@ -236,6 +236,42 @@ class TestValidate:
         assert "network has no loads" in report["network"]["error"]
         assert main(["pipeline", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["buses"][1].update(lon=181.0), "bus b1: lon 181.0 outside [-180, 180]"),
+        (lambda doc: doc["buses"][1].update(base_kv=0.0), "bus b1: base_kv must be > 0"),
+        (lambda doc: doc["lines"][0].update(ampacity_a=0.0), "line l1: ampacity_a must be > 0"),
+        (lambda doc: doc["lines"][0].update(resistance_ohm=-0.1),
+         "line l1: impedance components must be >= 0"),
+        (lambda doc: doc["lines"].append(dict(doc["lines"][0])), "duplicate id: line l1"),
+        (lambda doc: doc["loads"].append(dict(doc["loads"][0])), "duplicate id: load ld1"),
+    ], ids=["lon", "base_kv", "ampacity_a", "resistance_ohm", "duplicate_line",
+            "duplicate_load"])
+    def test_network_record_check_names_record_and_exits_2(self, tmp_path, minimal_doc,
+                                                           edit, message):
+        edit(minimal_doc)
+        net_path = tmp_path / "network.json"
+        net_path.write_text(json.dumps(minimal_doc))
+        config = write_config(tmp_path, network_path=str(net_path))
+        assert main(["validate", "--config", str(config)]) == 2
+        report = json.loads((run_dir_of(config) / "validate.json").read_text())
+        assert message in report["network"]["error"]
+
+    @pytest.mark.parametrize("text,code,registry", [
+        ("id,name,lat,lon,rated_kw\ns1,A,91.0,-121.0,60\n", 2,
+         {"error": "row 2: station s1: coordinates outside WGS84 bounds"}),
+        ("", 2, {"error": "row 1: missing header"}),
+        # blank rows, empty or all-blank cells, are skipped
+        ("id,name,lat,lon,rated_kw\ns1,A,37.0,-121.0,60\n\n , ,,,\ns2,B,37.1,-121.1,7\n", 0,
+         {"count": 2}),
+    ], ids=["outside_wgs84", "empty_file", "blank_rows"])
+    def test_station_registry_checks(self, tmp_path, text, code, registry):
+        path = tmp_path / "stations.csv"
+        path.write_text(text)
+        config = write_config(tmp_path, stations_path=str(path))
+        assert main(["validate", "--config", str(config)]) == code
+        report = json.loads((run_dir_of(config) / "validate.json").read_text())
+        assert report["stations"] == registry
+
     def test_validate_loads_no_numpy(self, tmp_path):
         """In a fresh interpreter, validate passes on feeder40 and leaves
         numpy, the solver and the writers unimported."""
@@ -556,6 +592,37 @@ class TestRunConfig:
         with pytest.raises(SchemaError, match=key):
             load_run_config(config)
         assert main(["pipeline", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("key,overrides", [
+        ("network_path", {"network_path": ""}),
+        ("stations_path", {"stations_path": ""}),
+        ("output_dir", {"output_dir": ""}),
+        ("steps", {"steps": 0}),
+        ("peak_kw_override", {"peak_kw_override": -1.0}),
+        ("ampacity_threshold_a", {"ampacity_threshold_a": -1.0}),
+        ("run config", None),  # not JSON: the document cut short
+    ])
+    def test_run_config_check_names_key_and_exits_2(self, tmp_path, key, overrides):
+        config = write_config(tmp_path, **(overrides or {}))
+        if overrides is None:
+            config.write_text(config.read_text()[:-1])
+        with pytest.raises(SchemaError, match=key):
+            load_run_config(config)
+        assert main(["validate", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("key,overrides", [
+        ("bev_share", {"scenario": {**SCENARIO, "bev_share": 1.5}}),
+        ("avg_daily_miles", {"scenario": {**SCENARIO, "avg_daily_miles": 0}}),
+        ("work_depart_h", {"schedule": {"work_depart_h": 24.0}}),
+        ("tol_pu", {"solver": {"tol_pu": 0.0, "max_iter": 50}}),
+        ("max_iter", {"solver": {"tol_pu": 1e-6, "max_iter": 0}}),
+    ])
+    def test_scenario_schedule_solver_check_names_key_and_exits_2(self, tmp_path, key,
+                                                                  overrides):
+        config = write_config(tmp_path, **overrides)
+        with pytest.raises(SchemaError, match=key):
+            load_run_config(config)
+        assert main(["validate", "--config", str(config)]) == 2
 
     def test_relative_paths_resolve_against_config(self, tmp_path):
         network = FIXTURES / "feeder40.json"

@@ -1,9 +1,10 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gridimpact.evfleet import (
     ChargingStrategy,
@@ -18,7 +19,9 @@ from gridimpact.evfleet import (
     find_peak,
     profile_to_csv,
 )
+from gridimpact import evfleet
 from gridimpact.errors import read_record
+from oracles import charging_window_per_strategy
 
 
 def make_config(**overrides) -> ScenarioConfig:
@@ -243,6 +246,28 @@ class TestAggregateAndPeak:
 
 
 class TestDemandProfileInvariants:
+    @pytest.mark.parametrize("build,message", [
+        (lambda: overnight_cohort(ChargingStrategy.IMMEDIATE_FAST, count=-1),
+         "cohort count must be >= 0"),
+        (lambda: overnight_cohort(ChargingStrategy.IMMEDIATE_FAST, energy=-1.0),
+         "energy_need_kwh must be >= 0"),
+        (lambda: overnight_cohort(ChargingStrategy.IMMEDIATE_FAST, rate=0.0),
+         "max_rate_kw must be > 0"),
+        (lambda: Cohort(count=1, energy_need_kwh=1.0, arrive_h=7.0, depart_h=7.0,
+                        max_rate_kw=7.2, strategy=ChargingStrategy.IMMEDIATE_FAST,
+                        location=Location.HOME), "dwell duration must be > 0"),
+        (lambda: Cohort(count=1, energy_need_kwh=1.0, arrive_h=9.0, depart_h=17.0,
+                        max_rate_kw=7.2, strategy=ChargingStrategy.DELAYED_START_MIDNIGHT,
+                        location=Location.WORKPLACE), "valid only at home"),
+        (lambda: aggregate_profiles([]), "dt_h is required"),
+        (lambda: aggregate_profiles([aggregate_profiles([], dt_h=1.0)], dt_h=0.5),
+         re.escape("requested dt_h=0.5 but profiles use dt_h=1.0")),
+    ], ids=["count", "energy", "rate", "dwell", "midnight_at_work", "empty_aggregate",
+            "aggregate_dt"])
+    def test_cohort_and_aggregate_checks(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_negative_sample_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             DemandProfile(dt_h=1.0, values_kw=np.full(24, -1.0), energy_kwh=-24.0)
@@ -326,3 +351,50 @@ class TestProperties:
         a = cohort_profile(cohort, dt)
         b = cohort_profile(cohort, dt)
         assert a.values_kw.tobytes() == b.values_kw.tobytes()
+
+
+def window_bits(window):
+    """A charging window with its floats as their exact bits."""
+    start, duration, rate, truncated = window
+    return float(start).hex(), float(duration).hex(), float(rate).hex(), truncated
+
+
+@st.composite
+def any_cohort(draw, strategy=st.sampled_from(list(ChargingStrategy))):
+    """A cohort of any strategy and schedule: arrival may be 00:00, the
+    dwell may wrap past midnight, and the need may exceed what full rate
+    delivers in the time available."""
+    arrive = draw(st.one_of(st.just(0.0), st.floats(0.0, 24.0, exclude_max=True)))
+    depart = draw(st.one_of(st.just(0.0), st.floats(0.0, 24.0, exclude_max=True)))
+    assume((depart - arrive) % 24.0 > 0)
+    return Cohort(count=draw(st.integers(0, 500)),
+                  energy_need_kwh=draw(st.one_of(st.just(0.0), st.floats(0.0, 300.0))),
+                  arrive_h=arrive, depart_h=depart,
+                  max_rate_kw=draw(st.one_of(st.sampled_from([1.4, 7.2]),
+                                             st.floats(0.01, 50.0))),
+                  strategy=draw(strategy), location=Location.HOME)
+
+
+class TestChargingWindow:
+    @given(cohort=any_cohort())
+    @example(cohort=overnight_cohort(ChargingStrategy.IMMEDIATE_FAST))  # wraps midnight
+    @example(cohort=overnight_cohort(ChargingStrategy.DELAYED_FINISH_BY_DEPARTURE, energy=60.0))
+    @example(cohort=Cohort(count=1, energy_need_kwh=30.0, arrive_h=0.0, depart_h=3.0,
+                           max_rate_kw=7.2, strategy=ChargingStrategy.DELAYED_START_MIDNIGHT,
+                           location=Location.HOME))
+    @example(cohort=Cohort(count=1, energy_need_kwh=30.0, arrive_h=0.0, depart_h=3.0,
+                           max_rate_kw=7.2, strategy=ChargingStrategy.IMMEDIATE_SLOW,
+                           location=Location.HOME))
+    @example(cohort=overnight_cohort(ChargingStrategy.DELAYED_START_MIDNIGHT, energy=50.0))
+    @settings(max_examples=500, deadline=None)
+    def test_equals_one_branch_per_strategy(self, cohort):
+        assert (window_bits(evfleet._charging_window(cohort))
+                == window_bits(charging_window_per_strategy(cohort)))
+
+    def test_infeasible_even_spread_is_the_immediate_fast_window(self):
+        """2 kW over the 12 h overnight dwell delivers 24 kWh of 30."""
+        slow = overnight_cohort(ChargingStrategy.IMMEDIATE_SLOW, energy=30.0, rate=2.0)
+        fast = overnight_cohort(ChargingStrategy.IMMEDIATE_FAST, energy=30.0, rate=2.0)
+        window = evfleet._charging_window(slow)
+        assert window_bits(window) == window_bits(evfleet._charging_window(fast))
+        assert window == (18.0, 12.0, 2.0, True)

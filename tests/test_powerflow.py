@@ -23,6 +23,7 @@ from gridimpact.powerflow import (
     qsts_lines_csv,
     qsts_summary_csv,
     run_qsts,
+    snapshot_csv,
     solve_snapshot,
     total_losses,
 )
@@ -609,6 +610,16 @@ def two_step_profile(values, dt_h=12.0):
 
 
 class TestQsts:
+    @pytest.mark.parametrize("shapes,kwargs,message", [
+        ({"ld1": two_step_profile([0.0, 100.0])}, {"dt_h": 1.0},
+         "requested dt_h=1.0 but shapes use dt_h=12.0"),
+        ({}, {"dt_h": 1.0}, "steps is required when no loads are shaped"),
+        ({}, {"dt_h": 1.0, "steps": 0}, "steps must be >= 1"),
+    ], ids=["dt_h", "steps_missing", "steps_zero"])
+    def test_run_qsts_checks(self, two_bus_net, shapes, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            run_qsts(two_bus_net, shapes, **kwargs)
+
     def test_two_step_shape_defines_pointwise(self, kernel):
         net = NetworkModel(
             buses=(Bus("b1", 37.0, -122.0, 12.47), Bus("b2", 37.001, -122.0, 12.47)),
@@ -625,6 +636,25 @@ class TestQsts:
         nominal = solve_snapshot(net)
         np.testing.assert_array_equal(result.step(1).v_mag_pu, nominal.v_mag_pu)
         np.testing.assert_array_equal(result.step(1).line_flow_kw, nominal.line_flow_kw)
+
+    def test_feeder_without_lines_writes_step_rows_only(self, kernel):
+        """A one-bus feeder: the line CSVs are their header alone, and the
+        summary has one row per step, the source serving the load."""
+        net = NetworkModel(buses=(Bus("b0", 37.0, -122.0, 12.47),), lines=(),
+                           loads=(LoadPoint("ld1", "b0", 5.0, 1.0),), source=Source("b0", 1.0))
+        result = run_qsts(net, {}, steps=3, dt_h=1.0)
+        written = []
+        for write, solved in ((qsts_lines_csv, result), (qsts_summary_csv, result),
+                              (snapshot_csv, result.snapshot)):
+            out = io.StringIO()
+            write(solved, out)
+            written.append(out.getvalue())
+        assert written == [
+            "step,line_id,kw,kvar,amps\n",
+            "step,source_kw,loss_kw,min_v_pu,max_v_pu\n"
+            + "".join(f"{t},5.0,0.0,1.0,1.0\n" for t in range(3)),
+            "line_id,kw,kvar,amps,loss_kw\n",
+        ]
 
     def test_constant_shape_is_time_invariant(self, kernel, feeder20):
         load = feeder20.loads[0]
