@@ -403,10 +403,12 @@ def _run_stages(run: PipelineRun, rows) -> None:
 def cmd_validate(config: RunConfig, config_hash: str) -> int:
     """Check the network document and station registry without solving
     anything; numpy is never imported. Exit 0 only when the network is
-    radial and has at least one load bus to take stations, and the registry
-    parses cleanly and lists at least one station. Otherwise exit 3 for a
-    non-radial network and 2 for any other fault, except that an unreadable
-    or malformed input file exits 2 even when the network is not radial."""
+    radial, has at least one load bus to take stations, and has what the
+    impact stage divides by: at least one line, one with resistance, and
+    loads summing to more than 0 kW; and the registry parses cleanly and
+    lists at least one station. Otherwise exit 3 for a non-radial network
+    and 2 for any other fault, except that an unreadable or malformed input
+    file exits 2 even when the network is not radial."""
     run = PipelineRun(config, config_hash)
     report: dict[str, object] = {"config_hash": config_hash}
     code = 0
@@ -423,6 +425,14 @@ def cmd_validate(config: RunConfig, config_hash: str) -> int:
             log.error("network is not radial: %s", network)
         elif not net.loads:
             network["error"] = "network has no loads: no bus to assign stations to"
+        # the impact stage divides by the baseline demand and loss
+        elif not net.lines:
+            network["error"] = "network has no lines: no baseline loss"
+        elif not net.total_load_kw() > 0:
+            network["error"] = "network loads sum to 0 kW: no baseline demand"
+        elif not any(line.resistance_ohm > 0 for line in net.lines):
+            network["error"] = "every line has resistance_ohm 0: no baseline loss"
+        if "error" in network:
             log.error("%s", network["error"])
             code = 2
     except (SchemaError, OSError) as exc:

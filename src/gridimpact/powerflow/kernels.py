@@ -47,31 +47,32 @@ currents need no array of their own.
   picked exactly when some ``re(v)`` is under the floor) and computes
   ``|v|`` only for the picked columns; NaN and ±inf decide as they would
   on ``|v|``, and the collapse bus is still the first bus under the floor.
-- Rows that converge, collapse or run out of iterations are copied out.
-  When every active row of a tile leaves at once (on the benchmark feeder
-  all rows take the same number of iterations), one ``np.take`` of whole
-  rows per output gathers the tile into its load region, which is free by
-  then, in bus and line order. When only some leave, the tile's four
-  regions change roles: the leaving columns of the currents, then of the
-  voltages, are gathered into the free region and from there, in line or
-  bus order, into the spent current region, and copied out; the staying
-  columns of the loads and voltages are then gathered into those two
-  regions, which become the load and voltage regions, while the old load
-  and voltage regions become the current and free ones. Until the first
-  row of a tile leaves, the kernel works on the tile's arrays with no
-  gather. Every ``np.take`` writes into a region with ``mode="clip"``: its
-  indices are valid by construction, and the default ``mode="raise"``
-  would copy the result through a buffer of its own.
+- Rows that converge, collapse or run out of iterations are copied out,
+  and every exit takes one path, also when the whole tile leaves (on the
+  benchmark feeder all rows take the same number of iterations). The
+  staying columns of the loads are gathered into the free region; the
+  leaving columns of the currents, then of the voltages, are gathered into
+  the spent load region and from there, in line or bus order, into the
+  spent current region, and copied out; the staying columns of the
+  voltages are gathered into the current region last. The free and
+  current regions become the load and voltage regions, and the old load
+  and voltage regions the current and free ones. An exit where no column
+  stays writes nothing into the free region, so on the benchmark feeder it
+  is never touched. Every tile starts in the first roles, and until its
+  first row leaves, the kernel works on its arrays with no gather.
+  Every ``np.take`` writes into a region with ``mode="clip"``: its indices
+  are valid by construction, and the default ``mode="raise"`` would copy
+  the result through a buffer of its own.
 
 Column tiles. The batch is solved in tiles of whole rows of ``s`` (columns
 of the working arrays), one tile after the other, with the level schedule
 computed once per call. The call's working memory is one anonymous
 ``mmap``, sized by ``_block_bytes`` for the call's widest tile, and cut
 into array views: four tile regions (loads, voltages, currents, and a
-free one that only partial exits touch; an anonymous page costs no
-memory until it is touched), the forward and backward passes' level
-scratch (two complex and one float array of the most lines of one level
-by the tile width) and two rows of the tile width (a level's largest
+free one that only an exit with rows staying touches; an anonymous page
+costs no memory until it is touched), the forward and backward passes'
+level scratch (two complex and one float array of the most lines of one
+level by the tile width) and two rows of the tile width (a level's largest
 change and ``dv``). The mapping goes back to the operating system when
 the call returns and its last view is dropped; freed heap would stay with
 the process. Nothing of it is cached between calls, so concurrent calls
@@ -303,17 +304,16 @@ def solve_batch(parent, child, z, s, v0, tol, max_iter):
     block = np.frombuffer(mapping, dtype=np.complex128, count=(4 * n + 2 * widest) * tile)
     floats = np.frombuffer(mapping, dtype=np.float64, offset=block.nbytes)
     del mapping
-    # Three tile regions in their first roles (loads, voltages, currents),
-    # the level scratch of both passes, and last the free tile region, which
-    # only partial exits touch.
+    # The four tile regions in the roles each tile starts in: loads,
+    # voltages, currents and, after the level scratch of both passes, free.
     region = n * tile
-    s_reg, v_reg, i_reg = (block[r * region:(r + 1) * region] for r in range(3))
+    regions = (*(block[r * region:(r + 1) * region] for r in range(3)), block[-region:])
     new_buf = block[3 * region:3 * region + widest * tile]
     step_buf = block[3 * region + widest * tile:-region]
-    f_reg = block[-region:]
     abs_buf, level_dv_buf, dv_buf = floats[:widest * tile], floats[-2 * tile:-tile], floats[-tile:]
     bounds = _tile_bounds(batch, tile)
     for start, stop in zip(bounds[:-1], bounds[1:]):
+        s_reg, v_reg, i_reg, f_reg = regions
         rows = np.arange(start, stop)
         # Bus-major working arrays, one column per active row, buses in
         # bus_row order. After the backward pass, row first + j of i_acc is
@@ -367,26 +367,22 @@ def solve_batch(parent, child, z, s, v0, tol, max_iter):
             done_ok = ~collapsed & (dv < tol)
             converged[rows[done_ok]] = True
             leaving = collapsed | done_ok | (iters[rows] >= max_iter)
-            if leaving.all():
-                # The loads are spent: gather into their region (m < n).
-                v_out[rows] = va.take(bus_row, axis=0, out=sa, mode="clip").T
-                i_out[rows] = i_acc.take(line_row, axis=0, out=sa[:m], mode="clip").T
-                break
             if leaving.any():
-                # The leaving columns go out through the free region and then
-                # the spent current region; the staying loads and voltages
-                # are compacted into those two, and the regions they held
-                # become the current and free regions.
+                # The staying loads move into the free region first; the
+                # leaving currents, then voltages, go out through the spent
+                # load region and then the spent current region, which takes
+                # the staying voltages last. The regions they left become the
+                # current and free ones.
                 out, stay = np.flatnonzero(leaving), np.flatnonzero(~leaving)
-                spare = _view(f_reg, n, out.size)
+                sa = sa.take(stay, axis=1, out=_view(f_reg, n, stay.size), mode="clip")
+                spare = _view(s_reg, n, out.size)
                 i_acc.take(out, axis=1, out=spare, mode="clip")
                 i_out[rows[out]] = spare.take(line_row, axis=0, mode="clip",
                                               out=_view(i_reg, m, out.size)).T
                 va.take(out, axis=1, out=spare, mode="clip")
                 v_out[rows[out]] = spare.take(bus_row, axis=0, mode="clip",
                                               out=_view(i_reg, n, out.size)).T
-                rows = rows[stay]
-                sa = sa.take(stay, axis=1, out=_view(f_reg, n, stay.size), mode="clip")
                 va = va.take(stay, axis=1, out=_view(i_reg, n, stay.size), mode="clip")
+                rows = rows[stay]
                 s_reg, v_reg, i_reg, f_reg = f_reg, i_reg, s_reg, v_reg
     return v_out, i_out, iters, converged, collapse

@@ -264,13 +264,13 @@ def run_qsts(
 ) -> QstsResult:
     """Time-series of independent snapshot solves.
 
-    Each shaped load's kW is replaced at step ``t`` by sample ``t % L`` of
-    its profile of ``L`` samples (kvar held at the nominal value); unshaped
-    loads stay constant. So the load rows repeat with a period of the least
-    common multiple of the profile lengths (1 when no load is shaped), and
-    only the rows of the first period, or of all ``steps`` if that is
-    shorter, are built; step ``t`` takes row ``t % period``. ``steps`` still
-    sets the operand order of the derivation (see ``_build_solutions``).
+    Each shaped load's kW follows its profile, repeated every 24 h (kvar
+    held at the nominal value); unshaped loads stay constant. Every profile
+    spans 24 h at one ``dt_h``, so all have one length, and the load rows
+    repeat with that period (1 when no load is shaped). Only the rows of
+    the first period, or of all ``steps`` if that is shorter, are built;
+    step ``t`` takes row ``t % period``. ``steps`` still sets the operand
+    order of the derivation (see ``_build_solutions``).
     Diverged or collapsed steps are recorded with ``converged=False`` without
     aborting the run; each collapsed row is logged once, with its bus, its
     step count and its first step.
@@ -306,23 +306,22 @@ def run_qsts(
     elif dt_h is None:
         raise ValueError("dt_h is required when no loads are shaped")
 
+    # Every shape spans 24 h at one dt_h, so all have one length.
+    length = next((p.values_kw.shape[0] for p in shapes.values()), 1)
     if steps is None:
-        lengths = {p.values_kw.shape[0] for p in shapes.values()}
-        if not lengths:
+        if not shapes:
             raise ValueError("steps is required when no loads are shaped")
-        steps = max(lengths)
+        steps = length
     if steps < 1:
         raise ValueError("steps must be >= 1")
 
-    period = min(math.lcm(*(p.values_kw.shape[0] for p in shapes.values())), steps)
+    period = min(length, steps)
     n = len(feeder.bus_ids)
     # One period of load rows, then the network's own row for the snapshot.
     s_batch = np.broadcast_to(feeder.s_static_pu, (period + 1, n)).copy()
-    t_index = np.arange(period)
     for load_id, profile in shapes.items():
         bus = feeder.load_bus_idx[load_id]
-        samples = profile.values_kw[t_index % profile.values_kw.shape[0]]
-        s_batch[:period, bus] += (samples - feeder.load_kw[load_id]) / 1000.0
+        s_batch[:period, bus] += (profile.values_kw[:period] - feeder.load_kw[load_id]) / 1000.0
 
     batch_row, s_rows = _distinct_rows(s_batch)
     del s_batch

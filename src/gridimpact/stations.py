@@ -119,12 +119,9 @@ def load_stations(path) -> list[EvStation]:
 
 
 def classify(rated_kw: float) -> CapacityClass:
-    if not rated_kw > 0:
-        raise ValueError(f"rated_kw must be > 0, got {rated_kw}")
-    for klass in CapacityClass:
-        if klass.lower_kw <= rated_kw < klass.upper_kw:
-            return klass
-    raise AssertionError("unreachable: class bounds cover (0, inf)")
+    if not 0 < rated_kw < math.inf:
+        raise ValueError(f"rated_kw must be finite and > 0, got {rated_kw}")
+    return next(klass for klass in CapacityClass if klass.lower_kw <= rated_kw < klass.upper_kw)
 
 
 def allocate_peak(peak_kw: float, census: Counter[CapacityClass]) -> dict[CapacityClass, float]:

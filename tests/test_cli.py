@@ -64,6 +64,16 @@ def write_scaled_network(path, scale):
     path.write_text(json.dumps(doc))
 
 
+def keep_source_bus_only(doc):
+    """Edit a network document in place: only the source bus, carrying
+    every load, and no lines."""
+    source = doc["source"]["bus_id"]
+    doc["buses"] = [bus for bus in doc["buses"] if bus["id"] == source]
+    doc["lines"] = []
+    for load in doc["loads"]:
+        load["bus_id"] = source
+
+
 def assert_same_solution(got, want):
     """Every field of two steady states, bit for bit."""
     for field in dataclasses.fields(want):
@@ -235,6 +245,31 @@ class TestValidate:
         assert report["network"]["radial"] is True
         assert "network has no loads" in report["network"]["error"]
         assert main(["pipeline", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("edit,error,baseline", [
+        (keep_source_bus_only, "network has no lines", "loss"),
+        (lambda doc: [load.update(kw=0.0) for load in doc["loads"]],
+         "network loads sum to 0 kW", "demand"),
+        (lambda doc: [line.update(resistance_ohm=0.0) for line in doc["lines"]],
+         "every line has resistance_ohm 0", "loss"),
+    ], ids=["no_lines", "zero_demand", "zero_resistance"])
+    def test_network_without_baseline_exits_2(self, tmp_path, edit, error, baseline):
+        """validate refuses a network that the impact stage would refuse:
+        its percent changes divide by the baseline demand and loss."""
+        doc = json.loads((FIXTURES / "feeder40.json").read_text())
+        edit(doc)
+        net_path = tmp_path / "network.json"
+        net_path.write_text(json.dumps(doc))
+        config = write_config(tmp_path, network_path=str(net_path))
+        assert main(["validate", "--config", str(config)]) == 2
+        report = json.loads((run_dir_of(config) / "validate.json").read_text())
+        assert report["ok"] is False
+        assert report["network"]["radial"] is True
+        assert error in report["network"]["error"]
+        assert main(["pipeline", "--config", str(config)]) == 2
+        marker = (run_dir_of(config) / "FAILED").read_text()
+        assert marker.startswith("stage: impact\n")
+        assert f"baseline {baseline} must be > 0 kW, got 0.0" in marker
 
     @pytest.mark.parametrize("edit,message", [
         (lambda doc: doc["buses"][1].update(lon=181.0), "bus b1: lon 181.0 outside [-180, 180]"),

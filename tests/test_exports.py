@@ -72,3 +72,44 @@ def test_bare_import_loads_no_submodule():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert json.loads(done.stdout) == []
+
+
+# The benchmark harness wraps these by module attribute and binds the
+# arguments of run_qsts and solve_batch by name, so renaming any of them
+# breaks only the benchmark run.
+BOUND_PARAMETERS = {
+    "gridimpact.powerflow.solver.run_qsts": ["net", "shapes", "cfg", "steps", "dt_h", "workers"],
+    "gridimpact.powerflow.kernels.solve_batch": ["parent", "child", "z", "s", "v0", "tol",
+                                                 "max_iter"],
+}
+WRAPPED_FUNCTIONS = """
+    cli.cmd_pipeline netmodel.load_network netmodel.validate_radial stations.load_stations
+    evfleet.build_cohorts evfleet.cohort_profile evfleet.aggregate_profiles evfleet.find_peak
+    assign.assign_stations impact.build_records geoexport.export_geojson geoexport.geojson_dumps
+    powerflow.solver.solve_snapshot powerflow.solver.qsts_lines_csv
+    powerflow.solver.qsts_summary_csv
+""".split()
+
+
+def _resolve(path):
+    module, _, attr = path.rpartition(".")
+    return getattr(importlib.import_module(module), attr)
+
+
+@pytest.mark.parametrize("path", sorted(BOUND_PARAMETERS))
+def test_benchmark_bound_parameter_names(path):
+    assert list(inspect.signature(_resolve(path)).parameters) == BOUND_PARAMETERS[path]
+
+
+@pytest.mark.parametrize("name", WRAPPED_FUNCTIONS)
+def test_benchmark_wrapped_function_exists(name):
+    assert inspect.isfunction(_resolve(f"gridimpact.{name}"))
+
+
+def test_benchmark_wrapped_pipeline_methods_exist():
+    from gridimpact.cli import PipelineRun
+
+    stages = ("profile", "allocate", "assign", "power", "impact", "export")
+    writers = ("profile", "assignments", "power", "impact", "export", "manifest")
+    for name in [f"stage_{s}" for s in stages] + [f"write_{w}" for w in writers]:
+        assert inspect.isfunction(PipelineRun.__dict__.get(name)), name

@@ -117,6 +117,11 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(0.0)
 
+    @pytest.mark.parametrize("rating", [math.inf, math.nan])
+    def test_non_finite_rejected(self, rating):
+        with pytest.raises(ValueError, match=f"finite and > 0, got {rating}"):
+            classify(rating)
+
     def test_weights_are_doublings(self):
         weights = [c.weight for c in CapacityClass]
         assert weights == [1, 2, 4, 8]
