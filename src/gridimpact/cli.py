@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterator, TextIO
 from . import stations
 from .config import DEFAULT_SCHEDULE, ScenarioConfig, Schedule, SolverConfig
 from .errors import GridImpactError, SchemaError, SolverError, read_record
-from .netmodel import NetworkModel, load_network, validate_radial
+from .netmodel import NetworkModel, load_network, tree_walk, validate_radial
 
 if TYPE_CHECKING:
     from .assign import Assignment
@@ -61,6 +61,10 @@ class RunConfig:
     dt_h: float = 1.0
     steps: int = 8760
     schedule: Schedule = DEFAULT_SCHEDULE
+    # The directory that the input paths, kept as written, are relative to:
+    # the run config's own. Not in the document: ``load_run_config`` sets it
+    # after construction, and ``dataclasses.replace`` resets it.
+    base_dir: str = dataclasses.field(default="", init=False)
 
     def __post_init__(self):
         if not self.network_path or not self.stations_path or not self.output_dir:
@@ -80,9 +84,11 @@ class RunConfig:
 def load_run_config(path: str | Path, out_override: str | None = None) -> tuple[RunConfig, str]:
     """Load the run configuration; returns (config, config hash).
 
-    Relative data paths resolve against the config file's directory. The hash
-    covers the canonicalized document (plus any --out override), so identical
-    configurations land in identical run directories.
+    Relative data paths resolve against the config file's directory: the
+    output directory here, the input paths when they are read, so the
+    manifest records them as written. The hash covers the canonicalized
+    document (plus any --out override), so identical configurations land in
+    identical run directories.
     """
     path = Path(path)
     try:
@@ -97,10 +103,9 @@ def load_run_config(path: str | Path, out_override: str | None = None) -> tuple[
     ).hexdigest()[:12]
 
     # joining an absolute path onto the config's directory yields it unchanged
-    return dataclasses.replace(
-        cfg, network_path=str(path.parent / cfg.network_path),
-        stations_path=str(path.parent / cfg.stations_path),
-        output_dir=out_override or str(path.parent / cfg.output_dir)), digest
+    cfg = dataclasses.replace(cfg, output_dir=out_override or str(path.parent / cfg.output_dir))
+    object.__setattr__(cfg, "base_dir", str(path.parent))
+    return cfg, digest
 
 
 def _stage(method):
@@ -174,11 +179,11 @@ class PipelineRun:
 
     @functools.cached_property
     def network(self) -> NetworkModel:
-        return load_network(self.config.network_path)
+        return load_network(Path(self.config.base_dir) / self.config.network_path)
 
     @functools.cached_property
     def stations(self) -> list[stations.EvStation]:
-        return stations.load_stations(self.config.stations_path)
+        return stations.load_stations(Path(self.config.base_dir) / self.config.stations_path)
 
     # --- stages -----------------------------------------------------------
 
@@ -400,15 +405,31 @@ def _run_stages(run: PipelineRun, rows) -> None:
     run.clear_failure_marker({label for label, *_ in rows})
 
 
+def _carries_loss(net: NetworkModel) -> bool:
+    """Whether the baseline loss is > 0: some load with nonzero kW or kvar
+    sits below a line with ``resistance_ohm`` > 0. One pass over the tree
+    walk from its last bus back marks each bus that has such a load at or
+    below it."""
+    index = {bus.id: i for i, bus in enumerate(net.buses)}
+    loaded = [False] * len(net.buses)
+    for load in net.loads:
+        loaded[index[load.bus_id]] |= bool(load.kw or load.kvar)
+    for parent, child, line in reversed(tree_walk(net)):
+        if loaded[child] and net.lines[line].resistance_ohm > 0:
+            return True
+        loaded[parent] |= loaded[child]
+    return False
+
+
 def cmd_validate(config: RunConfig, config_hash: str) -> int:
     """Check the network document and station registry without solving
     anything; numpy is never imported. Exit 0 only when the network is
     radial, has at least one load bus to take stations, and has what the
-    impact stage divides by: at least one line, one with resistance, and
-    loads summing to more than 0 kW; and the registry parses cleanly and
-    lists at least one station. Otherwise exit 3 for a non-radial network
-    and 2 for any other fault, except that an unreadable or malformed input
-    file exits 2 even when the network is not radial."""
+    impact stage divides by: loads summing to more than 0 kW, and a loss
+    (``_carries_loss``); and the registry parses cleanly and lists at least
+    one station. Otherwise exit 3 for a non-radial network and 2 for any
+    other fault, except that an unreadable or malformed input file exits 2
+    even when the network is not radial."""
     run = PipelineRun(config, config_hash)
     report: dict[str, object] = {"config_hash": config_hash}
     code = 0
@@ -426,12 +447,11 @@ def cmd_validate(config: RunConfig, config_hash: str) -> int:
         elif not net.loads:
             network["error"] = "network has no loads: no bus to assign stations to"
         # the impact stage divides by the baseline demand and loss
-        elif not net.lines:
-            network["error"] = "network has no lines: no baseline loss"
         elif not net.total_load_kw() > 0:
             network["error"] = "network loads sum to 0 kW: no baseline demand"
-        elif not any(line.resistance_ohm > 0 for line in net.lines):
-            network["error"] = "every line has resistance_ohm 0: no baseline loss"
+        elif not _carries_loss(net):
+            network["error"] = ("no load with nonzero kW or kvar sits below a line with "
+                                "resistance_ohm > 0: no baseline loss")
         if "error" in network:
             log.error("%s", network["error"])
             code = 2

@@ -1,5 +1,6 @@
 """Schema types that a run configuration nests: the fleet scenario, its
-charging strategies, the arrival/departure schedule and the solver settings.
+charging strategies, the arrival/departure schedule and the solver settings;
+and ``common_dt_h``, the one rule for a run's time step.
 
 They live apart from ``evfleet`` and ``powerflow``, which re-export them, so
 reading and checking a run configuration imports no numpy.
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 __all__ = [
     "ChargingStrategy",
@@ -16,6 +18,7 @@ __all__ = [
     "Schedule",
     "DEFAULT_SCHEDULE",
     "SolverConfig",
+    "common_dt_h",
 ]
 
 
@@ -106,3 +109,18 @@ class SolverConfig:
             raise ValueError("tol_pu must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+
+
+def common_dt_h(dts: Iterable[float], requested: float | None, what: str) -> float:
+    """The one time step of the ``dt_h`` values ``dts`` of a run's ``what``
+    (profiles, shapes): they must all agree, a ``requested`` step must
+    match them, and it stands in for them when there are none."""
+    dts = set(dts)
+    if len(dts) > 1:
+        raise ValueError(f"mismatched dt_h across {what}: {sorted(dts)}")
+    common = next(iter(dts), requested)
+    if common is None:
+        raise ValueError(f"dt_h is required when there are no {what}")
+    if requested not in (None, common):
+        raise ValueError(f"requested dt_h={requested} but {what} use dt_h={common}")
+    return common

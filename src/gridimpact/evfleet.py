@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_SCHEDULE, ChargingStrategy, ScenarioConfig, Schedule
+from .config import DEFAULT_SCHEDULE, ChargingStrategy, ScenarioConfig, Schedule, common_dt_h
 
 __all__ = [
     "ChargingStrategy",
@@ -174,8 +174,8 @@ def build_cohorts(cfg: ScenarioConfig, schedule: Schedule = DEFAULT_SCHEDULE) ->
 def _charging_window(c: Cohort) -> tuple[float, float, float, bool]:
     """Resolve a cohort's strategy to one constant-rate window.
 
-    Returns (start_h, duration_h, rate_kw, truncated). The window may wrap
-    past midnight; the caller splits it onto the sample grid.
+    Returns (start_h, duration_h, rate_kw, truncated). The window may run
+    past midnight; the caller credits it to the sample grid.
     """
     dwell = c.dwell_h
     energy = c.energy_need_kwh
@@ -210,16 +210,12 @@ def cohort_profile(c: Cohort, dt_h: float) -> DemandProfile:
     edges = np.arange(samples + 1, dtype=np.float64) * dt_h
     values = np.zeros(samples, dtype=np.float64)
 
-    segments = []
-    if duration > 0 and rate > 0:
-        end = start + duration
-        if end <= HOURS_PER_DAY:
-            segments.append((start, end))
-        else:
-            segments.append((start, HOURS_PER_DAY))
-            segments.append((0.0, end - HOURS_PER_DAY))
-    for seg_start, seg_end in segments:
-        overlap = np.minimum(edges[1:], seg_end) - np.maximum(edges[:-1], seg_start)
+    # The window [start, end) is credited to the day and, shifted back 24 h,
+    # to the morning it runs on past midnight; a shift it misses adds zeros.
+    end = start + duration
+    for shift in (0.0, HOURS_PER_DAY):
+        overlap = (np.minimum(edges[1:], min(end - shift, HOURS_PER_DAY))
+                   - np.maximum(edges[:-1], start - shift))
         np.maximum(overlap, 0.0, out=overlap)
         values += overlap * (rate / dt_h)
 
@@ -232,21 +228,13 @@ def aggregate_profiles(
     profiles: Iterable[DemandProfile],
     dt_h: float | None = None,
 ) -> DemandProfile:
-    """Pointwise sum of profiles sharing one timestep. ``dt_h`` is required
-    when the input is empty (it determines the zero profile's shape)."""
+    """Pointwise sum of profiles sharing one timestep (``config.common_dt_h``);
+    an empty input sums to the zero profile at ``dt_h``."""
     profiles = list(profiles)
+    common_dt = common_dt_h((p.dt_h for p in profiles), dt_h, "profiles")
     if not profiles:
-        if dt_h is None:
-            raise ValueError("dt_h is required to aggregate an empty profile list")
-        samples = int(round(HOURS_PER_DAY / dt_h))
-        return DemandProfile(dt_h=dt_h, values_kw=np.zeros(samples), energy_kwh=0.0)
-
-    dts = {p.dt_h for p in profiles}
-    if len(dts) != 1:
-        raise ValueError(f"mismatched dt_h across profiles: {sorted(dts)}")
-    (common_dt,) = dts
-    if dt_h is not None and dt_h != common_dt:
-        raise ValueError(f"requested dt_h={dt_h} but profiles use dt_h={common_dt}")
+        samples = int(round(HOURS_PER_DAY / common_dt))
+        return DemandProfile(dt_h=common_dt, values_kw=np.zeros(samples), energy_kwh=0.0)
 
     stacked = np.stack([p.values_kw for p in profiles])
     values = np.sum(stacked, axis=0)  # pairwise reduction: deterministic for a fixed order
@@ -257,8 +245,6 @@ def aggregate_profiles(
 
 def find_peak(p: DemandProfile) -> tuple[int, float]:
     """Index and value of the maximum sample; ties go to the earliest index."""
-    if p.values_kw.size == 0:
-        raise ValueError("empty profile has no peak")
     index = int(np.argmax(p.values_kw))
     return index, float(p.values_kw[index])
 

@@ -138,22 +138,16 @@ class NetworkModel:
         if len(levels) > 1:
             raise SchemaError(f"mixed base_kv {levels}: every bus must share one voltage base")
 
-        seen_lines = set()
-        for line in self.lines:
-            if line.id in seen_lines:
-                raise SchemaError(f"duplicate id: line {line.id}")
-            seen_lines.add(line.id)
-            for endpoint in (line.from_bus, line.to_bus):
-                if endpoint not in bus_index:
-                    raise SchemaError(f"dangling bus reference: {endpoint} (line {line.id})")
-
-        seen_loads = set()
-        for load in self.loads:
-            if load.id in seen_loads:
-                raise SchemaError(f"duplicate id: load {load.id}")
-            seen_loads.add(load.id)
-            if load.bus_id not in bus_index:
-                raise SchemaError(f"dangling bus reference: {load.bus_id} (load {load.id})")
+        for kind, records, bus_fields in (("line", self.lines, ("from_bus", "to_bus")),
+                                          ("load", self.loads, ("bus_id",))):
+            seen = set()
+            for record in records:
+                if record.id in seen:
+                    raise SchemaError(f"duplicate id: {kind} {record.id}")
+                seen.add(record.id)
+                for bus_id in (getattr(record, name) for name in bus_fields):
+                    if bus_id not in bus_index:
+                        raise SchemaError(f"dangling bus reference: {bus_id} ({kind} {record.id})")
 
         if self.source.bus_id not in bus_index:
             raise SchemaError(f"dangling bus reference: {self.source.bus_id} (source)")

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping, TextIO
 
 import numpy as np
 
-from ..config import SolverConfig
+from ..config import SolverConfig, common_dt_h
 from ..errors import TopologyError, VoltageCollapseError
 from ..netmodel import NetworkModel, tree_walk, validate_radial
 from . import kernels
@@ -295,16 +295,7 @@ def run_qsts(
     for load_id in shapes:
         if load_id not in feeder.load_bus_idx:
             raise ValueError(f"unknown load id: {load_id}")
-    dts = {p.dt_h for p in shapes.values()}
-    if len(dts) > 1:
-        raise ValueError(f"mismatched dt_h across shapes: {sorted(dts)}")
-    if dts:
-        (shape_dt,) = dts
-        if dt_h is not None and dt_h != shape_dt:
-            raise ValueError(f"requested dt_h={dt_h} but shapes use dt_h={shape_dt}")
-        dt_h = shape_dt
-    elif dt_h is None:
-        raise ValueError("dt_h is required when no loads are shaped")
+    dt_h = common_dt_h((p.dt_h for p in shapes.values()), dt_h, "shapes")
 
     # Every shape spans 24 h at one dt_h, so all have one length.
     length = next((p.values_kw.shape[0] for p in shapes.values()), 1)

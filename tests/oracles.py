@@ -19,6 +19,9 @@ step and formats every step's rows, with no dedup and no streaming.
 ``charging_window_per_strategy`` resolves a cohort's charging window with
 one branch per strategy, each computing its own full-rate window; the
 package's single full-rate window must equal it bit for bit.
+``cohort_profile_two_segments`` puts that window on the sample grid by
+splitting a window that runs past midnight into two segments, where the
+package credits one overlap formula at shifts of 0 h and 24 h.
 """
 
 from __future__ import annotations
@@ -314,3 +317,26 @@ def charging_window_per_strategy(c):
     available = c.depart_h if midnight_parked else 0.0
     deliverable = min(energy, rate * available)
     return 0.0, deliverable / rate, rate, deliverable < energy
+
+
+def cohort_profile_two_segments(c, dt_h: float):
+    """(values_kw, energy_kwh, truncated) of cohort ``c`` at step ``dt_h``: its
+    window, split at midnight into at most two segments, each credited to the
+    samples it overlaps. An empty window credits nothing."""
+    start, duration, rate, truncated = charging_window_per_strategy(c)
+    samples = int(round(24.0 / dt_h))
+    edges = np.arange(samples + 1, dtype=np.float64) * dt_h
+    values = np.zeros(samples, dtype=np.float64)
+    end = start + duration
+    if duration == 0:
+        segments = []
+    elif end <= 24.0:
+        segments = [(start, end)]
+    else:
+        segments = [(start, 24.0), (0.0, end - 24.0)]
+    for seg_start, seg_end in segments:
+        overlap = np.minimum(edges[1:], seg_end) - np.maximum(edges[:-1], seg_start)
+        np.maximum(overlap, 0.0, out=overlap)
+        values += overlap * (rate / dt_h)
+    values *= c.count
+    return values, c.count * duration * rate, truncated

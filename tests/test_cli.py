@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,21 @@ def keep_source_bus_only(doc):
     doc["lines"] = []
     for load in doc["loads"]:
         load["bus_id"] = source
+
+
+def add_resistive_spur_to_reactive_feeder(doc):
+    """Edit a network document in place: every line at ``resistance_ohm`` 0,
+    plus one resistive line from the source to a new bus without loads."""
+    for line in doc["lines"]:
+        line["resistance_ohm"] = 0.0
+    source = next(bus for bus in doc["buses"] if bus["id"] == doc["source"]["bus_id"])
+    doc["buses"].append({**source, "id": "spur"})
+    doc["lines"].append({**doc["lines"][0], "id": "spur_line", "from_bus": source["id"],
+                         "to_bus": "spur", "resistance_ohm": 0.5})
+
+
+# validate's error for a network whose baseline loss is 0
+NO_LOSS = "below a line with resistance_ohm > 0: no baseline loss"
 
 
 def assert_same_solution(got, want):
@@ -247,12 +263,15 @@ class TestValidate:
         assert main(["pipeline", "--config", str(config)]) == 2
 
     @pytest.mark.parametrize("edit,error,baseline", [
-        (keep_source_bus_only, "network has no lines", "loss"),
+        (keep_source_bus_only, NO_LOSS, "loss"),
         (lambda doc: [load.update(kw=0.0) for load in doc["loads"]],
          "network loads sum to 0 kW", "demand"),
-        (lambda doc: [line.update(resistance_ohm=0.0) for line in doc["lines"]],
-         "every line has resistance_ohm 0", "loss"),
-    ], ids=["no_lines", "zero_demand", "zero_resistance"])
+        (lambda doc: [line.update(resistance_ohm=0.0) for line in doc["lines"]], NO_LOSS, "loss"),
+        (lambda doc: [load.update(bus_id=doc["source"]["bus_id"]) for load in doc["loads"]],
+         NO_LOSS, "loss"),
+        (add_resistive_spur_to_reactive_feeder, NO_LOSS, "loss"),
+    ], ids=["no_lines", "zero_demand", "zero_resistance", "loads_at_source",
+            "resistive_line_unloaded"])
     def test_network_without_baseline_exits_2(self, tmp_path, edit, error, baseline):
         """validate refuses a network that the impact stage would refuse:
         its percent changes divide by the baseline demand and loss."""
@@ -527,6 +546,24 @@ class TestPipeline:
         target = tmp_path / "elsewhere"
         assert main(["pipeline", "--config", str(config), "--out", str(target)]) == 0
         assert (run_dir_of(config, str(target)) / "manifest.json").exists()
+
+    def test_manifest_is_the_same_from_any_working_directory(self, tmp_path, monkeypatch):
+        """Relative input paths resolve against the config's directory, and
+        the manifest records them as the config writes them."""
+        study = tmp_path / "study"
+        study.mkdir()
+        shutil.copy(FIXTURES / "feeder40.json", study / "net.json")
+        shutil.copy(FIXTURES / "stations951.csv", study / "stations.csv")
+        write_config(study, network_path="net.json", stations_path="stations.csv",
+                     output_dir="out")
+        manifests = []
+        for cwd, config in ((tmp_path, "study/config.json"), (study, "config.json")):
+            monkeypatch.chdir(cwd)
+            assert main(["pipeline", "--config", config]) == 0
+            manifests.append(
+                (run_dir_of(study / "config.json") / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert json.loads(manifests[0])["network"]["path"] == "net.json"
 
     def test_solver_failure_marks_stage_and_exits_4(self, tmp_path):
         config = write_config(tmp_path, peak_kw_override=1e9)  # guaranteed collapse

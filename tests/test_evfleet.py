@@ -21,7 +21,7 @@ from gridimpact.evfleet import (
 )
 from gridimpact import evfleet
 from gridimpact.errors import read_record
-from oracles import charging_window_per_strategy
+from oracles import charging_window_per_strategy, cohort_profile_two_segments
 
 
 def make_config(**overrides) -> ScenarioConfig:
@@ -390,6 +390,26 @@ class TestChargingWindow:
     def test_equals_one_branch_per_strategy(self, cohort):
         assert (window_bits(evfleet._charging_window(cohort))
                 == window_bits(charging_window_per_strategy(cohort)))
+
+    @given(cohort=any_cohort(), dt=st.sampled_from([0.25, 0.5, 1.0, 24 / 7]))
+    @example(cohort=overnight_cohort(ChargingStrategy.IMMEDIATE_FAST), dt=1.0)  # past midnight
+    @example(cohort=overnight_cohort(ChargingStrategy.IMMEDIATE_FAST, energy=0.0), dt=0.25)
+    # windows that end exactly at 24:00, at full rate and spread evenly
+    @example(cohort=Cohort(count=3, energy_need_kwh=28.8, arrive_h=20.0, depart_h=6.0,
+                           max_rate_kw=7.2, strategy=ChargingStrategy.IMMEDIATE_FAST,
+                           location=Location.HOME), dt=24 / 7)
+    @example(cohort=Cohort(count=2, energy_need_kwh=12.0, arrive_h=18.0, depart_h=0.0,
+                           max_rate_kw=7.2, strategy=ChargingStrategy.IMMEDIATE_SLOW,
+                           location=Location.HOME), dt=0.5)
+    @example(cohort=Cohort(count=1, energy_need_kwh=30.0, arrive_h=0.0, depart_h=3.0,
+                           max_rate_kw=7.2, strategy=ChargingStrategy.DELAYED_START_MIDNIGHT,
+                           location=Location.HOME), dt=1.0)
+    @settings(max_examples=500, deadline=None)
+    def test_profile_equals_two_segment_form(self, cohort, dt):
+        values, energy, truncated = cohort_profile_two_segments(cohort, dt)
+        profile = cohort_profile(cohort, dt)
+        assert profile.values_kw.tobytes() == values.tobytes()
+        assert (profile.energy_kwh.hex(), profile.truncated) == (energy.hex(), truncated)
 
     def test_infeasible_even_spread_is_the_immediate_fast_window(self):
         """2 kW over the 12 h overnight dwell delivers 24 kWh of 30."""
