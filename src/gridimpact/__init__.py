@@ -15,8 +15,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    **dict.fromkeys(("Assignment", "assign_stations", "haversine", "inject_loads",
-                     "nearest_bus"), "assign"),
+    **dict.fromkeys(("Assignment", "assign_stations", "haversine", "inject_loads"), "assign"),
     **dict.fromkeys(("ChargingStrategy", "ScenarioConfig", "Schedule", "SolverConfig"),
                     "config"),
     **dict.fromkeys(("GridImpactError", "SchemaError", "SolverError", "TopologyError",
@@ -27,8 +26,8 @@ _EXPORTS = {
     **dict.fromkeys(("Category", "ImpactRecord", "Metric", "SystemSummary", "build_records",
                      "categorize", "filter_by_ampacity", "pct_change", "summarize"), "impact"),
     **dict.fromkeys(("Bus", "Line", "LoadPoint", "NetworkModel", "Source", "TopologyReport",
-                     "bus_catalog", "load_network", "parse_network", "serialize_network",
-                     "validate_radial"), "netmodel"),
+                     "load_network", "parse_network", "serialize_network", "validate_radial"),
+                    "netmodel"),
     **dict.fromkeys(("PowerFlowSolution", "QstsResult", "run_qsts", "solve_snapshot",
                      "total_losses"), "powerflow"),
     **dict.fromkeys(("CapacityClass", "EvStation", "allocate_peak", "classify",

@@ -13,13 +13,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .netmodel import LoadPoint, NetworkModel, bus_catalog
+from .netmodel import LoadPoint, NetworkModel
 from .stations import CapacityClass, EvStation, classify
 
 __all__ = [
     "Assignment",
     "haversine",
-    "nearest_bus",
     "assign_stations",
     "injection_targets",
     "inject_loads",
@@ -71,54 +70,32 @@ def _haversine_matrix(lat: Sequence[float], lon: Sequence[float],
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
-def _nearest(stations: Sequence[EvStation],
-             catalog: Sequence[tuple[str, float, float]]) -> list[tuple[str, float]]:
-    """Each station's nearest entry of an id-sorted catalog, as ``(bus id,
-    distance_m)``. ``np.argmin`` keeps the first minimum, so distance ties
-    resolve to the smallest id."""
-    ids = [entry[0] for entry in catalog]
-    lats = np.array([entry[1] for entry in catalog], dtype=np.float64)
-    lons = np.array([entry[2] for entry in catalog], dtype=np.float64)
-    block = max(1, _BLOCK_ELEMENTS // len(ids))
-    found = []
-    for lo in range(0, len(stations), block):
-        part = stations[lo:lo + block]
-        distances = _haversine_matrix([s.lat for s in part], [s.lon for s in part], lats, lons)
-        best = np.argmin(distances, axis=1)
-        found += zip([ids[b] for b in best.tolist()],
-                     distances[np.arange(len(part)), best].tolist())
-    return found
-
-
-def nearest_bus(
-    station: EvStation,
-    catalog: Sequence[tuple[str, float, float]],
-) -> tuple[str, float]:
-    """Catalog entry minimizing great-circle distance to the station.
-
-    The catalog is re-sorted by bus id internally, so the result does not
-    depend on input ordering and distance ties resolve to the smallest id.
-    """
-    if not catalog:
-        raise ValueError("empty bus catalog")
-    ordered = sorted(catalog, key=lambda entry: entry[0].encode("utf-8"))
-    return _nearest([station], ordered)[0]
-
-
 def assign_stations(
     stations: Iterable[EvStation],
     net: NetworkModel,
     per_station_kw: Mapping[CapacityClass, float],
 ) -> list[Assignment]:
     """Assign every station's allocated kW to its nearest bus that carries a
-    LoadPoint; distance ties resolve to the smallest bus id."""
-    catalog = bus_catalog(net, load_buses_only=True)
-    if not catalog:
+    LoadPoint. Buses are id-sorted and ``np.argmin`` keeps the first minimum,
+    so distance ties resolve to the smallest bus id."""
+    load_bus_ids = {load.bus_id for load in net.loads}
+    buses = [b for b in net.buses if b.id in load_bus_ids]
+    if not buses:
         raise ValueError("no candidate buses to assign stations to")
+    lats = np.array([b.lat for b in buses], dtype=np.float64)
+    lons = np.array([b.lon for b in buses], dtype=np.float64)
     stations = list(stations)
-    return [Assignment(station_id=station.id, bus_id=bus_id, distance_m=distance_m,
-                       assigned_kw=per_station_kw[classify(station.rated_kw)])
-            for station, (bus_id, distance_m) in zip(stations, _nearest(stations, catalog))]
+    block = max(1, _BLOCK_ELEMENTS // len(buses))
+    assigned = []
+    for lo in range(0, len(stations), block):
+        part = stations[lo:lo + block]
+        distances = _haversine_matrix([s.lat for s in part], [s.lon for s in part], lats, lons)
+        best = np.argmin(distances, axis=1)
+        nearest = distances[np.arange(len(part)), best]
+        assigned += [Assignment(station_id=s.id, bus_id=buses[b].id, distance_m=d,
+                                assigned_kw=per_station_kw[classify(s.rated_kw)])
+                     for s, b, d in zip(part, best.tolist(), nearest.tolist())]
+    return assigned
 
 
 def injection_targets(

@@ -192,8 +192,12 @@ class PipelineRun:
         from .evfleet import aggregate_profiles, build_cohorts, cohort_profile, find_peak
 
         cfg = self.config
-        profiles = [cohort_profile(c, cfg.dt_h) for c in build_cohorts(cfg.scenario, cfg.schedule)]
-        total = aggregate_profiles(profiles, dt_h=cfg.dt_h)
+        cohorts = build_cohorts(cfg.scenario, cfg.schedule)
+        total = aggregate_profiles([cohort_profile(c, cfg.dt_h) for c in cohorts], dt_h=cfg.dt_h)
+        if total.truncated:
+            log.warning("EV energy does not fit its charging windows: %.1f kWh/day needed, "
+                        "%.1f kWh/day delivered",
+                        math.fsum(c.count * c.energy_need_kwh for c in cohorts), total.energy_kwh)
         peak_index, peak_kw = find_peak(total)
         return {
             "profile": total,
@@ -352,10 +356,10 @@ class PipelineRun:
             "fleet_size": cfg.scenario.fleet_size,
             "profile_peak_kw": profile["profile_peak_kw"],
             "profile_peak_index": profile["profile_peak_index"],
+            "profile_truncated": profile["profile"].truncated,
             "peak_kw": profile["peak_kw"],
             "peak_source": ("override" if cfg.peak_kw_override is not None else "profile"),
-            "allocations_kw": {c.name: allocate["allocations"][c] for c in sorted(
-                allocate["allocations"], key=lambda c: c.name)},
+            "allocations_kw": {c.name: kw for c, kw in allocate["allocations"].items()},
             "assignment_count": len(assignments),
             "assigned_total_kw": math.fsum(a.assigned_kw for a in assignments),
             "qsts": {

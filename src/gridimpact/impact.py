@@ -101,7 +101,6 @@ def categorize(pct: float) -> Category:
     for category in Category:
         if category.lower_pct <= pct < category.upper_pct:
             return category
-    return Category.RED
 
 
 def build_records(
@@ -109,27 +108,20 @@ def build_records(
     after: PowerFlowSolution,
     metric: Metric = Metric.FLOW,
 ) -> list[ImpactRecord]:
-    """One record per line of the baseline solution.
-
-    The after solution may cover extra lines (they are ignored) but must
-    contain every baseline line. The flow metric compares sending-end real
-    power magnitudes, the loss metric per-line I^2 R.
+    """One record per line; both solutions must cover the same lines in the
+    same order. The flow metric compares sending-end real power magnitudes,
+    the loss metric per-line I^2 R.
     """
-    missing = set(before.line_ids) - set(after.line_ids)
-    if missing:
-        raise ValueError(f"line-set mismatch: after solution lacks {sorted(missing)}")
+    if before.line_ids != after.line_ids:
+        raise ValueError("line-set mismatch: before and after solutions cover different lines")
 
     if metric is Metric.FLOW:
-        before_values = np.abs(before.line_flow_kw)
-        after_map = dict(zip(after.line_ids, np.abs(after.line_flow_kw)))
+        before_values, after_values = np.abs(before.line_flow_kw), np.abs(after.line_flow_kw)
     else:
-        before_values = before.line_loss_kw
-        after_map = dict(zip(after.line_ids, after.line_loss_kw))
+        before_values, after_values = before.line_loss_kw, after.line_loss_kw
 
     records = []
-    for j, line_id in enumerate(before.line_ids):
-        b = float(before_values[j])
-        a = float(after_map[line_id])
+    for line_id, b, a in zip(before.line_ids, before_values.tolist(), after_values.tolist()):
         pct = pct_change(b, a)
         records.append(ImpactRecord(line_id=line_id, metric=metric, before_kw=b,
                                     after_kw=a, pct_change=pct, category=categorize(pct)))

@@ -28,7 +28,6 @@ __all__ = [
     "serialize_network",
     "tree_walk",
     "validate_radial",
-    "bus_catalog",
 ]
 
 
@@ -267,16 +266,3 @@ def validate_radial(net: NetworkModel) -> TopologyReport:
     connected = not orphans
     radial = connected and len(net.lines) == len(net.buses) - 1
     return TopologyReport(connected=connected, radial=radial, orphan_buses=orphans)
-
-
-def bus_catalog(net: NetworkModel, *,
-                load_buses_only: bool = False) -> list[tuple[str, float, float]]:
-    """Ordered (bus id, lat, lon) catalog, ascending id byte-wise.
-
-    ``load_buses_only`` restricts it to buses that carry at least one LoadPoint.
-    """
-    buses = net.buses
-    if load_buses_only:
-        load_bus_ids = {load.bus_id for load in net.loads}
-        buses = tuple(b for b in buses if b.id in load_bus_ids)
-    return [(b.id, b.lat, b.lon) for b in buses]

@@ -13,9 +13,8 @@ from gridimpact.assign import (
     haversine,
     inject_loads,
     injection_targets,
-    nearest_bus,
 )
-from gridimpact.netmodel import Bus, Line, LoadPoint, NetworkModel, Source, bus_catalog
+from gridimpact.netmodel import Bus, Line, LoadPoint, NetworkModel, Source
 from gridimpact.stations import CapacityClass, EvStation
 
 
@@ -59,33 +58,56 @@ class TestHaversine:
         assert d_ac <= (d_ab + d_bc) * (1 + 1e-6) + 1e-6
 
 
+ALLOCATIONS = {c: float(c.weight) for c in CapacityClass}
+
+
+def load_bus_net(buses):
+    """A star feeder with one load on each ``(id, lat, lon)`` of ``buses``,
+    fed from a load-free source bus far away."""
+    return NetworkModel(
+        buses=(Bus("src", 10.0, 10.0, 12.47),
+               *(Bus(bid, lat, lon, 12.47) for bid, lat, lon in buses)),
+        lines=tuple(Line(f"l{bid}", "src", bid, 0.1, 0.2, 400.0) for bid, _, _ in buses),
+        loads=tuple(LoadPoint(f"ld{bid}", bid, 5.0, 1.0) for bid, _, _ in buses),
+        source=Source("src", 1.0),
+    )
+
+
+def nearest(s, buses):
+    """``(bus id, distance_m)`` that ``assign_stations`` gives one station."""
+    (assignment,) = assign_stations([s], load_bus_net(buses), ALLOCATIONS)
+    return assignment.bus_id, assignment.distance_m
+
+
 class TestNearestBus:
     def test_colocated(self):
-        catalog = [("b7", 37.5, -121.5), ("b1", 37.0, -122.0)]
-        bus_id, distance = nearest_bus(station(37.5, -121.5), catalog)
+        bus_id, distance = nearest(station(37.5, -121.5),
+                                   [("b7", 37.5, -121.5), ("b1", 37.0, -122.0)])
         assert bus_id == "b7"
         assert distance == 0.0
 
     def test_between_two_buses(self):
-        catalog = [("n1", 37.00, -122.0), ("n2", 37.02, -122.0)]
-        bus_id, distance = nearest_bus(station(37.005, -122.0), catalog)
+        bus_id, distance = nearest(station(37.005, -122.0),
+                                   [("n1", 37.00, -122.0), ("n2", 37.02, -122.0)])
         assert bus_id == "n1"
         assert distance == pytest.approx(555.97, abs=0.5)
 
     def test_tie_breaks_to_smallest_id(self):
-        catalog = [("b", 37.01, -122.0), ("a", 36.99, -122.0)]
-        bus_id, _ = nearest_bus(station(37.0, -122.0), catalog)
+        bus_id, _ = nearest(station(37.0, -122.0), [("b", 37.01, -122.0), ("a", 36.99, -122.0)])
         assert bus_id == "a"
 
     def test_result_invariant_under_catalog_permutation(self):
-        catalog = [(f"b{i}", 37.0 + i * 0.003, -122.0) for i in range(6)]
-        while_reversed = nearest_bus(station(37.0071, -122.0), list(reversed(catalog)))
-        in_order = nearest_bus(station(37.0071, -122.0), catalog)
-        assert while_reversed == in_order
+        """Buses given in any order yield the same bus."""
+        buses = [(f"b{i}", 37.0 + i * 0.003, -122.0) for i in range(6)]
+        found = {nearest(station(37.0071, -122.0), order)
+                 for order in (buses, buses[::-1], buses[3:] + buses[:3])}
+        assert found == {("b2", haversine((37.0071, -122.0), (37.006, -122.0)))}
 
-    def test_empty_catalog(self):
-        with pytest.raises(ValueError, match="empty bus catalog"):
-            nearest_bus(station(37.0, -122.0), [])
+    def test_network_without_loads_rejected(self):
+        net = load_bus_net([("b1", 37.0, -122.0)])
+        net = NetworkModel(buses=net.buses, lines=net.lines, loads=(), source=net.source)
+        with pytest.raises(ValueError, match="no candidate buses to assign stations to"):
+            assign_stations([station(37.0, -122.0)], net, ALLOCATIONS)
 
 
 def small_net():
@@ -174,10 +196,16 @@ class TestAssignStations:
         net = small_net()
         # nearest bus overall is b2, but only b1 carries a load
         stations = [station(37.02, -122.0, rated=40.0)]
-        allocations = {c: float(c.weight) for c in CapacityClass}
-        result = assign_stations(stations, net, allocations)
+        result = assign_stations(stations, net, ALLOCATIONS)
         assert result[0].bus_id == "b1"
         assert result[0].assigned_kw == 1.0  # L1 weight
+
+    def test_candidates_are_exactly_the_load_buses(self, feeder40):
+        """A station on every bus of the feeder lands on every bus that
+        carries a load, and on no other."""
+        stations = [station(b.lat, b.lon, sid=f"s{b.id}") for b in feeder40.buses]
+        result = assign_stations(stations, feeder40, ALLOCATIONS)
+        assert {a.bus_id for a in result} == {load.bus_id for load in feeder40.loads}
 
     def test_distance_tie_goes_to_smallest_load_bus_id(self):
         # b1 and b2 mirror each other about the station, so their distances
@@ -192,8 +220,7 @@ class TestAssignStations:
             source=Source("b0", 1.0),
         )
         assert haversine((0.0, 0.0), (0.0, 0.01)) == haversine((0.0, 0.0), (0.0, -0.01))
-        allocations = {c: float(c.weight) for c in CapacityClass}
-        result = assign_stations([station(0.0, 0.0)], net, allocations)
+        result = assign_stations([station(0.0, 0.0)], net, ALLOCATIONS)
         assert result[0].bus_id == "b1"
         assert result[0].distance_m == haversine((0.0, 0.0), (0.0, -0.01))
 
@@ -206,30 +233,20 @@ class TestAssignStations:
     @settings(max_examples=100, deadline=None)
     def test_equals_per_station_nearest_bus(self, spread, mirrored, sites, block, data):
         """All stations matched at once, in blocks of ``block`` distances,
-        equal ``nearest_bus`` per station and the smallest ``(haversine, id)``
-        pair bit for bit. Buses mirrored about longitude 0 tie exactly for a
-        station on it."""
+        equal the smallest ``(haversine, id)`` pair per station bit for bit.
+        Buses mirrored about longitude 0 tie exactly for a station on it."""
         points = spread + [p for lat, d in mirrored for p in ((lat, d), (lat, -d))]
         ids = data.draw(st.permutations([f"b{i:02d}" for i in range(len(points))]))
-        net = NetworkModel(
-            buses=(Bus("src", 10.0, 10.0, 12.47),
-                   *(Bus(bid, lat, lon, 12.47) for bid, (lat, lon) in zip(ids, points))),
-            lines=tuple(Line(f"l{bid}", "src", bid, 0.1, 0.2, 400.0) for bid in ids),
-            loads=tuple(LoadPoint(f"ld{bid}", bid, 5.0, 1.0) for bid in ids),
-            source=Source("src", 1.0),
-        )
+        buses = [(bid, lat, lon) for bid, (lat, lon) in zip(ids, points)]
         stations = [station(lat, lon, sid=f"s{i}") for i, (lat, lon) in enumerate(sites)]
-        allocations = {c: float(c.weight) for c in CapacityClass}
         with mock.patch.object(assign, "_BLOCK_ELEMENTS", block):
-            result = assign_stations(stations, net, allocations)
-        catalog = bus_catalog(net, load_buses_only=True)
+            result = assign_stations(stations, load_bus_net(buses), ALLOCATIONS)
         assert len(result) == len(stations)
         for got, s in zip(result, stations):
-            bus_id, distance_m = nearest_bus(s, catalog)
+            distance_m, bus_id = min((haversine((s.lat, s.lon), (lat, lon)), bid)
+                                     for bid, lat, lon in buses)
             assert (got.station_id, got.bus_id) == (s.id, bus_id)
             assert struct.pack("<d", got.distance_m) == struct.pack("<d", distance_m)
-            assert min((haversine((s.lat, s.lon), (lat, lon)), bid)
-                       for bid, lat, lon in catalog) == (distance_m, bus_id)
 
     def test_csv_round_trip_columns(self):
         rows = assignments_to_csv([Assignment("s1", "b1", 12.5, 115.35)]).strip().split("\n")

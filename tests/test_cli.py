@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import logging
 import os
 import re
 import shutil
@@ -386,6 +387,21 @@ class TestPipeline:
                    for r in report["records"])
         assert (run_dir / "before_snapshot.csv").read_bytes() == \
                (run_dir / "after_snapshot.csv").read_bytes()
+
+    @pytest.mark.parametrize("miles,truncated", [(25, False), (60, True)])
+    def test_truncated_profile_is_reported(self, tmp_path, caplog, miles, truncated):
+        """At 60 daily miles a BEV needs 18 kWh, more than 8 h of workplace
+        Level 1 charging gives: the run warns with both daily totals and the
+        manifest says so."""
+        config = write_config(tmp_path, scenario={**SCENARIO, "avg_daily_miles": miles})
+        with caplog.at_level(logging.WARNING, logger="gridimpact"):
+            assert main(["pipeline", "--config", str(config)]) == 0
+        manifest = json.loads((run_dir_of(config) / "manifest.json").read_text())
+        assert manifest["profile_truncated"] is truncated
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ([
+            "EV energy does not fit its charging windows: "
+            "14000.0 kWh/day needed, 13660.0 kWh/day delivered"] if truncated else [])
 
     def test_demand_delta_equals_assigned_total(self, tmp_path):
         config = write_config(tmp_path)

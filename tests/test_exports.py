@@ -28,15 +28,15 @@ def test_all_lists_exactly_the_public_definitions(name):
     assert sorted(defined - set(module.__all__)) == []
 
 
-# The names the package exported when it imported every submodule eagerly.
+# The names the package exports, each from the submodule that defines it.
 PACKAGE_NAMES = """
-    Assignment assign_stations haversine inject_loads nearest_bus
+    Assignment assign_stations haversine inject_loads
     GridImpactError SchemaError SolverError TopologyError VoltageCollapseError
     ChargingStrategy Cohort DemandProfile ScenarioConfig Schedule aggregate_profiles
     build_cohorts cohort_profile find_peak export_geojson style_width
     Category ImpactRecord Metric SystemSummary build_records categorize
     filter_by_ampacity pct_change summarize
-    Bus Line LoadPoint NetworkModel Source TopologyReport bus_catalog load_network
+    Bus Line LoadPoint NetworkModel Source TopologyReport load_network
     parse_network serialize_network validate_radial
     PowerFlowSolution QstsResult SolverConfig run_qsts solve_snapshot total_losses
     CapacityClass EvStation allocate_peak classify load_stations parse_stations

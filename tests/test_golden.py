@@ -68,6 +68,7 @@ GOLDEN_MANIFEST = {
     "peak_source": "override",
     "profile_peak_index": 9,
     "profile_peak_kw": 849.9999999999998,
+    "profile_truncated": False,
     "qsts": {"diverged_after": 0, "diverged_before": 0, "dt_h": 1.0, "steps": None},
     "stations": {"census": {"L1": 895, "L2": 24, "L3": 18, "L4": 14}, "count": 951},
     "summary": {"demand_after_kw": 159960.22400000002, "demand_before_kw": 29960.224,

@@ -127,27 +127,23 @@ class TestBuildRecords:
         # doubling load roughly quadruples loss
         assert record.pct_change == pytest.approx(300.0, rel=0.05)
 
-    def test_missing_line_in_after_rejected(self, feeder20):
-        full = solve_snapshot(feeder20)
-        smaller = solve_snapshot(single_line_net())
-        with pytest.raises(ValueError, match="line-set mismatch"):
-            build_records(full, smaller, Metric.FLOW)
-
-    def test_after_superset_allowed(self):
-        shared = dict(lat=37.0, lon=-122.0, base_kv=12.47)
-        small = NetworkModel(
-            buses=(Bus("b1", **shared), Bus("b2", 37.001, -122.0, 12.47)),
-            lines=(Line("l1", "b1", "b2", 0.1, 0.2, 400.0),),
-            loads=(LoadPoint("ld1", "b2", 100.0, 20.0),),
-            source=Source("b1", 1.0))
-        big = NetworkModel(
-            buses=small.buses + (Bus("b3", 37.002, -122.0, 12.47),),
-            lines=small.lines + (Line("l2", "b2", "b3", 0.1, 0.2, 400.0),),
-            loads=small.loads + (LoadPoint("ld2", "b3", 30.0, 5.0),),
-            source=small.source)
-        records = build_records(solve_snapshot(small), solve_snapshot(big), Metric.FLOW)
-        assert [r.line_id for r in records] == ["l1"]  # the extra l2 is ignored
-        assert records[0].after_kw > records[0].before_kw
+    @pytest.mark.parametrize("after_lines", [1, 3], ids=["smaller", "larger"])
+    def test_missing_line_in_after_rejected(self, after_lines):
+        """Both sides of a comparison cover one line set; an after network
+        that drops l2 or adds l3 is refused."""
+        def feeder(lines):
+            return NetworkModel(
+                buses=tuple(Bus(f"b{i}", 37.0 + i * 0.001, -122.0, 12.47)
+                            for i in range(lines + 1)),
+                lines=tuple(Line(f"l{i}", f"b{i - 1}", f"b{i}", 0.1, 0.2, 400.0)
+                            for i in range(1, lines + 1)),
+                loads=tuple(LoadPoint(f"ld{i}", f"b{i}", 30.0, 5.0)
+                            for i in range(1, lines + 1)),
+                source=Source("b0", 1.0))
+        before, after = solve_snapshot(feeder(2)), solve_snapshot(feeder(after_lines))
+        for metric in Metric:
+            with pytest.raises(ValueError, match="^line-set mismatch"):
+                build_records(before, after, metric)
 
 
 # Every category bound, its float neighbours on both sides, and inf.

@@ -11,7 +11,6 @@ from gridimpact.netmodel import (
     LoadPoint,
     NetworkModel,
     Source,
-    bus_catalog,
     parse_network,
     serialize_network,
     tree_walk,
@@ -230,30 +229,26 @@ class TestOneWalk:
 
 
 class TestBusCatalog:
+    """``NetworkModel.buses`` is the id-sorted bus catalog."""
+
     def test_sorted_ascending(self):
         net = NetworkModel(
             buses=(Bus("b2", 37.2, -122.0, 12.47), Bus("b1", 37.1, -122.0, 12.47)),
             lines=(Line("l1", "b1", "b2", 0.1, 0.2, 400.0),),
             loads=(), source=Source("b1", 1.0))
-        assert [entry[0] for entry in bus_catalog(net)] == ["b1", "b2"]
+        assert [b.id for b in net.buses] == ["b1", "b2"]
 
     def test_fixture_sorted_and_complete(self, feeder40):
-        catalog = bus_catalog(feeder40)
-        assert len(catalog) == 40
-        ids = [entry[0] for entry in catalog]
+        ids = [b.id for b in feeder40.buses]
+        assert len(ids) == 40
         assert ids == sorted(ids)
-
-    def test_load_buses_only(self, feeder40):
-        catalog = bus_catalog(feeder40, load_buses_only=True)
-        load_buses = {load.bus_id for load in feeder40.loads}
-        assert {entry[0] for entry in catalog} == load_buses
 
     def test_order_stable_across_construction_order(self, minimal_doc):
         net_a = parse_network(minimal_doc)
         shuffled = dict(minimal_doc)
         shuffled["buses"] = list(reversed(minimal_doc["buses"]))
         net_b = parse_network(shuffled)
-        assert bus_catalog(net_a) == bus_catalog(net_b)
+        assert net_a.buses == net_b.buses
 
 
 class TestInvariants:
