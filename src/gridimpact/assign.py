@@ -20,7 +20,6 @@ __all__ = [
     "Assignment",
     "haversine",
     "assign_stations",
-    "injection_targets",
     "inject_loads",
     "assignments_to_csv",
 ]
@@ -98,16 +97,18 @@ def assign_stations(
     return assigned
 
 
-def injection_targets(
+def inject_loads(
     net: NetworkModel,
     assignments: Iterable[Assignment],
-) -> dict[str, tuple[str, float, float]]:
-    """Resolve where each bus's accumulated assignment kW will land.
+) -> tuple[NetworkModel, dict[str, tuple[float, float]]]:
+    """Add each assignment's kW onto its bus's existing load with the smallest
+    id; an assignment to an unknown bus or to a bus without a load is rejected.
 
-    Returns ``bus_id -> (load_id, existing_kw, added_kw)``. The target is the
-    bus's existing LoadPoint with the smallest id; an assignment to a bus
-    without one is rejected. Buses whose accumulated addition is zero are
-    omitted.
+    Returns the new model and ``added``: for each load that takes station kW,
+    ``load_id -> (kw_before, kw_added)`` in bus-id order, where ``kw_added`` is
+    the bus's assignment kW summed in assignment order; buses whose sum is
+    zero are omitted, and ``net`` itself is returned when nothing lands. Only
+    load kW changes and the input model is never mutated.
     """
     first_load_at: dict[str, LoadPoint] = {}
     for load in net.loads:  # loads are id-sorted, so first occurrence wins
@@ -122,27 +123,15 @@ def injection_targets(
             raise ValueError(f"bus {assignment.bus_id} carries no load to take station kW")
         added_kw[assignment.bus_id] = added_kw.get(assignment.bus_id, 0.0) + assignment.assigned_kw
 
-    return {bus_id: (first_load_at[bus_id].id, first_load_at[bus_id].kw, extra)
-            for bus_id, extra in sorted(added_kw.items()) if extra != 0.0}
-
-
-def inject_loads(net: NetworkModel, assignments: Iterable[Assignment]) -> NetworkModel:
-    """Return a new model with each assignment's kW added at its bus.
-
-    The kW lands where ``injection_targets`` resolves it, so only load kW
-    changes. The input model is never mutated, and the model's total load
-    grows by exactly the summed assignment kW (up to one rounding of the
-    accumulated sum).
-    """
-    targets = injection_targets(net, assignments)
-    if not targets:
-        return net
-
-    patched = {load_id: (base + extra) for load_id, base, extra in targets.values()}
+    added = {first_load_at[bus_id].id: (first_load_at[bus_id].kw, extra)
+             for bus_id, extra in sorted(added_kw.items()) if extra != 0.0}
+    if not added:
+        return net, added
+    patched = {load_id: base + extra for load_id, (base, extra) in added.items()}
     new_loads = [replace(load, kw=patched[load.id]) if load.id in patched else load
                  for load in net.loads]
     return NetworkModel(buses=net.buses, lines=net.lines, loads=tuple(new_loads),
-                        source=net.source)
+                        source=net.source), added
 
 
 def assignments_to_csv(assignments: Iterable[Assignment]) -> str:

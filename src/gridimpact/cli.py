@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterator, TextIO
 # run, so the pre-flight check starts without loading or compiling them.
 from . import stations
 from .config import DEFAULT_SCHEDULE, ScenarioConfig, Schedule, SolverConfig
-from .errors import GridImpactError, SchemaError, SolverError, read_record
+from .errors import GridImpactError, SchemaError, SolverError, decode_json, read_record
 from .netmodel import NetworkModel, load_network, tree_walk, validate_radial
 
 if TYPE_CHECKING:
@@ -62,9 +62,9 @@ class RunConfig:
     steps: int = 8760
     schedule: Schedule = DEFAULT_SCHEDULE
     # The directory that the input paths, kept as written, are relative to:
-    # the run config's own. Not in the document: ``load_run_config`` sets it
-    # after construction, and ``dataclasses.replace`` resets it.
-    base_dir: str = dataclasses.field(default="", init=False)
+    # the run config's own. Not in the document: ``read_record`` skips it and
+    # ``load_run_config`` sets it.
+    base_dir: str = dataclasses.field(default="", metadata={"document": False})
 
     def __post_init__(self):
         if not self.network_path or not self.stations_path or not self.output_dir:
@@ -92,7 +92,7 @@ def load_run_config(path: str | Path, out_override: str | None = None) -> tuple[
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = decode_json(path.read_text(encoding="utf-8"), f"run config {path}")
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"run config {path}: {exc}") from exc
     cfg = read_record(RunConfig, doc, f"run config {path}")
@@ -103,8 +103,8 @@ def load_run_config(path: str | Path, out_override: str | None = None) -> tuple[
     ).hexdigest()[:12]
 
     # joining an absolute path onto the config's directory yields it unchanged
-    cfg = dataclasses.replace(cfg, output_dir=out_override or str(path.parent / cfg.output_dir))
-    object.__setattr__(cfg, "base_dir", str(path.parent))
+    cfg = dataclasses.replace(cfg, output_dir=out_override or str(path.parent / cfg.output_dir),
+                              base_dir=str(path.parent))
     return cfg, digest
 
 
@@ -222,14 +222,14 @@ class PipelineRun:
     def stage_power(self) -> dict:
         import numpy as np
 
-        from .assign import inject_loads, injection_targets
+        from .assign import inject_loads
         from .evfleet import DemandProfile
         from .powerflow.solver import raise_if_collapsed, run_qsts
 
         cfg = self.config
         assignments = self.stage_assign()
         before_net = self.network
-        after_net = inject_loads(before_net, assignments)
+        after_net, added = inject_loads(before_net, assignments)
 
         # EV loads follow the fleet profile normalized to its own peak, so the
         # peak step carries exactly the allocated kW. With no usable shape
@@ -238,8 +238,7 @@ class PipelineRun:
         values_kw, peak_kw = profile["profile"].values_kw, profile["profile_peak_kw"]
         factor = values_kw / peak_kw if peak_kw > 0 else np.ones_like(values_kw)
         shapes: dict[str, DemandProfile] = {}
-        for bus_id, (load_id, base_kw, added_kw) in injection_targets(
-                before_net, assignments).items():
+        for load_id, (base_kw, added_kw) in added.items():
             series = base_kw + added_kw * factor
             shapes[load_id] = DemandProfile(
                 dt_h=cfg.dt_h, values_kw=series,

@@ -1,11 +1,13 @@
 """Exception types shared across the package, ``check_id``, the one id rule,
-and ``read_record``, the one reader that checks decoded JSON objects against
+``decode_json``, the one JSON decoder of input documents, and
+``read_record``, the one reader that checks decoded JSON objects against
 the dataclasses they build."""
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import reprlib
 import sys
 import types
@@ -70,6 +72,22 @@ def check_id(kind: str, identifier: str) -> None:
 # --- typed JSON records ------------------------------------------------------
 
 
+def decode_json(text: str | bytes, where: str):
+    """Decode the JSON input document ``where``. An object that names a key
+    twice raises ``SchemaError`` naming the key, where ``json.loads`` alone
+    would keep the last value; malformed text raises ``json.JSONDecodeError``."""
+
+    def strict_object(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise SchemaError(f"{where}: key '{key}' appears twice")
+            obj[key] = value
+        return obj
+
+    return json.loads(text, object_pairs_hook=strict_object)
+
+
 _EXPECTED = {float: "a finite number", int: "an integer", str: "a string", list: "an array"}
 
 
@@ -101,9 +119,11 @@ def _field_reader(hint, name: str):
 
 @functools.cache
 def _record_schema(cls) -> tuple[dict, tuple[str, ...]]:
-    """(reader per init field, fields without a default), once per class."""
+    """(reader per document field, fields without a default), once per class.
+    A document field is an init field whose metadata does not set
+    ``"document"`` false."""
     hints = typing.get_type_hints(cls)
-    fields = [f for f in dataclasses.fields(cls) if f.init]
+    fields = [f for f in dataclasses.fields(cls) if f.init and f.metadata.get("document", True)]
     readers = {f.name: _field_reader(hints[f.name], f.name) for f in fields}
     required = tuple(f.name for f in fields if f.default is dataclasses.MISSING
                      and f.default_factory is dataclasses.MISSING)

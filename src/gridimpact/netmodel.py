@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Union
 
-from .errors import SchemaError, check_id, read_record
+from .errors import SchemaError, check_id, decode_json, read_record
 
 __all__ = [
     "Bus",
@@ -193,7 +193,7 @@ def parse_network(document: Union[str, bytes, dict]) -> NetworkModel:
     """
     if isinstance(document, (str, bytes)):
         try:
-            document = json.loads(document)
+            document = decode_json(document, "network document")
         except json.JSONDecodeError as exc:
             raise SchemaError(f"network document is not valid JSON: {exc}") from exc
     doc = read_record(_Document, document, "network document")

@@ -209,8 +209,9 @@ def _build_solutions(feeder: _CompiledFeeder, s_rows, v, i_line_bfs, iters, conv
 
     flow_kw = s_send.real * 1000.0
     flow_kvar = s_send.imag * 1000.0
-    amps = np.abs(i_model) * feeder.i_base_a
-    loss_kw = (np.abs(i_model) ** 2) * feeder.r_pu_model * 1000.0
+    i_mag = np.abs(i_model)
+    amps = i_mag * feeder.i_base_a
+    loss_kw = (i_mag ** 2) * feeder.r_pu_model * 1000.0
 
     src_lines = np.flatnonzero(feeder.parent == feeder.source_idx)
     src_flow = np.take(s_send_bfs, src_lines, axis=1).real.sum(axis=1)

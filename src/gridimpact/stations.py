@@ -69,8 +69,9 @@ _COLUMNS = ("id", "name", "lat", "lon", "rated_kw")
 
 def parse_stations(table: str) -> list[EvStation]:
     """Parse the station registry from delimited text with header
-    ``id,name,lat,lon,rated_kw``. Extra columns are ignored; duplicate ids and
-    non-numeric values are rejected with the offending row number (header = row 1).
+    ``id,name,lat,lon,rated_kw``. Extra columns are ignored and may repeat; a
+    column that is read may not. Duplicate ids and non-numeric values are
+    rejected with the offending row number (header = row 1).
     """
     reader = csv.reader(io.StringIO(table))
     try:
@@ -82,6 +83,8 @@ def parse_stations(table: str) -> list[EvStation]:
     for column in _COLUMNS:
         if column not in header:
             raise SchemaError(f"row 1: missing column '{column}'")
+        if header.count(column) > 1:
+            raise SchemaError(f"row 1: column '{column}' appears twice")
         positions[column] = header.index(column)
     width = max(positions.values()) + 1  # a row may omit columns past those read
 

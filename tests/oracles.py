@@ -22,11 +22,17 @@ package's single full-rate window must equal it bit for bit.
 ``cohort_profile_two_segments`` puts that window on the sample grid by
 splitting a window that runs past midnight into two segments, where the
 package credits one overlap formula at shifts of 0 h and 24 h.
+
+``injection_targets`` and ``inject_loads_two_pass`` resolve each bus's target
+load in one function and patch the model in another, which calls the first
+again; the package's single ``inject_loads`` must give the same model and
+added-kW map bit for bit, and raise the same errors.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -340,3 +346,37 @@ def cohort_profile_two_segments(c, dt_h: float):
         values += overlap * (rate / dt_h)
     values *= c.count
     return values, c.count * duration * rate, truncated
+
+
+def injection_targets(net, assignments) -> dict[str, tuple[str, float, float]]:
+    """``bus_id -> (load_id, existing_kw, added_kw)``: each bus's assignment
+    kW, summed in assignment order, lands on its load with the smallest id;
+    zero sums are omitted."""
+    first_load_at = {}
+    for load in net.loads:  # loads are id-sorted, so first occurrence wins
+        first_load_at.setdefault(load.bus_id, load)
+
+    known_buses = {b.id for b in net.buses}
+    added_kw: dict[str, float] = {}
+    for assignment in assignments:
+        if assignment.bus_id not in known_buses:
+            raise ValueError(f"unknown bus id: {assignment.bus_id}")
+        if assignment.bus_id not in first_load_at:
+            raise ValueError(f"bus {assignment.bus_id} carries no load to take station kW")
+        added_kw[assignment.bus_id] = added_kw.get(assignment.bus_id, 0.0) + assignment.assigned_kw
+
+    return {bus_id: (first_load_at[bus_id].id, first_load_at[bus_id].kw, extra)
+            for bus_id, extra in sorted(added_kw.items()) if extra != 0.0}
+
+
+def inject_loads_two_pass(net, assignments):
+    """The model with each target load's kW raised by its bus's added kW, or
+    ``net`` itself when nothing lands."""
+    targets = injection_targets(net, assignments)
+    if not targets:
+        return net
+    patched = {load_id: (base + extra) for load_id, base, extra in targets.values()}
+    new_loads = [replace(load, kw=patched[load.id]) if load.id in patched else load
+                 for load in net.loads]
+    return type(net)(buses=net.buses, lines=net.lines, loads=tuple(new_loads),
+                     source=net.source)

@@ -142,7 +142,7 @@ def test_criterion_5_conservation_suite():
             Assignment(f"s{i}", load_buses[p], 0.0, float(rng.uniform(1.0, 500.0)))
             for i, p in enumerate(picks)
         ]
-        after = inject_loads(net, assignments)
+        after, _ = inject_loads(net, assignments)
         delta = after.total_load_kw() - net.total_load_kw()
         expected = math.fsum(a.assigned_kw for a in assignments)
         assert abs(delta - expected) / expected < 1e-9, f"case {case}"

@@ -12,10 +12,12 @@ from gridimpact.assign import (
     assignments_to_csv,
     haversine,
     inject_loads,
-    injection_targets,
 )
 from gridimpact.netmodel import Bus, Line, LoadPoint, NetworkModel, Source
 from gridimpact.stations import CapacityClass, EvStation
+from gridimpact.synth import random_feeder
+
+import oracles
 
 
 def station(lat, lon, rated=60.0, sid="s1"):
@@ -141,27 +143,26 @@ class TestInjectLoads:
 
     def test_adds_to_existing_load(self):
         net = small_net()
-        out = inject_loads(net, [Assignment("s1", "b1", 10.0, 115.35)])
+        out, _ = inject_loads(net, [Assignment("s1", "b1", 10.0, 115.35)])
         assert out.loads[0].kw == pytest.approx(5.0 + 115.35, rel=1e-12)
         assert out.loads[0].kvar == 1.0  # unity power factor injection
 
     def test_empty_assignments_identity(self):
         net = small_net()
-        assert inject_loads(net, []) == net
+        assert inject_loads(net, []) == (net, {})
 
     def test_two_assignments_same_bus_accumulate(self):
         net = small_net()
-        out = inject_loads(net, [Assignment("s1", "b1", 0.0, 10.0),
-                                 Assignment("s2", "b1", 0.0, 10.0)])
+        out, _ = inject_loads(net, [Assignment("s1", "b1", 0.0, 10.0),
+                                    Assignment("s2", "b1", 0.0, 10.0)])
         assert out.loads[0].kw == pytest.approx(25.0, rel=1e-12)
 
     def test_bus_without_load_rejected(self):
         """Station kW lands only on an existing load: b2 carries none."""
         net = small_net()
         assigned = [Assignment("s1", "b1", 0.0, 4.0), Assignment("s2", "b2", 0.0, 40.0)]
-        for resolve in (inject_loads, injection_targets):
-            with pytest.raises(ValueError, match="bus b2 carries no load"):
-                resolve(net, assigned)
+        with pytest.raises(ValueError, match="bus b2 carries no load"):
+            inject_loads(net, assigned)
         assert net == small_net()
 
     def test_unknown_bus_rejected(self):
@@ -177,7 +178,7 @@ class TestInjectLoads:
         net = two_load_net()
         assigned = [Assignment(f"s{i}", "b1" if i % 2 else "b2", 0.0, 0.1 + i * 0.37)
                     for i in range(200)]
-        out = inject_loads(net, assigned)
+        out, _ = inject_loads(net, assigned)
         delta = out.total_load_kw() - net.total_load_kw()
         expected = math.fsum(a.assigned_kw for a in assigned)
         assert delta == pytest.approx(expected, rel=1e-9)
@@ -186,9 +187,49 @@ class TestInjectLoads:
 
     def test_injection_targets_mapping(self):
         """Each bus's kW lands on its load with the smallest id."""
-        targets = injection_targets(two_load_net(), [Assignment("s1", "b1", 0.0, 7.0),
-                                                     Assignment("s2", "b2", 0.0, 3.0)])
-        assert targets == {"b1": ("ld1", 5.0, 7.0), "b2": ("ld2", 2.0, 3.0)}
+        _, added = inject_loads(two_load_net(), [Assignment("s1", "b1", 0.0, 7.0),
+                                                 Assignment("s2", "b2", 0.0, 3.0)])
+        assert added == {"ld1": (5.0, 7.0), "ld2": (2.0, 3.0)}
+
+    @given(n_buses=st.integers(1, 25), seed=st.integers(0, 2**32 - 1),
+           extra=st.lists(st.tuples(st.integers(0, 24), st.sampled_from(["la", "lz"]),
+                                    st.floats(0.0, 500.0)), max_size=6),
+           valid_only=st.booleans(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_two_pass_oracle(self, n_buses, seed, extra, valid_only, data):
+        """On random feeders, some of whose buses carry several loads, the
+        model and the added-kW map equal the oracle's two passes bit for bit,
+        with several and zero-kW assignments per bus, and errors match."""
+        feeder = random_feeder(n_buses, seed=seed)
+        net = NetworkModel(
+            buses=feeder.buses, lines=feeder.lines, source=feeder.source,
+            loads=feeder.loads + tuple(
+                LoadPoint(f"{prefix}{i}", feeder.buses[b % n_buses].id, kw, 0.0)
+                for i, (b, prefix, kw) in enumerate(extra)))
+        pool = sorted({load.bus_id for load in net.loads}) if valid_only else [
+            *(b.id for b in net.buses), "zz"]
+        assigned = [Assignment(f"s{i}", bus_id, 0.0, kw) for i, (bus_id, kw) in enumerate(
+            data.draw(st.lists(st.tuples(st.sampled_from(pool),
+                                         st.one_of(st.just(0.0), st.floats(0.0, 1e6))),
+                               max_size=40)))]
+        try:
+            want_net = oracles.inject_loads_two_pass(net, assigned)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                inject_loads(net, assigned)
+            assert str(got.value) == str(exc)
+            return
+        targets = oracles.injection_targets(net, assigned)
+        got_net, added = inject_loads(net, assigned)
+
+        def bits(*values):
+            return struct.pack(f"<{len(values)}d", *values)
+
+        assert (got_net is net) == (want_net is net)
+        assert got_net == want_net
+        assert [bits(l.kw) for l in got_net.loads] == [bits(l.kw) for l in want_net.loads]
+        assert [(load_id, bits(*kw)) for load_id, kw in added.items()] == [
+            (load_id, bits(base, extra)) for load_id, base, extra in targets.values()]
 
 
 class TestAssignStations:

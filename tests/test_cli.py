@@ -218,6 +218,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("path", [
         "peak_kw_overide",  # typo must not pass silently
+        "base_dir",  # the config file's own directory, never read from it
         # fleet-model constants that are no longer scenario inputs
         *[f"scenario.{key}" for key in (
             "kwh_per_mile_bev", "kwh_per_mile_phev", "temp_multiplier",
@@ -232,6 +233,28 @@ class TestValidate:
         with pytest.raises(SchemaError, match=f"unexpected field '{key}'"):
             load_run_config(config)
         assert main(["validate", "--config", str(config)]) == 2
+
+    def test_run_config_key_named_twice_exits_2(self, tmp_path):
+        """``json.loads`` alone would keep the last ``network_path``."""
+        config = write_config(tmp_path)
+        config.write_text('{"network_path": "elsewhere.json", ' + config.read_text()[1:])
+        with pytest.raises(SchemaError, match=f"run config {re.escape(str(config))}: "
+                                              "key 'network_path' appears twice"):
+            load_run_config(config)
+        assert main(["validate", "--config", str(config)]) == 2
+        assert main(["pipeline", "--config", str(config)]) == 2
+
+    def test_network_key_named_twice_exits_2(self, tmp_path):
+        """A load written ``{"kw": 1000.0, ..., "kw": ...}`` would solve with
+        the last kW under ``json.loads`` alone."""
+        net_path = tmp_path / "network.json"
+        net_path.write_text((FIXTURES / "feeder40.json").read_text().replace(
+            '"kw": ', '"kw": 1000.0, "kw": ', 1))
+        config = write_config(tmp_path, network_path=str(net_path))
+        assert main(["validate", "--config", str(config)]) == 2
+        report = json.loads((run_dir_of(config) / "validate.json").read_text())
+        assert report["network"]["error"] == "network document: key 'kw' appears twice"
+        assert main(["pipeline", "--config", str(config)]) == 2
 
     def test_unreadable_network_path_reported(self, tmp_path):
         config = write_config(tmp_path, network_path=str(tmp_path / "missing.json"))
@@ -711,6 +734,18 @@ class TestRunConfig:
         with pytest.raises(SchemaError, match=key):
             load_run_config(config)
         assert main(["validate", "--config", str(config)]) == 2
+
+    def test_base_dir_survives_replace(self, tmp_path, monkeypatch):
+        """A loaded config keeps its directory through ``dataclasses.replace``,
+        so its relative input paths resolve from any working directory."""
+        from gridimpact.cli import PipelineRun
+
+        shutil.copy(FIXTURES / "feeder40.json", tmp_path / "network.json")
+        config, digest = load_run_config(write_config(tmp_path, network_path="network.json"))
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        net = PipelineRun(dataclasses.replace(config, steps=1), digest).network
+        assert len(net.buses) == 40
 
     def test_relative_paths_resolve_against_config(self, tmp_path):
         network = FIXTURES / "feeder40.json"

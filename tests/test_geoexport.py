@@ -83,7 +83,7 @@ class TestExport:
         allocations = allocate_peak(130_000.0, census)
         assignments = assign_stations(stations951, feeder40, allocations)
         before = solve_snapshot(feeder40)
-        after = solve_snapshot(inject_loads(feeder40, assignments))
+        after = solve_snapshot(inject_loads(feeder40, assignments)[0])
         records = build_records(before, after, Metric.FLOW)
 
         doc = export_geojson(feeder40, records)

@@ -225,7 +225,7 @@ class TestSummarize:
         net = random_feeder(30, seed=77)
         assignments = [Assignment(f"s{i}", net.loads[i % len(net.loads)].bus_id, 0.0,
                                   13.7 + i) for i in range(25)]
-        after = inject_loads(net, assignments)
+        after, _ = inject_loads(net, assignments)
         summary = summarize(net.total_load_kw(), after.total_load_kw(), 1.0, 1.0)
         expected = sum(a.assigned_kw for a in assignments) / net.total_load_kw() * 100.0
         assert summary.demand_pct == pytest.approx(expected, rel=1e-9)

@@ -51,6 +51,14 @@ class TestParse:
         with pytest.raises(SchemaError, match="missing column 'rated_kw'"):
             parse_stations("id,name,lat,lon\ns1,A,37.0,-121.0\n")
 
+    def test_read_column_named_twice_rejected(self):
+        """A repeated read column is refused; a repeated ignored one is not."""
+        text = "id,name,lat,lon,rated_kw,rated_kw\ns1,A,37.0,-121.0,60,600\n"
+        with pytest.raises(SchemaError, match="row 1: column 'rated_kw' appears twice"):
+            parse_stations(text)
+        text = "id,name,lat,lon,rated_kw,city,city\ns1,A,37.0,-121.0,60,X,Y\n"
+        assert parse_stations(text)[0].rated_kw == 60.0
+
     def test_extra_columns_ignored(self):
         text = "id,name,lat,lon,rated_kw,city\ns1,A,37.0,-121.0,60,San Jose\n"
         assert parse_stations(text)[0].rated_kw == 60.0
