@@ -30,7 +30,8 @@ from typing import TYPE_CHECKING, Iterator, TextIO
 # run, so the pre-flight check starts without loading or compiling them.
 from . import stations
 from .config import DEFAULT_SCHEDULE, ScenarioConfig, Schedule, SolverConfig
-from .errors import GridImpactError, SchemaError, SolverError, decode_json, read_record
+from .errors import (GridImpactError, SchemaError, SolverError, decode_json, read_record,
+                     read_text)
 from .netmodel import NetworkModel, load_network, tree_walk, validate_radial
 
 if TYPE_CHECKING:
@@ -92,7 +93,7 @@ def load_run_config(path: str | Path, out_override: str | None = None) -> tuple[
     """
     path = Path(path)
     try:
-        doc = decode_json(path.read_text(encoding="utf-8"), f"run config {path}")
+        doc = decode_json(read_text(path, "run config"), f"run config {path}")
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"run config {path}: {exc}") from exc
     cfg = read_record(RunConfig, doc, f"run config {path}")

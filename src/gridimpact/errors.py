@@ -1,7 +1,7 @@
 """Exception types shared across the package, ``check_id``, the one id rule,
-``decode_json``, the one JSON decoder of input documents, and
-``read_record``, the one reader that checks decoded JSON objects against
-the dataclasses they build."""
+``read_text``, the one reader of input files, ``decode_json``, the one JSON
+decoder of input documents, and ``read_record``, the one reader that checks
+decoded JSON objects against the dataclasses they build."""
 
 from __future__ import annotations
 
@@ -69,19 +69,34 @@ def check_id(kind: str, identifier: str) -> None:
                           "double quote, CR or LF")
 
 
-# --- typed JSON records ------------------------------------------------------
+# --- input files and typed JSON records --------------------------------------
+
+
+def read_text(path, what: str, *, encoding: str = "utf-8", newline: str | None = None) -> str:
+    """The text of the UTF-8 input file ``path``, the run's ``what``
+    (``encoding`` may only add ``-sig``). Bytes that do not decode raise
+    ``SchemaError`` naming ``what``, the file and the first bad byte's
+    offset; ``OSError`` passes through."""
+    try:
+        with open(path, "r", encoding=encoding, newline=newline) as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{what} {path}: not valid UTF-8: {exc}") from None
 
 
 def decode_json(text: str | bytes, where: str):
     """Decode the JSON input document ``where``. An object that names a key
-    twice raises ``SchemaError`` naming the key, where ``json.loads`` alone
-    would keep the last value; malformed text raises ``json.JSONDecodeError``."""
+    twice raises ``SchemaError`` naming the key, and the object's ``id`` when
+    it has one, where ``json.loads`` alone would keep the last value;
+    malformed text raises ``json.JSONDecodeError``."""
 
     def strict_object(pairs: list) -> dict:
         obj = {}
         for key, value in pairs:
             if key in obj:
-                raise SchemaError(f"{where}: key '{key}' appears twice")
+                owner = next((v for k, v in pairs if k == "id" and isinstance(v, str)), None)
+                within = "" if owner is None else f" in the object with id '{owner}'"
+                raise SchemaError(f"{where}: key '{key}' appears twice{within}")
             obj[key] = value
         return obj
 

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Union
 
-from .errors import SchemaError, check_id, decode_json, read_record
+from .errors import SchemaError, check_id, decode_json, read_record, read_text
 
 __all__ = [
     "Bus",
@@ -204,8 +204,7 @@ def parse_network(document: Union[str, bytes, dict]) -> NetworkModel:
 
 
 def load_network(path) -> NetworkModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_network(handle.read())
+    return parse_network(read_text(path, "network"))
 
 
 def serialize_network(net: NetworkModel) -> str:
@@ -233,8 +232,8 @@ def tree_walk(net: NetworkModel) -> list[tuple[int, int, int]]:
     Returns one ``(parent, child, line)`` triple per bus reached, as indices
     into ``net.buses`` and ``net.lines``, in visit order. Each bus's
     neighbours are taken in line-id order and the queue is FIFO, so the
-    order is fixed by the model; the sweep's summation order, and so its
-    bits, follow it. A line that closes a cycle is never walked.
+    order is fixed by the model. The solver takes only each line's
+    orientation from it. A line that closes a cycle is never walked.
     """
     index = {bus.id: i for i, bus in enumerate(net.buses)}
     adjacency: list[list[tuple[int, int]]] = [[] for _ in net.buses]

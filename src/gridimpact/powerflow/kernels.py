@@ -99,12 +99,13 @@ The tests check this kernel bit for bit against the per-line loop
 (``tests/oracles.scalar_sweep``).
 
 Array conventions: ``parent[k]``/``child[k]`` are the bus indices of line k,
-ordered so that the line into a bus comes before the lines out of it (BFS
-order does this; ``ValueError`` otherwise, and also when a bus is fed by
-two lines); ``z[k]`` is its per-unit impedance and ``s`` the (batch, n_bus)
-per-unit complex bus loads. Bus indices may be in any order, within
-``[0, n_bus)``, and ``parent``, ``child`` and ``z`` have one length
-(``ValueError`` otherwise).
+oriented away from the source, in any line order; each bus is fed by at
+most one line and the lines form no cycle (``ValueError`` otherwise).
+``z[k]`` is its per-unit impedance and ``s`` the (batch, n_bus) per-unit
+complex bus loads. Bus indices may be in any order, within ``[0, n_bus)``,
+and ``parent``, ``child`` and ``z`` have one length (``ValueError``
+otherwise). The line order decides only the order in which each bus adds
+its children's currents, descending line index, and so the bits.
 """
 
 from __future__ import annotations
@@ -142,11 +143,13 @@ def active_backend() -> str:
 def _schedule(parent, child, n):
     """The level schedule of a feeder's lines, and bus rows to match it.
 
-    Lines are sorted by level, shallowest first, then by sibling rank (a
-    line's position among its parent's lines in descending line order),
-    then by descending line index. Buses get new rows: every bus that is no
-    line's child comes first (the source), then the child of each line in
-    that order, so each level's children fill one contiguous block of rows.
+    Lines may be listed in any order. A bus's depth is that of the bus
+    feeding it plus one, taken by a walk down from the roots (the buses no
+    line feeds). Lines are sorted by level, shallowest first, then by
+    sibling rank (a line's position among its parent's lines in descending
+    line order), then by descending line index. Buses get new rows: the
+    roots come first, in bus order, then the child of each line in that
+    order, so each level's children fill one contiguous block of rows.
     Returns (order, levels, bus_row, first, groups): ``order`` lists the
     lines in schedule order, ``levels`` each level's ``(lo, hi)`` bounds in
     it, ``bus_row[b]`` the row of bus ``b``, the child of ``order[j]`` sits
@@ -154,27 +157,33 @@ def _schedule(parent, child, n):
     the (level, rank) blocks in the order the backward pass adds them:
     deepest level first, rank 0 first within a level.
 
-    Raises ``ValueError`` when a bus is fed by two lines, or when a line
-    leaves a bus before the line into that bus is listed: depths are taken
-    in line order, so such a line would get the wrong level.
+    Raises ``ValueError`` when a bus is fed by two lines, or when lines
+    form a cycle, which the walk from the roots never reaches; the message
+    names a bus on the cycle.
     """
     parents, children = parent.tolist(), child.tolist()
     fed_by = [-1] * n
-    for k, c in enumerate(children):
+    lines_out: list[list[int]] = [[] for _ in range(n)]
+    for k, (p, c) in enumerate(zip(parents, children)):
         if fed_by[c] >= 0:
             raise ValueError(f"bus {c} is fed by two lines, {fed_by[c]} and {k}")
         fed_by[c] = k
-    depth = [0] * n
-    for k, (p, c) in enumerate(zip(parents, children)):
-        if fed_by[p] >= k:
-            raise ValueError(f"line {k} leaves bus {p} before line {fed_by[p]} feeds it: "
-                             "the line into a bus must come before the lines out of it")
-        depth[c] = depth[p] + 1
-    lines_out = [0] * n
+        lines_out[p].append(k)
+    roots = [b for b in range(n) if fed_by[b] < 0]
+    depth = [0 if k < 0 else -1 for k in fed_by]
+    walk = [k for b in roots for k in lines_out[b]]
+    for k in walk:  # each line after the line into its parent; the list grows
+        depth[children[k]] = depth[parents[k]] + 1
+        walk.extend(lines_out[children[k]])
+    if len(walk) < len(parents):
+        bus = depth.index(-1)
+        for _ in range(n):  # up the feeding lines, which end on the cycle
+            bus = parents[fed_by[bus]]
+        raise ValueError(f"lines form a cycle through bus {bus}, fed from no root")
     rank = [0] * len(parents)
-    for k in range(len(parents) - 1, -1, -1):
-        rank[k] = lines_out[parents[k]]
-        lines_out[parents[k]] += 1
+    for lines in lines_out:
+        for r, k in enumerate(reversed(lines)):
+            rank[k] = r
     line_depth = np.array(depth, dtype=np.int64)[child]
     line_rank = np.array(rank, dtype=np.int64)
     order = np.lexsort((-np.arange(line_depth.size), line_rank, line_depth))
@@ -185,12 +194,9 @@ def _schedule(parent, child, n):
     groups = _blocks(np.flatnonzero(new_group) + 1, order.size)
     level_of = level_of.tolist()
     groups.sort(key=lambda g: -level_of[g[0]])  # stable: ranks stay ascending
-    is_child = np.zeros(n, dtype=bool)
-    is_child[child] = True
-    roots = np.flatnonzero(~is_child)
     bus_row = np.empty(n, dtype=np.int64)
     bus_row[np.concatenate((roots, child[order]))] = np.arange(n)
-    return order, levels, bus_row, roots.size, groups
+    return order, levels, bus_row, len(roots), groups
 
 
 def _blocks(cuts, size):

@@ -107,7 +107,8 @@ def _row(rows: PowerFlowSolution, r) -> PowerFlowSolution:
 
 
 class _CompiledFeeder:
-    """Array form of a validated radial network, BFS-ordered for the sweep."""
+    """Array form of a validated radial network, in its id-sorted line order.
+    Each line runs from ``parent`` to ``child``, away from the source."""
 
     def __init__(self, net: NetworkModel):
         # Radial exactly when the walk reaches every bus and no line is left
@@ -124,7 +125,6 @@ class _CompiledFeeder:
         self.line_ids = tuple(l.id for l in net.lines)
         index = {bid: i for i, bid in enumerate(self.bus_ids)}
         n = len(self.bus_ids)
-        m = len(self.line_ids)
         self.source_idx = index[net.source.bus_id]
         self.v0 = net.source.voltage_pu
 
@@ -132,15 +132,13 @@ class _CompiledFeeder:
         z_base_ohm = base_kv * base_kv / S_BASE_MVA
         self.i_base_a = S_BASE_MVA * 1000.0 / (math.sqrt(3.0) * base_kv)
 
-        self.parent, self.child, model_line = (
-            np.array(walk, dtype=np.int64).reshape(-1, 3).T.copy())
-        z_model = np.array(
+        # The walk reaches each line from its source side: (parent, child, line).
+        self.parent, self.child, _ = np.array(
+            sorted(walk, key=lambda step: step[2]), dtype=np.int64).reshape(-1, 3).T.copy()
+        self.z = np.array(
             [(l.resistance_ohm + 1j * l.reactance_ohm) / z_base_ohm for l in net.lines],
             dtype=np.complex128)
-        self.z_bfs = z_model[model_line]
-        self.r_pu_model = np.array([l.resistance_ohm / z_base_ohm for l in net.lines])
-        self.bfs_of_model = np.empty(m, dtype=np.int64)
-        self.bfs_of_model[model_line] = np.arange(m, dtype=np.int64)
+        self.r_pu = np.array([l.resistance_ohm / z_base_ohm for l in net.lines])
 
         self.s_static_pu = np.zeros(n, dtype=np.complex128)
         self.load_bus_idx: dict[str, int] = {}
@@ -176,7 +174,7 @@ def _distinct_rows(s_batch):
     return step_row, s_batch[first]
 
 
-def _build_solutions(feeder: _CompiledFeeder, s_rows, v, i_line_bfs, iters, converged,
+def _build_solutions(feeder: _CompiledFeeder, s_rows, v, i_line, iters, converged,
                      steps: int):
     """Derive reported quantities from kernel outputs: the row-stacked
     solution of the rows of ``s_rows``, for a run of ``steps`` steps.
@@ -191,30 +189,26 @@ def _build_solutions(feeder: _CompiledFeeder, s_rows, v, i_line_bfs, iters, conv
     multiply fuses the imaginary part's multiply-add the other way round when
     its operands swap. So ``line_flow_kvar`` of a snapshot can differ in the
     last bit between a short and a long run, and the product here takes the
-    operand order of a run of ``steps`` steps. The totals are row sums over
-    C-ordered rows, which give the bits of a sum over each row alone; the
-    column gathers come back column-major, and summing along their rows
-    would add in another order.
+    operand order of a run of ``steps`` steps. The loss total is a row sum
+    over C-ordered rows, which gives the bits of a sum over each row alone.
     """
     v_mag = np.abs(v)
     v_ang = np.angle(v)
 
-    i_model = i_line_bfs[:, feeder.bfs_of_model]
-    conj_i = np.conj(i_line_bfs)
+    conj_i = np.conj(i_line)
     if steps * conj_i.shape[1] * conj_i.itemsize >= _ELIDE_BYTES:
-        s_send_bfs = np.multiply(conj_i, v[:, feeder.parent], out=conj_i)
+        s_send = np.multiply(conj_i, v[:, feeder.parent], out=conj_i)
     else:
-        s_send_bfs = v[:, feeder.parent] * conj_i
-    s_send = s_send_bfs[:, feeder.bfs_of_model]
+        s_send = v[:, feeder.parent] * conj_i
 
     flow_kw = s_send.real * 1000.0
     flow_kvar = s_send.imag * 1000.0
-    i_mag = np.abs(i_model)
+    i_mag = np.abs(i_line)
     amps = i_mag * feeder.i_base_a
-    loss_kw = (i_mag ** 2) * feeder.r_pu_model * 1000.0
+    loss_kw = (i_mag ** 2) * feeder.r_pu * 1000.0
 
     src_lines = np.flatnonzero(feeder.parent == feeder.source_idx)
-    src_flow = np.take(s_send_bfs, src_lines, axis=1).real.sum(axis=1)
+    src_flow = np.take(s_send, src_lines, axis=1).real.sum(axis=1)
     return PowerFlowSolution(
         bus_ids=feeder.bus_ids,
         line_ids=feeder.line_ids,
@@ -224,7 +218,7 @@ def _build_solutions(feeder: _CompiledFeeder, s_rows, v, i_line_bfs, iters, conv
         line_flow_kvar=flow_kvar,
         line_current_a=amps,
         line_loss_kw=loss_kw,
-        total_loss_kw=np.ascontiguousarray(loss_kw).sum(axis=1),
+        total_loss_kw=loss_kw.sum(axis=1),
         total_load_kw=s_rows.real.sum(axis=1) * 1000.0,
         source_kw=(src_flow + s_rows[:, feeder.source_idx].real) * 1000.0,
         converged=converged,
@@ -324,7 +318,7 @@ def run_qsts(
     bounds = np.linspace(0, rows, min(max(workers, 1), rows) + 1, dtype=int).tolist()
 
     def solve_chunk(lo, hi):
-        return kernels.solve_batch(feeder.parent, feeder.child, feeder.z_bfs, s_rows[lo:hi],
+        return kernels.solve_batch(feeder.parent, feeder.child, feeder.z, s_rows[lo:hi],
                                    feeder.v0, cfg.tol_pu, cfg.max_iter)
 
     if len(bounds) == 2:

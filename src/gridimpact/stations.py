@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import SchemaError, check_id
+from .errors import SchemaError, check_id, read_text
 
 __all__ = [
     "CapacityClass",
@@ -70,12 +70,14 @@ _COLUMNS = ("id", "name", "lat", "lon", "rated_kw")
 def parse_stations(table: str) -> list[EvStation]:
     """Parse the station registry from delimited text with header
     ``id,name,lat,lon,rated_kw``. Extra columns are ignored and may repeat; a
-    column that is read may not. Duplicate ids and non-numeric values are
-    rejected with the offending row number (header = row 1).
+    column that is read may not. Duplicate ids, non-numeric values and rows
+    the CSV reader refuses (a field over its size limit, say) are rejected
+    with the offending row number (header = row 1).
     """
     reader = csv.reader(io.StringIO(table))
+    rows = _rows(reader)
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise SchemaError("row 1: missing header") from None
     header = [h.strip() for h in header]
@@ -90,7 +92,7 @@ def parse_stations(table: str) -> list[EvStation]:
 
     stations: list[EvStation] = []
     seen: set[str] = set()
-    for row in reader:
+    for row in rows:
         row_num = reader.line_num
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -115,10 +117,18 @@ def parse_stations(table: str) -> list[EvStation]:
     return stations
 
 
+def _rows(reader):
+    """The rows of ``reader``; one it refuses raises ``SchemaError`` naming
+    the row it was reading."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(f"row {reader.line_num}: {exc}") from None
+
+
 def load_stations(path) -> list[EvStation]:
     # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        return parse_stations(handle.read())
+    return parse_stations(read_text(path, "station registry", encoding="utf-8-sig", newline=""))
 
 
 def classify(rated_kw: float) -> CapacityClass:

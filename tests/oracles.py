@@ -13,8 +13,11 @@ pass, which the level-scheduled kernel must equal bit for bit.
 
 The plain QSTS reference (``qsts_per_step`` and its two CSV writers) checks
 the layers above the sweep: it solves every step in one batch with the
-package's own feeder compile and kernel, derives one solution object per
-step and formats every step's rows, with no dedup and no streaming.
+package's kernel, derives one solution object per step and formats every
+step's rows, with no dedup and no streaming. It hands the kernel the lines
+in the breadth-first order of ``netmodel.tree_walk``, where the package
+keeps the network's own line order, and gathers every per-line result back
+into that order.
 
 ``charging_window_per_strategy`` resolves a cohort's charging window with
 one branch per strategy, each computing its own full-rate window; the
@@ -225,6 +228,7 @@ def qsts_per_step(net, shapes, cfg, *, steps: int, dt_h: float):
     """Every step of a QSTS run solved and derived on its own row: returns
     one ``PowerFlowSolution`` per step. Load rows follow ``run_qsts``: each
     shaped load's kW is its profile sample (wrapping), kvar stays nominal."""
+    from gridimpact.netmodel import tree_walk
     from gridimpact.powerflow import kernels
     from gridimpact.powerflow.solver import PowerFlowSolution, _CompiledFeeder
 
@@ -236,18 +240,22 @@ def qsts_per_step(net, shapes, cfg, *, steps: int, dt_h: float):
         bus = feeder.load_bus_idx[load_id]
         samples = profile.values_kw[t_index % profile.values_kw.shape[0]]
         s_batch[:, bus] += (samples - feeder.load_kw[load_id]) / 1000.0
+    # Walk line k is the network's line line_of[k]; the line into a bus
+    # comes before the lines out of it.
+    parent_bfs, child_bfs, line_of = np.array(tree_walk(net), dtype=np.int64).reshape(-1, 3).T
     v, i_line_bfs, iters, converged, _ = kernels.solve_batch(
-        feeder.parent, feeder.child, feeder.z_bfs, s_batch,
-        feeder.v0, cfg.tol_pu, cfg.max_iter)
+        parent_bfs, child_bfs, feeder.z[line_of], s_batch, feeder.v0, cfg.tol_pu, cfg.max_iter)
 
-    i_model = i_line_bfs[:, feeder.bfs_of_model]
-    s_send_bfs = v[:, feeder.parent] * np.conj(i_line_bfs)
-    s_send = s_send_bfs[:, feeder.bfs_of_model]
+    bfs_of_model = np.empty_like(line_of)
+    bfs_of_model[line_of] = np.arange(line_of.size)
+    i_model = i_line_bfs[:, bfs_of_model]
+    s_send_bfs = v[:, parent_bfs] * np.conj(i_line_bfs)
+    s_send = s_send_bfs[:, bfs_of_model]
     flow_kw = s_send.real * 1000.0
     flow_kvar = s_send.imag * 1000.0
     amps = np.abs(i_model) * feeder.i_base_a
-    loss_kw = (np.abs(i_model) ** 2) * feeder.r_pu_model * 1000.0
-    src_lines = np.flatnonzero(feeder.parent == feeder.source_idx)
+    loss_kw = (np.abs(i_model) ** 2) * feeder.r_pu * 1000.0
+    src_lines = np.flatnonzero(parent_bfs == feeder.source_idx)
     v_mag = np.abs(v)
     v_ang = np.angle(v)
 

@@ -253,7 +253,8 @@ class TestValidate:
         config = write_config(tmp_path, network_path=str(net_path))
         assert main(["validate", "--config", str(config)]) == 2
         report = json.loads((run_dir_of(config) / "validate.json").read_text())
-        assert report["network"]["error"] == "network document: key 'kw' appears twice"
+        assert report["network"]["error"] == ("network document: key 'kw' appears twice "
+                                              "in the object with id 'ld001'")
         assert main(["pipeline", "--config", str(config)]) == 2
 
     def test_unreadable_network_path_reported(self, tmp_path):
@@ -261,6 +262,47 @@ class TestValidate:
         assert main(["validate", "--config", str(config)]) == 2
         report = json.loads((run_dir_of(config) / "validate.json").read_text())
         assert "error" in report["network"]
+
+    @pytest.mark.parametrize("key,what,fixture,plain,bad,other,checked", [
+        ("network", "network", "feeder40.json", b'"lat"', b'"l\xf1t"', "stations",
+         {"count": 951}),
+        ("stations", "station registry", "stations951.csv", b"Station 1,", b"Estaci\xf3n 1,",
+         "network", {"buses": 40, "lines": 39, "loads": 31, "connected": True,
+                     "radial": True, "orphan_buses": []}),
+    ], ids=["network", "latin1_registry"])
+    def test_undecodable_input_named_and_other_input_checked(self, tmp_path, key, what, fixture,
+                                                             plain, bad, other, checked):
+        """One byte that is not UTF-8 (Latin-1 ñ or ó) in an input file: its
+        error in validate.json names the file, and the other input is still
+        checked."""
+        path = tmp_path / fixture
+        path.write_bytes((FIXTURES / fixture).read_bytes().replace(plain, bad, 1))
+        config = write_config(tmp_path, **{f"{key}_path": str(path)})
+        assert main(["validate", "--config", str(config)]) == 2
+        report = json.loads((run_dir_of(config) / "validate.json").read_text())
+        assert report[key]["error"].startswith(
+            f"{what} {path}: not valid UTF-8: 'utf-8' codec can't decode byte 0x")
+        assert report[other] == checked
+        assert main(["pipeline", "--config", str(config)]) == 2
+
+    def test_undecodable_run_config_named_and_exits_2(self, tmp_path, caplog):
+        config = write_config(tmp_path)
+        config.write_bytes(config.read_bytes().replace(b'"steps"', b'"st\xf1ps"'))
+        with caplog.at_level(logging.ERROR, logger="gridimpact"):
+            assert main(["validate", "--config", str(config)]) == 2
+        assert caplog.records[-1].getMessage().startswith(
+            f"run config {config}: not valid UTF-8: 'utf-8' codec can't decode byte 0xf1")
+
+    def test_oversized_registry_field_names_row_and_exits_2(self, tmp_path):
+        """A field past the CSV reader's 131,072-character limit."""
+        registry = tmp_path / "stations.csv"
+        registry.write_text("id,name,lat,lon,rated_kw\ns1,A,37.0,-121.0,60\n"
+                            f"s2,{'x' * 131_073},37.0,-121.0,60\n")
+        config = write_config(tmp_path, stations_path=str(registry))
+        assert main(["validate", "--config", str(config)]) == 2
+        report = json.loads((run_dir_of(config) / "validate.json").read_text())
+        assert report["stations"] == {"error": "row 3: field larger than field limit (131072)"}
+        assert report["network"]["radial"] is True
 
     def test_empty_registry_exits_2(self, tmp_path):
         empty = tmp_path / "stations.csv"
@@ -610,6 +652,21 @@ class TestPipeline:
         marker = run_dir_of(config) / "FAILED"
         assert marker.read_text() == ("stage: power\nerror: voltage collapse at bus b003: "
                                       "|V| = 0.1840 pu < 0.5 pu\n")
+
+    def test_unwritable_marker_keeps_the_stage_error(self, tmp_path, caplog):
+        """A directory in FAILED's place makes the marker's write fail: the
+        power stage's own error still sets the exit code and is logged, and
+        the marker's temp file is gone."""
+        config = write_config(tmp_path, peak_kw_override=1e9)  # guaranteed collapse
+        run_dir = run_dir_of(config)
+        (run_dir / "FAILED").mkdir(parents=True)
+        with caplog.at_level(logging.ERROR, logger="gridimpact"):
+            assert main(["pipeline", "--config", str(config)]) == 4
+        collapse = "voltage collapse at bus b003: |V| = 0.1840 pu < 0.5 pu"
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] == [
+            f"stage power failed: {collapse}", collapse]
+        assert (run_dir / "FAILED").is_dir()
+        assert not list(run_dir.glob(".FAILED.*"))
 
     def test_diverged_snapshot_marks_stage_and_exits_4(self, tmp_path):
         config = write_config(tmp_path, solver={"tol_pu": 1e-12, "max_iter": 1})

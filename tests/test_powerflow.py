@@ -199,7 +199,7 @@ class TestSnapshot:
         v = np.full(len(feeder.bus_ids), complex(feeder.v0), dtype=np.complex128)
         i_line = np.zeros(feeder.parent.shape[0], dtype=np.complex128)
         iterations, converged, collapse = scalar_sweep(
-            feeder.parent, feeder.child, feeder.z_bfs, feeder.s_static_pu,
+            feeder.parent, feeder.child, feeder.z, feeder.s_static_pu,
             v, i_line, cfg.tol_pu, cfg.max_iter)
         assert np.max(np.abs(sol.v_mag_pu - np.abs(v))) < 1e-9
         assert (iterations, converged, collapse) == (sol.iterations, True, -1)
@@ -221,7 +221,7 @@ class TestSnapshot:
         scale = (10.0 ** rng.uniform(0.0, 3.5, size=(rows, 1))
                  * rng.uniform(0.0, 1.0, size=(rows, n_buses)))
         s = feeder.s_static_pu * scale
-        args = (feeder.parent, feeder.child, feeder.z_bfs)
+        args = (feeder.parent, feeder.child, feeder.z)
         batch = kernels.solve_batch(*args, s, feeder.v0, 1e-6, max_iter)
         for t in range(rows):
             single = kernels.solve_batch(*args, s[t:t + 1], feeder.v0, 1e-6, max_iter)
@@ -461,12 +461,47 @@ class TestLevelSchedule:
         for bus, lines in lines_of.items():
             assert lines == sorted(np.flatnonzero(parent == bus).tolist(), reverse=True)
 
-    def test_line_out_of_a_bus_before_the_line_into_it_is_rejected(self):
-        """A 3-bus chain listed leaf line first: depths taken in that order
-        would put both lines on one level."""
-        z, s = np.full(2, 0.01 + 0.02j), np.full((1, 3), 0.1 + 0.0j)
-        with pytest.raises(ValueError, match="line 0 leaves bus 1 before line 1 feeds it"):
-            kernels.solve_batch(np.array([1, 0]), np.array([2, 1]), z, s, 1.0, 1e-6, 50)
+    def test_leaf_line_first_solves_as_root_line_first(self):
+        """A 3-bus chain listed leaf line first solves to the bits of the
+        same chain listed root line first, with its two lines swapped."""
+        z, s = np.array([0.01 + 0.02j, 0.03 + 0.01j]), np.array([[0.0, 0.1, 0.2 + 0.05j]])
+        v, i_line, *rest = kernels.solve_batch(np.array([0, 1]), np.array([1, 2]), z, s,
+                                               1.0, 1e-6, 50)
+        assert_same_bits(kernels.solve_batch(np.array([1, 0]), np.array([2, 1]), z[::-1], s,
+                                             1.0, 1e-6, 50),
+                         (v, i_line[:, ::-1], *rest))
+
+    @pytest.mark.parametrize("parent,child,bus", [
+        ([0, 2, 3], [1, 3, 2], 2),
+        ([4, 1, 3, 4], [1, 2, 4, 3], 4),
+    ], ids=["cycle", "cycle_with_a_tail"])
+    def test_lines_forming_a_cycle_are_rejected(self, parent, child, bus):
+        """Every bus is fed once, but no root feeds the cycle; below a tail
+        (buses 1 and 2 hang off bus 4), the message still names a bus of the
+        cycle itself."""
+        z, s = np.full(len(parent), 0.01 + 0.02j), np.full((1, max(child) + 1), 0.1 + 0.0j)
+        with pytest.raises(ValueError, match=f"lines form a cycle through bus {bus},"):
+            kernels.solve_batch(np.array(parent), np.array(child), z, s, 1.0, 1e-6, 50)
+
+    @given(shape=st.sampled_from(TREE_SHAPES), n_buses=st.integers(2, 120),
+           relabel=st.sampled_from(RELABELS), rows=st.integers(1, 20),
+           max_iter=st.sampled_from([2, 3, 50]), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_line_order_keeping_each_bus_order_keeps_the_bits(self, shape, n_buses, relabel,
+                                                              rows, max_iter, seed):
+        """Lines listed in a random order that keeps each bus's lines out in
+        their relative order give the same five outputs, the currents with
+        the lines permuted: the order may put a line out of a bus before the
+        line into it."""
+        parent, child, z, s = sweep_case(shape, n_buses, relabel, rows, seed)
+        order = np.random.default_rng(seed).permutation(parent.size)
+        for bus in np.unique(parent):
+            slots = np.flatnonzero(parent[order] == bus)
+            order[slots] = np.sort(order[slots])
+        v, i_line, *rest = kernels.solve_batch(parent, child, z, s, 1.0, 1e-6, max_iter)
+        assert_same_bits(kernels.solve_batch(parent[order], child[order], z[order], s,
+                                             1.0, 1e-6, max_iter),
+                         (v, i_line[:, order], *rest))
 
     def test_bus_fed_by_two_lines_is_rejected(self):
         z, s = np.full(3, 0.01 + 0.02j), np.full((1, 3), 0.1 + 0.0j)
@@ -527,7 +562,7 @@ class TestLevelSchedule:
             with recorded_mappings() as made:
                 tracemalloc.start()
                 try:
-                    out = kernels.solve_batch(feeder.parent, feeder.child, feeder.z_bfs, s,
+                    out = kernels.solve_batch(feeder.parent, feeder.child, feeder.z, s,
                                               feeder.v0, 1e-6, 50)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
@@ -801,22 +836,44 @@ def three_step_case():
     return net, shapes, cfg, elision_steps(net) + 7
 
 
+def scrambled(net, rng):
+    """``net`` with its line ids shuffled among its lines and about 30% of
+    its lines turned round (``from_bus`` and ``to_bus`` swapped): the same
+    feeder, but its id-sorted line order no longer lists a bus's line in
+    before its lines out, as every ``random_feeder`` does."""
+    lines = []
+    for line, new_id in zip(net.lines, rng.permutation([l.id for l in net.lines]).tolist()):
+        if rng.random() < 0.3:
+            line = dataclasses.replace(line, from_bus=line.to_bus, to_bus=line.from_bus)
+        lines.append(dataclasses.replace(line, id=new_id))
+    return dataclasses.replace(net, lines=tuple(lines))
+
+
 class TestDistinctRows:
     """``run_qsts`` solves and formats each distinct load row once; every
     step must still equal ``oracles.qsts_per_step``, which solves and derives
     each step on its own row, bit for bit."""
 
     @given(n_buses=st.integers(10, 60), feeder_seed=st.integers(0, 2**31 - 1),
+           scramble=st.booleans(),
            period=st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]), levels=st.integers(1, 6),
            long_run=st.booleans(), extra_steps=st.integers(0, 200),
            max_iter=st.sampled_from([2, 3, 50]), workers=st.sampled_from([1, 3]),
            load_seed=st.integers(0, 2**31 - 1))
+    @example(n_buses=60, feeder_seed=1, scramble=True, period=24, levels=6, long_run=True,
+             extra_steps=7, max_iter=50, workers=1, load_seed=1)
+    @example(n_buses=60, feeder_seed=2, scramble=True, period=8, levels=3, long_run=False,
+             extra_steps=30, max_iter=3, workers=3, load_seed=2)
     @settings(max_examples=30, deadline=None)
-    def test_equals_per_step_oracle(self, n_buses, feeder_seed, period, levels, long_run,
-                                    extra_steps, max_iter, workers, load_seed):
+    def test_equals_per_step_oracle(self, n_buses, feeder_seed, scramble, period, levels,
+                                    long_run, extra_steps, max_iter, workers, load_seed):
         """Long runs start at the 256 KiB elision size, where the derived
-        quantities of a step depend on the batch it is derived in."""
+        quantities of a step depend on the batch it is derived in. A
+        scrambled feeder solves in an order that is not breadth first, the
+        oracle's order, so every per-line field is checked across the two."""
         net = random_feeder(n_buses, seed=feeder_seed)
+        if scramble:
+            net = scrambled(net, np.random.default_rng(feeder_seed))
         shapes = periodic_shapes(net, np.random.default_rng(load_seed), period, levels)
         steps = elision_steps(net) + extra_steps if long_run else 1 + extra_steps % 48
         cfg = SolverConfig(max_iter=max_iter)

@@ -37,6 +37,15 @@ class TestParse:
     def test_empty_data_section(self):
         assert parse_stations("id,name,lat,lon,rated_kw\n") == []
 
+    @pytest.mark.parametrize("text,row", [
+        (csv_text(f"s1,A,37.0,-121.0,60\ns2,{'x' * 131_073},37.0,-121.0,60\n"), 3),
+        ("id,name,lat,lon,rated_kw," + "x" * 131_073 + "\n", 1),
+    ], ids=["row", "header"])
+    def test_field_past_the_csv_limit_reports_row(self, text, row):
+        with pytest.raises(SchemaError,
+                           match=rf"^row {row}: field larger than field limit \(131072\)$"):
+            parse_stations(text)
+
     def test_non_numeric_lat_reports_row(self):
         text = csv_text("s1,Depot A,37.33,-121.89,60\ns2,Depot B,abc,-121.89,60\n")
         with pytest.raises(SchemaError, match="row 3: non-numeric lat"):
