@@ -1,6 +1,6 @@
 """Schema types that a run configuration nests: the fleet scenario, its
 charging strategies, the arrival/departure schedule and the solver settings;
-and ``common_dt_h``, the one rule for a run's time step.
+and ``samples_per_day``, the one rule for a run's time step.
 
 They live apart from ``evfleet`` and ``powerflow``, which re-export them, so
 reading and checking a run configuration imports no numpy.
@@ -18,8 +18,12 @@ __all__ = [
     "Schedule",
     "DEFAULT_SCHEDULE",
     "SolverConfig",
+    "HOURS_PER_DAY",
+    "samples_per_day",
     "common_dt_h",
 ]
+
+HOURS_PER_DAY = 24.0
 
 
 class ChargingStrategy(Enum):
@@ -111,16 +115,19 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
 
 
-def common_dt_h(dts: Iterable[float], requested: float | None, what: str) -> float:
-    """The one time step of the ``dt_h`` values ``dts`` of a run's ``what``
-    (profiles, shapes): they must all agree, a ``requested`` step must
-    match them, and it stands in for them when there are none."""
+def samples_per_day(dt_h: float) -> int:
+    """The number of ``dt_h``-hour samples in a day. ``dt_h`` must be finite,
+    positive and divide 24 h to within 1e-12 h, or ``ValueError`` names it."""
+    ratio = HOURS_PER_DAY / dt_h if dt_h > 0 else 0.0  # 0 for nan, 0 and below
+    samples = int(round(ratio)) if ratio < float("inf") else 0
+    if samples < 1 or abs(samples * dt_h - HOURS_PER_DAY) > 1e-12:
+        raise ValueError(f"dt_h must be finite, positive and divide 24 h, got {dt_h}")
+    return samples
+
+
+def common_dt_h(dts: Iterable[float], dt_h: float, what: str) -> None:
+    """Raise ``ValueError`` unless every value of ``dts``, the ``dt_h`` of a
+    run's ``what`` (profiles, shapes), is the run's ``dt_h``."""
     dts = set(dts)
-    if len(dts) > 1:
-        raise ValueError(f"mismatched dt_h across {what}: {sorted(dts)}")
-    common = next(iter(dts), requested)
-    if common is None:
-        raise ValueError(f"dt_h is required when there are no {what}")
-    if requested not in (None, common):
-        raise ValueError(f"requested dt_h={requested} but {what} use dt_h={common}")
-    return common
+    if dts - {dt_h}:
+        raise ValueError(f"mismatched dt_h: {what} use {sorted(dts)}, the run {dt_h}")

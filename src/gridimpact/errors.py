@@ -60,13 +60,19 @@ _ID_FORBIDDEN = frozenset(',"\r\n')
 
 def check_id(kind: str, identifier: str) -> None:
     """Raise ``SchemaError`` naming the ``kind`` record unless ``identifier`` can
-    be written verbatim as a CSV field: non-empty, with no comma, double quote,
-    CR or LF. The artifact writers do not quote ids."""
+    be written verbatim as a UTF-8 CSV field: non-empty, with no comma, double
+    quote, CR, LF or lone surrogate (a JSON escape such as ``"\\ud800"``). The
+    artifact writers do not quote ids."""
     if not identifier:
         raise SchemaError(f"{kind} with empty id")
     if not _ID_FORBIDDEN.isdisjoint(identifier):
         raise SchemaError(f"{kind} {identifier!r}: id must not contain a comma, "
                           "double quote, CR or LF")
+    try:
+        identifier.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SchemaError(f"{kind} {identifier!r}: id must not contain a lone surrogate, "
+                          "which UTF-8 cannot encode") from None
 
 
 # --- input files and typed JSON records --------------------------------------
@@ -87,7 +93,8 @@ def read_text(path, what: str, *, encoding: str = "utf-8", newline: str | None =
 def decode_json(text: str | bytes, where: str):
     """Decode the JSON input document ``where``. An object that names a key
     twice raises ``SchemaError`` naming the key, and the object's ``id`` when
-    it has one, where ``json.loads`` alone would keep the last value;
+    it has one, where ``json.loads`` alone would keep the last value.
+    Nesting past the decoder's recursion limit raises ``SchemaError`` too;
     malformed text raises ``json.JSONDecodeError``."""
 
     def strict_object(pairs: list) -> dict:
@@ -100,7 +107,10 @@ def decode_json(text: str | bytes, where: str):
             obj[key] = value
         return obj
 
-    return json.loads(text, object_pairs_hook=strict_object)
+    try:
+        return json.loads(text, object_pairs_hook=strict_object)
+    except RecursionError:
+        raise SchemaError(f"{where}: arrays or objects nested too deeply to decode") from None
 
 
 _EXPECTED = {float: "a finite number", int: "an integer", str: "a string", list: "an array"}

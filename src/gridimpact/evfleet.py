@@ -26,7 +26,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_SCHEDULE, ChargingStrategy, ScenarioConfig, Schedule, common_dt_h
+from .config import (DEFAULT_SCHEDULE, HOURS_PER_DAY, ChargingStrategy, ScenarioConfig, Schedule,
+                     common_dt_h, samples_per_day)
 
 __all__ = [
     "ChargingStrategy",
@@ -42,8 +43,6 @@ __all__ = [
     "find_peak",
     "profile_to_csv",
 ]
-
-HOURS_PER_DAY = 24.0
 
 
 class Location(Enum):
@@ -105,7 +104,7 @@ class DemandProfile:
         values.setflags(write=False)
         object.__setattr__(self, "values_kw", values)
         n = values.shape[0]
-        if n == 0 or not math.isclose(n * self.dt_h, HOURS_PER_DAY, rel_tol=0, abs_tol=1e-9):
+        if n != samples_per_day(self.dt_h):
             raise ValueError(f"profile must span exactly 24 h: {n} samples at dt={self.dt_h}")
         if np.any(values < 0):
             raise ValueError("profile samples must be >= 0")
@@ -202,10 +201,7 @@ def cohort_profile(c: Cohort, dt_h: float) -> DemandProfile:
     Energy that falls partially inside a timestep is spread within that
     timestep, so the series integrates exactly to the delivered energy.
     """
-    samples = int(round(HOURS_PER_DAY / dt_h))
-    if not math.isclose(samples * dt_h, HOURS_PER_DAY, rel_tol=0, abs_tol=1e-12):
-        raise ValueError(f"dt_h={dt_h} does not divide 24 h exactly")
-
+    samples = samples_per_day(dt_h)
     start, duration, rate, truncated = _charging_window(c)
     edges = np.arange(samples + 1, dtype=np.float64) * dt_h
     values = np.zeros(samples, dtype=np.float64)
@@ -224,22 +220,18 @@ def cohort_profile(c: Cohort, dt_h: float) -> DemandProfile:
     return DemandProfile(dt_h=dt_h, values_kw=values, energy_kwh=delivered, truncated=truncated)
 
 
-def aggregate_profiles(
-    profiles: Iterable[DemandProfile],
-    dt_h: float | None = None,
-) -> DemandProfile:
-    """Pointwise sum of profiles sharing one timestep (``config.common_dt_h``);
-    an empty input sums to the zero profile at ``dt_h``."""
+def aggregate_profiles(profiles: Iterable[DemandProfile], dt_h: float) -> DemandProfile:
+    """Pointwise sum of profiles that all use the time step ``dt_h``; an
+    empty input sums to the zero profile at ``dt_h``."""
     profiles = list(profiles)
-    common_dt = common_dt_h((p.dt_h for p in profiles), dt_h, "profiles")
+    common_dt_h((p.dt_h for p in profiles), dt_h, "profiles")
     if not profiles:
-        samples = int(round(HOURS_PER_DAY / common_dt))
-        return DemandProfile(dt_h=common_dt, values_kw=np.zeros(samples), energy_kwh=0.0)
+        return DemandProfile(dt_h=dt_h, values_kw=np.zeros(samples_per_day(dt_h)), energy_kwh=0.0)
 
     stacked = np.stack([p.values_kw for p in profiles])
     values = np.sum(stacked, axis=0)  # pairwise reduction: deterministic for a fixed order
     energy = math.fsum(p.energy_kwh for p in profiles)
-    return DemandProfile(dt_h=common_dt, values_kw=values, energy_kwh=energy,
+    return DemandProfile(dt_h=dt_h, values_kw=values, energy_kwh=energy,
                          truncated=any(p.truncated for p in profiles))
 
 

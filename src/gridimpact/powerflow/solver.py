@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping, TextIO
 
 import numpy as np
 
-from ..config import SolverConfig, common_dt_h
+from ..config import SolverConfig, common_dt_h, samples_per_day
 from ..errors import TopologyError, VoltageCollapseError
 from ..netmodel import NetworkModel, tree_walk, validate_radial
 from . import kernels
@@ -253,18 +253,19 @@ def run_qsts(
     shapes: Mapping[str, DemandProfile],
     cfg: SolverConfig = SolverConfig(),
     *,
-    steps: int | None = None,
-    dt_h: float | None = None,
+    steps: int,
+    dt_h: float,
     workers: int = 1,
 ) -> QstsResult:
-    """Time-series of independent snapshot solves.
+    """Time-series of ``steps`` independent snapshot solves, ``dt_h`` hours
+    apart.
 
-    Each shaped load's kW follows its profile, repeated every 24 h (kvar
-    held at the nominal value); unshaped loads stay constant. Every profile
-    spans 24 h at one ``dt_h``, so all have one length, and the load rows
-    repeat with that period (1 when no load is shaped). Only the rows of
-    the first period, or of all ``steps`` if that is shorter, are built;
-    step ``t`` takes row ``t % period``. ``steps`` still sets the operand
+    ``dt_h`` must divide 24 h (``config.samples_per_day``), and every
+    profile of ``shapes`` must use it. Each shaped load's kW follows its
+    profile, repeated every 24 h (kvar held at the nominal value); unshaped
+    loads stay constant. So the load rows repeat once a day: only the rows
+    of the first day, or of all ``steps`` if that is shorter, are built, and
+    step ``t`` takes row ``t % period``. ``steps`` also sets the operand
     order of the derivation (see ``_build_solutions``).
     Diverged or collapsed steps are recorded with ``converged=False`` without
     aborting the run; each collapsed row is logged once, with its bus, its
@@ -290,18 +291,11 @@ def run_qsts(
     for load_id in shapes:
         if load_id not in feeder.load_bus_idx:
             raise ValueError(f"unknown load id: {load_id}")
-    dt_h = common_dt_h((p.dt_h for p in shapes.values()), dt_h, "shapes")
-
-    # Every shape spans 24 h at one dt_h, so all have one length.
-    length = next((p.values_kw.shape[0] for p in shapes.values()), 1)
-    if steps is None:
-        if not shapes:
-            raise ValueError("steps is required when no loads are shaped")
-        steps = length
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    period = min(samples_per_day(dt_h), steps)
+    common_dt_h((p.dt_h for p in shapes.values()), dt_h, "shapes")
 
-    period = min(length, steps)
     n = len(feeder.bus_ids)
     # One period of load rows, then the network's own row for the snapshot.
     s_batch = np.broadcast_to(feeder.s_static_pu, (period + 1, n)).copy()

@@ -72,12 +72,12 @@ def parse_stations(table: str) -> list[EvStation]:
     ``id,name,lat,lon,rated_kw``. Extra columns are ignored and may repeat; a
     column that is read may not. Duplicate ids, non-numeric values and rows
     the CSV reader refuses (a field over its size limit, say) are rejected
-    with the offending row number (header = row 1).
+    with the offending row number: the line the record starts on, header =
+    row 1, as a quoted field may span lines.
     """
-    reader = csv.reader(io.StringIO(table))
-    rows = _rows(reader)
+    rows = _rows(csv.reader(io.StringIO(table)))
     try:
-        header = next(rows)
+        _, header = next(rows)
     except StopIteration:
         raise SchemaError("row 1: missing header") from None
     header = [h.strip() for h in header]
@@ -92,8 +92,7 @@ def parse_stations(table: str) -> list[EvStation]:
 
     stations: list[EvStation] = []
     seen: set[str] = set()
-    for row in rows:
-        row_num = reader.line_num
+    for row_num, row in rows:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) < width:
@@ -118,12 +117,15 @@ def parse_stations(table: str) -> list[EvStation]:
 
 
 def _rows(reader):
-    """The rows of ``reader``; one it refuses raises ``SchemaError`` naming
-    the row it was reading."""
+    """``(line, row)`` for each row of ``reader``, ``line`` the line the row
+    starts on; a row it refuses raises ``SchemaError`` naming that line."""
+    start = 1
     try:
-        yield from reader
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
-        raise SchemaError(f"row {reader.line_num}: {exc}") from None
+        raise SchemaError(f"row {start}: {exc}") from None
 
 
 def load_stations(path) -> list[EvStation]:

@@ -308,16 +308,16 @@ def test_criterion_9_qsts_performance():
         shapes[load.id] = DemandProfile(dt_h=1.0, values_kw=values,
                                         energy_kwh=float(np.sum(values)))
 
-    run_qsts(net, shapes, steps=24)  # warmup
+    run_qsts(net, shapes, steps=24, dt_h=1.0)  # warmup
 
     start = time.perf_counter()
-    sequential = run_qsts(net, shapes, steps=8760)
+    sequential = run_qsts(net, shapes, steps=8760, dt_h=1.0)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"sequential QSTS took {elapsed:.2f} s"
     assert sequential.steps == 8760
     assert all(sequential.converged)
 
-    parallel = run_qsts(net, shapes, steps=8760, workers=4)
+    parallel = run_qsts(net, shapes, steps=8760, dt_h=1.0, workers=4)
     assert parallel.steps == 8760
     for t in range(8760):
         a, b = sequential.step(t), parallel.step(t)

@@ -304,6 +304,38 @@ class TestValidate:
         assert report["stations"] == {"error": "row 3: field larger than field limit (131072)"}
         assert report["network"]["radial"] is True
 
+    def test_lone_surrogate_id_named_and_exits_2(self, tmp_path):
+        """A load id written as the JSON escape of a lone surrogate: UTF-8
+        cannot encode it, so the id is refused with its record kind."""
+        net_path = tmp_path / "network.json"
+        net_path.write_text((FIXTURES / "feeder40.json").read_text().replace(
+            '"id": "ld001"', '"id": "\\ud800"', 1))
+        config = write_config(tmp_path, network_path=str(net_path))
+        assert main(["validate", "--config", str(config)]) == 2
+        report = json.loads((run_dir_of(config) / "validate.json").read_text())
+        assert report["network"] == {"error": "load '\\ud800': id must not contain a lone "
+                                              "surrogate, which UTF-8 cannot encode"}
+        assert report["stations"] == {"count": 951}
+        assert main(["pipeline", "--config", str(config)]) == 2
+
+    def test_network_nested_too_deeply_named_and_exits_2(self, tmp_path):
+        net_path = tmp_path / "network.json"
+        net_path.write_text("[" * 100_000)
+        config = write_config(tmp_path, network_path=str(net_path))
+        assert main(["validate", "--config", str(config)]) == 2
+        report = json.loads((run_dir_of(config) / "validate.json").read_text())
+        assert report["network"] == {
+            "error": "network document: arrays or objects nested too deeply to decode"}
+        assert report["stations"] == {"count": 951}
+
+    def test_run_config_nested_too_deeply_named_and_exits_2(self, tmp_path, caplog):
+        config = write_config(tmp_path)
+        config.write_text('{"scenario": ' + "[" * 100_000)
+        with caplog.at_level(logging.ERROR, logger="gridimpact"):
+            assert main(["validate", "--config", str(config)]) == 2
+        assert caplog.records[-1].getMessage() == (
+            f"run config {config}: arrays or objects nested too deeply to decode")
+
     def test_empty_registry_exits_2(self, tmp_path):
         empty = tmp_path / "stations.csv"
         empty.write_text("id,name,lat,lon,rated_kw\n")

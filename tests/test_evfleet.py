@@ -20,7 +20,10 @@ from gridimpact.evfleet import (
     profile_to_csv,
 )
 from gridimpact import evfleet
+from gridimpact.config import samples_per_day
 from gridimpact.errors import read_record
+from gridimpact.powerflow import run_qsts
+from gridimpact.synth import random_feeder
 from oracles import charging_window_per_strategy, cohort_profile_two_segments
 
 
@@ -190,7 +193,7 @@ class TestCohortProfile:
         assert np.all(profile.values_kw == 0.0)
 
     def test_bad_dt_rejected(self):
-        with pytest.raises(ValueError, match="does not divide 24"):
+        with pytest.raises(ValueError, match="dt_h must be finite, positive and divide 24 h"):
             cohort_profile(overnight_cohort(ChargingStrategy.IMMEDIATE_FAST), 0.7)
 
     def test_count_scales_profile(self):
@@ -207,15 +210,16 @@ class TestAggregateAndPeak:
 
     def test_doubling(self):
         p = cohort_profile(overnight_cohort(ChargingStrategy.IMMEDIATE_SLOW), 1.0)
-        total = aggregate_profiles([p, p])
+        total = aggregate_profiles([p, p], 1.0)
         np.testing.assert_array_equal(total.values_kw, 2.0 * p.values_kw)
         assert total.energy_kwh == pytest.approx(2.0 * p.energy_kwh, rel=1e-12)
 
     def test_mismatched_dt_rejected(self):
         a = cohort_profile(overnight_cohort(ChargingStrategy.IMMEDIATE_SLOW), 1.0)
         b = cohort_profile(overnight_cohort(ChargingStrategy.IMMEDIATE_SLOW), 0.5)
-        with pytest.raises(ValueError, match="mismatched dt_h"):
-            aggregate_profiles([a, b])
+        with pytest.raises(ValueError,
+                           match=re.escape("mismatched dt_h: profiles use [0.5, 1.0]")):
+            aggregate_profiles([a, b], 1.0)
 
     def test_scenario_energy_conservation(self):
         cfg = make_config(fleet_size=350_000)
@@ -259,14 +263,37 @@ class TestDemandProfileInvariants:
         (lambda: Cohort(count=1, energy_need_kwh=1.0, arrive_h=9.0, depart_h=17.0,
                         max_rate_kw=7.2, strategy=ChargingStrategy.DELAYED_START_MIDNIGHT,
                         location=Location.WORKPLACE), "valid only at home"),
-        (lambda: aggregate_profiles([]), "dt_h is required"),
         (lambda: aggregate_profiles([aggregate_profiles([], dt_h=1.0)], dt_h=0.5),
-         re.escape("requested dt_h=0.5 but profiles use dt_h=1.0")),
-    ], ids=["count", "energy", "rate", "dwell", "midnight_at_work", "empty_aggregate",
-            "aggregate_dt"])
+         re.escape("mismatched dt_h: profiles use [1.0], the run 0.5")),
+    ], ids=["count", "energy", "rate", "dwell", "midnight_at_work", "aggregate_dt"])
     def test_cohort_and_aggregate_checks(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+    @pytest.mark.parametrize("dt_h", [0.0, -1.0, math.nan, math.inf, 7.0, 0.25, 24 / 7])
+    def test_one_time_step_rule(self, dt_h):
+        """Every user of a run's time step accepts exactly the steps that
+        ``samples_per_day`` accepts, those that divide 24 h, and refuses the
+        rest with its ``ValueError`` naming ``dt_h``."""
+        samples = round(24 / dt_h) if 0 < dt_h < math.inf else 1
+        uses = {
+            "cohort_profile":
+                lambda: cohort_profile(overnight_cohort(ChargingStrategy.IMMEDIATE_FAST), dt_h),
+            "aggregate_profiles": lambda: aggregate_profiles([], dt_h),
+            "DemandProfile":
+                lambda: DemandProfile(dt_h=dt_h, values_kw=np.zeros(samples), energy_kwh=0.0),
+            "run_qsts": lambda: run_qsts(random_feeder(10, seed=1), {}, steps=3, dt_h=dt_h),
+        }
+        if dt_h in (0.25, 24 / 7):
+            assert samples_per_day(dt_h) == samples
+            for name, use in uses.items():
+                assert use() is not None, name
+        else:
+            message = ("^dt_h must be finite, positive and divide 24 h, "
+                       f"got {re.escape(str(dt_h))}$")
+            for use in [lambda: samples_per_day(dt_h), *uses.values()]:
+                with pytest.raises(ValueError, match=message):
+                    use()
 
     def test_negative_sample_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import logging
 import mmap
+import re
 import tracemalloc
 import typing
 import warnings
@@ -646,11 +647,10 @@ def two_step_profile(values, dt_h=12.0):
 
 class TestQsts:
     @pytest.mark.parametrize("shapes,kwargs,message", [
-        ({"ld1": two_step_profile([0.0, 100.0])}, {"dt_h": 1.0},
-         "requested dt_h=1.0 but shapes use dt_h=12.0"),
-        ({}, {"dt_h": 1.0}, "steps is required when no loads are shaped"),
+        ({"ld1": two_step_profile([0.0, 100.0])}, {"dt_h": 1.0, "steps": 2},
+         re.escape("mismatched dt_h: shapes use [12.0], the run 1.0")),
         ({}, {"dt_h": 1.0, "steps": 0}, "steps must be >= 1"),
-    ], ids=["dt_h", "steps_missing", "steps_zero"])
+    ], ids=["dt_h", "steps_zero"])
     def test_run_qsts_checks(self, two_bus_net, shapes, kwargs, message):
         with pytest.raises(ValueError, match=message):
             run_qsts(two_bus_net, shapes, **kwargs)
@@ -662,7 +662,7 @@ class TestQsts:
             loads=(LoadPoint("ld1", "b2", 100.0, 0.0),),
             source=Source("b1", 1.0),
         )
-        result = run_qsts(net, {"ld1": two_step_profile([0.0, 100.0])})
+        result = run_qsts(net, {"ld1": two_step_profile([0.0, 100.0])}, steps=2, dt_h=12.0)
         assert result.steps == 2
         # step 0: the only load is shaped to zero kW
         assert result.step(0).total_loss_kw == 0.0
@@ -695,7 +695,7 @@ class TestQsts:
         load = feeder20.loads[0]
         shape = DemandProfile(dt_h=1.0, values_kw=np.full(24, load.kw),
                               energy_kwh=load.kw * 24.0)
-        result = run_qsts(feeder20, {load.id: shape})
+        result = run_qsts(feeder20, {load.id: shape}, steps=24, dt_h=1.0)
         nominal = solve_snapshot(feeder20)
         for sol in every_step(result):
             np.testing.assert_array_equal(sol.v_mag_pu, nominal.v_mag_pu)
@@ -708,7 +708,7 @@ class TestQsts:
             values = rng.uniform(0.0, 3.0 * load.kw, 24)
             shapes[load.id] = DemandProfile(dt_h=1.0, values_kw=values,
                                             energy_kwh=float(np.sum(values)))
-        result = run_qsts(feeder20, shapes)
+        result = run_qsts(feeder20, shapes, steps=24, dt_h=1.0)
         assert result.steps == 24
         for sol in every_step(result):
             assert sol.converged
@@ -719,7 +719,7 @@ class TestQsts:
         rng = np.random.default_rng(11)
         values = rng.uniform(0.0, 200.0, 24)
         shape = DemandProfile(dt_h=1.0, values_kw=values, energy_kwh=float(np.sum(values)))
-        result = run_qsts(feeder20, {load.id: shape}, steps=48)
+        result = run_qsts(feeder20, {load.id: shape}, steps=48, dt_h=1.0)
         assert result.steps == 48
         for t in range(24):
             np.testing.assert_array_equal(result.step(t).v_mag_pu,
@@ -727,17 +727,21 @@ class TestQsts:
 
     def test_unknown_load_id_aborts_before_solving(self, feeder20):
         with pytest.raises(ValueError, match="unknown load id: ghost"):
-            run_qsts(feeder20, {"ghost": two_step_profile([0.0, 1.0])})
+            run_qsts(feeder20, {"ghost": two_step_profile([0.0, 1.0])}, steps=2, dt_h=12.0)
 
     def test_mismatched_dt_rejected(self, feeder20):
         a, b = feeder20.loads[0], feeder20.loads[1]
         with pytest.raises(ValueError, match="mismatched dt_h"):
             run_qsts(feeder20, {a.id: two_step_profile([0.0, 1.0], dt_h=12.0),
-                                b.id: two_step_profile([0.0] * 24 + [1.0] * 0, dt_h=1.0)})
+                                b.id: two_step_profile([0.0] * 24, dt_h=1.0)},
+                     steps=2, dt_h=12.0)
 
     def test_empty_shapes_need_dt_and_steps(self, feeder20):
-        with pytest.raises(ValueError, match="dt_h is required"):
+        """The run's clock is passed, never inferred, shaped loads or not."""
+        with pytest.raises(TypeError, match="dt_h"):
             run_qsts(feeder20, {}, steps=4)
+        with pytest.raises(TypeError, match="steps"):
+            run_qsts(feeder20, {}, dt_h=1.0)
         result = run_qsts(feeder20, {}, steps=4, dt_h=1.0)
         assert result.steps == 4
 
@@ -750,7 +754,7 @@ class TestQsts:
         )
         # step 1 drives the bus into collapse; the run must survive
         shape = two_step_profile([100.0, 10_000.0])
-        result = run_qsts(net, {"ld1": shape})
+        result = run_qsts(net, {"ld1": shape}, steps=2, dt_h=12.0)
         assert result.step(0).converged
         assert not result.step(1).converged
 
@@ -761,8 +765,8 @@ class TestQsts:
             values = rng.uniform(0.0, 2.0 * load.kw, 24)
             shapes[load.id] = DemandProfile(dt_h=1.0, values_kw=values,
                                             energy_kwh=float(np.sum(values)))
-        seq = run_qsts(feeder20, shapes, steps=48)
-        par = run_qsts(feeder20, shapes, steps=48, workers=4)
+        seq = run_qsts(feeder20, shapes, steps=48, dt_h=1.0)
+        par = run_qsts(feeder20, shapes, steps=48, dt_h=1.0, workers=4)
         for a, b in zip(every_step(seq), every_step(par)):
             assert a.v_mag_pu.tobytes() == b.v_mag_pu.tobytes()
             assert a.line_flow_kw.tobytes() == b.line_flow_kw.tobytes()
@@ -901,7 +905,7 @@ class TestDistinctRows:
             return solve_batch(parent, child, z, s, *args)
 
         monkeypatch.setattr(kernels, "solve_batch", counting)
-        result = run_qsts(feeder40, shapes, steps=steps, workers=workers)
+        result = run_qsts(feeder40, shapes, steps=steps, dt_h=1.0, workers=workers)
         assert len(result.rows.converged) == 24
         # The 25th row is the network's own, for the snapshot: no random step
         # carries it.
@@ -916,7 +920,7 @@ class TestDistinctRows:
     def test_period_edges_equal_per_step_oracle(self, length, period_edge):
         """Load rows are built for one profile period of ``L`` samples: runs
         one step short of it, exactly it and one step past it, and an unshaped
-        run (period 1) above the elision size. With ``L`` at the elision
+        run (one distinct row) above the elision size. With ``L`` at the elision
         size, ``L - 1`` steps derive in the other operand order."""
         net = random_feeder(30, seed=30)
         if length == "elision":
@@ -947,10 +951,10 @@ class TestDistinctRows:
             values = rng.uniform(0.2, 2.0, 24) * load.kw
             shapes[load.id] = DemandProfile(dt_h=1.0, values_kw=values,
                                             energy_kwh=float(np.sum(values)))
-        run_qsts(net, shapes, steps=8760)
+        run_qsts(net, shapes, steps=8760, dt_h=1.0)
         tracemalloc.start()
         try:
-            result = run_qsts(net, shapes, steps=8760)
+            result = run_qsts(net, shapes, steps=8760, dt_h=1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -962,7 +966,7 @@ class TestDistinctRows:
         """A three-step pattern: no load (converged), nominal load (out of
         iterations at a 1e-12 pu tolerance) and 1000 times nominal (collapsed)."""
         net, shapes, cfg, steps = three_step_case()
-        result = run_qsts(net, shapes, cfg, steps=steps, workers=workers)
+        result = run_qsts(net, shapes, cfg, steps=steps, dt_h=8.0, workers=workers)
         converged, iterations = result.rows.converged, result.rows.iterations
         assert converged.shape == (3,)
         assert converged[0]
@@ -977,7 +981,7 @@ class TestDistinctRows:
         once per step, beside one count of the steps that did not converge."""
         net, shapes, cfg, steps = three_step_case()
         with caplog.at_level(logging.WARNING, logger="gridimpact.powerflow.solver"):
-            run_qsts(net, shapes, cfg, steps=steps)
+            run_qsts(net, shapes, cfg, steps=steps, dt_h=8.0)
         collapsed = [r.getMessage() for r in caplog.records if "collapse" in r.getMessage()]
         heavy_steps = len(range(2, steps, 3))
         assert collapsed == [f"voltage collapse at bus b03 in {heavy_steps} steps "
@@ -1096,7 +1100,7 @@ class TestTotalLosses:
         load = net.loads[0]
         values = np.tile([load.kw, 2.0 * load.kw], 12)
         hourly = DemandProfile(dt_h=1.0, values_kw=values, energy_kwh=float(np.sum(values)))
-        good = run_qsts(net, {load.id: hourly}, steps=2)
+        good = run_qsts(net, {load.id: hourly}, steps=2, dt_h=1.0)
         assert good.step_row.tolist() == [0, 1]
         patched = dataclasses.replace(good, rows=dataclasses.replace(
             good.rows, converged=np.array([True, False])))

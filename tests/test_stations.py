@@ -40,10 +40,23 @@ class TestParse:
     @pytest.mark.parametrize("text,row", [
         (csv_text(f"s1,A,37.0,-121.0,60\ns2,{'x' * 131_073},37.0,-121.0,60\n"), 3),
         ("id,name,lat,lon,rated_kw," + "x" * 131_073 + "\n", 1),
-    ], ids=["row", "header"])
+        # a quoted name spans lines 3 and 4; the record is named by line 3
+        (csv_text(f's1,A,37.0,-121.0,60\ns2,"Depot\nB",37.0,-121.0,60,{"x" * 131_073}\n'), 3),
+    ], ids=["row", "header", "record_spanning_lines"])
     def test_field_past_the_csv_limit_reports_row(self, text, row):
         with pytest.raises(SchemaError,
                            match=rf"^row {row}: field larger than field limit \(131072\)$"):
+            parse_stations(text)
+
+    def test_record_spanning_lines_reports_its_first_line(self):
+        """A quoted name that holds a line break: the record on lines 3 and 4
+        is named by line 3, where it starts, and a record after one on lines
+        2 and 3 by line 4."""
+        text = csv_text('s1,A,37.0,-121.0,60\ns2,"Depot\nB",abc,-121.0,60\n')
+        with pytest.raises(SchemaError, match="^row 3: non-numeric lat$"):
+            parse_stations(text)
+        text = csv_text('s1,"Depot\nA",37.0,-121.0,60\ns2,B,abc,-121.0,60\n')
+        with pytest.raises(SchemaError, match="^row 4: non-numeric lat$"):
             parse_stations(text)
 
     def test_non_numeric_lat_reports_row(self):
