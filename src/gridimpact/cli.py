@@ -92,10 +92,7 @@ def load_run_config(path: str | Path, out_override: str | None = None) -> tuple[
     identical run directories.
     """
     path = Path(path)
-    try:
-        doc = decode_json(read_text(path, "run config"), f"run config {path}")
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"run config {path}: {exc}") from exc
+    doc = decode_json(read_text(path, "run config"), f"run config {path}")
     cfg = read_record(RunConfig, doc, f"run config {path}")
 
     hashed = {**doc, "output_dir": out_override} if out_override else doc
@@ -459,7 +456,7 @@ def cmd_validate(config: RunConfig, config_hash: str) -> int:
         if "error" in network:
             log.error("%s", network["error"])
             code = 2
-    except (SchemaError, OSError) as exc:
+    except SchemaError as exc:
         report["network"] = {"error": str(exc)}
         log.error("network error: %s", exc)
         code = 2
@@ -470,7 +467,7 @@ def cmd_validate(config: RunConfig, config_hash: str) -> int:
             registry["error"] = "station registry lists no stations: nothing to allocate"
             log.error("%s", registry["error"])
             code = code or 2
-    except (SchemaError, OSError) as exc:
+    except SchemaError as exc:
         report["stations"] = {"error": str(exc)}
         log.error("station registry error: %s", exc)
         code = 2

@@ -1,7 +1,7 @@
 """Exception types shared across the package, ``check_id``, the one id rule,
-``read_text``, the one reader of input files, ``decode_json``, the one JSON
-decoder of input documents, and ``read_record``, the one reader that checks
-decoded JSON objects against the dataclasses they build."""
+and the one input path: ``read_text`` reads a file, ``decode_json`` its JSON,
+``read_record`` the dataclass that the JSON builds, and every failure on the
+way is a ``SchemaError`` that names the input."""
 
 from __future__ import annotations
 
@@ -80,22 +80,24 @@ def check_id(kind: str, identifier: str) -> None:
 
 def read_text(path, what: str, *, encoding: str = "utf-8", newline: str | None = None) -> str:
     """The text of the UTF-8 input file ``path``, the run's ``what``
-    (``encoding`` may only add ``-sig``). Bytes that do not decode raise
-    ``SchemaError`` naming ``what``, the file and the first bad byte's
-    offset; ``OSError`` passes through."""
+    (``encoding`` may only add ``-sig``). A file that cannot be read raises
+    ``SchemaError`` starting ``<what> <path>:``; for bytes that do not decode
+    it names the first bad byte's offset."""
     try:
         with open(path, "r", encoding=encoding, newline=newline) as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{what} {path}: not valid UTF-8: {exc}") from None
+    except OSError as exc:
+        raise SchemaError(f"{what} {path}: {exc}") from None
 
 
 def decode_json(text: str | bytes, where: str):
     """Decode the JSON input document ``where``. An object that names a key
     twice raises ``SchemaError`` naming the key, and the object's ``id`` when
     it has one, where ``json.loads`` alone would keep the last value.
-    Nesting past the decoder's recursion limit raises ``SchemaError`` too;
-    malformed text raises ``json.JSONDecodeError``."""
+    Malformed text, or nesting past the decoder's recursion limit, raises
+    ``SchemaError`` naming ``where`` too."""
 
     def strict_object(pairs: list) -> dict:
         obj = {}
@@ -109,11 +111,13 @@ def decode_json(text: str | bytes, where: str):
 
     try:
         return json.loads(text, object_pairs_hook=strict_object)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{where} is not valid JSON: {exc}") from None
     except RecursionError:
         raise SchemaError(f"{where}: arrays or objects nested too deeply to decode") from None
 
 
-_EXPECTED = {float: "a finite number", int: "an integer", str: "a string", list: "an array"}
+_EXPECTED = {float: "a finite number", int: "an integer", str: "a string"}
 
 
 def _field_reader(hint, name: str):
@@ -139,6 +143,17 @@ def _field_reader(hint, name: str):
         return lambda value, where: hint.parse(read_token(value, where))
     if dataclasses.is_dataclass(hint):
         return lambda value, where: read_record(hint, value, f"{where}: {name}")
+    if typing.get_origin(hint) is tuple:  # tuple[Record, ...], each named by its kind and id
+        record, _ = typing.get_args(hint)
+
+        def read_array(value, where):
+            if not isinstance(value, list):
+                raise TypeError("an array")
+            return tuple(read_record(record, item, f"{record.kind} {item.get('id', '?')}"
+                                     if isinstance(item, dict) else record.kind)
+                         for item in value)
+
+        return read_array
     raise TypeError(f"no JSON reader for field type {hint!r}")
 
 
@@ -159,8 +174,9 @@ def read_record(cls, obj, where: str):
     """Build dataclass ``cls`` from a decoded JSON object; its field annotations
     and defaults are the schema. No unknown or missing keys; ``float`` is finite
     and never a bool, ``int`` an integer, ``X | None`` also null; enums go through
-    ``parse``, dataclasses recurse. Range checks stay in ``__post_init__``. Every
-    error is a ``SchemaError`` that starts with ``where`` and names the key."""
+    ``parse``, dataclasses recurse, ``tuple[Record, ...]`` reads an array whose
+    errors name each record's ``kind`` and ``id``. Range checks stay in
+    ``__post_init__``. Every error is a ``SchemaError`` naming the input."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
     readers, required = _record_schema(cls)

@@ -68,6 +68,9 @@ class Cohort:
     location: Location
 
     def __post_init__(self):
+        for name in ("energy_need_kwh", "arrive_h", "depart_h", "max_rate_kw"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.count < 0:
             raise ValueError("cohort count must be >= 0")
         if self.energy_need_kwh < 0:
@@ -106,6 +109,10 @@ class DemandProfile:
         n = values.shape[0]
         if n != samples_per_day(self.dt_h):
             raise ValueError(f"profile must span exactly 24 h: {n} samples at dt={self.dt_h}")
+        if not np.isfinite(values).all():
+            raise ValueError("values_kw samples must be finite")
+        if not math.isfinite(self.energy_kwh):
+            raise ValueError(f"energy_kwh must be finite, got {self.energy_kwh}")
         if np.any(values < 0):
             raise ValueError("profile samples must be >= 0")
         total = float(np.sum(values)) * self.dt_h

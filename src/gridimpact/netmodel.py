@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Union
 
 from .errors import SchemaError, check_id, decode_json, read_record, read_text
 
@@ -40,13 +39,14 @@ def _id_key(identifier: str) -> bytes:
 class Bus:
     """A network node with WGS84 coordinates and a line-to-line voltage base."""
 
+    kind = "bus"  # a record's name in error messages; not a field
     id: str
     lat: float
     lon: float
     base_kv: float
 
     def __post_init__(self):
-        check_id("bus", self.id)
+        check_id(self.kind, self.id)
         if not -90.0 <= self.lat <= 90.0:
             raise SchemaError(f"bus {self.id}: lat {self.lat} outside [-90, 90]")
         if not -180.0 <= self.lon <= 180.0:
@@ -60,6 +60,7 @@ class Line:
     """A series branch between two buses. Transformers are represented as lines
     with equivalent impedance; there is no separate transformer type."""
 
+    kind = "line"
     id: str
     from_bus: str
     to_bus: str
@@ -68,7 +69,7 @@ class Line:
     ampacity_a: float
 
     def __post_init__(self):
-        check_id("line", self.id)
+        check_id(self.kind, self.id)
         if self.from_bus == self.to_bus:
             raise SchemaError(f"line {self.id}: from_bus equals to_bus ({self.from_bus})")
         if not self.ampacity_a > 0:
@@ -83,13 +84,14 @@ class Line:
 class LoadPoint:
     """Constant-power (PQ) load attached to a bus."""
 
+    kind = "load"
     id: str
     bus_id: str
     kw: float
     kvar: float
 
     def __post_init__(self):
-        check_id("load", self.id)
+        check_id(self.kind, self.id)
         if self.kw < 0:
             raise SchemaError(f"load {self.id}: kw must be >= 0")
 
@@ -108,7 +110,8 @@ class Source:
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Immutable container for one feeder. Collections are normalized to
+    """Immutable container for one feeder, and the schema of the network
+    document: each field is one top-level key. Collections are normalized to
     ascending-id order on construction so every downstream ordering contract
     (catalogs, exports, tie-breaks) is reproducible.
     """
@@ -127,7 +130,7 @@ class NetworkModel:
         bus_index = {}
         for bus in self.buses:
             if bus.id in bus_index:
-                raise SchemaError(f"duplicate id: bus {bus.id}")
+                raise SchemaError(f"duplicate id: {bus.kind} {bus.id}")
             bus_index[bus.id] = bus
         object.__setattr__(self, "_bus_index", bus_index)
 
@@ -137,16 +140,16 @@ class NetworkModel:
         if len(levels) > 1:
             raise SchemaError(f"mixed base_kv {levels}: every bus must share one voltage base")
 
-        for kind, records, bus_fields in (("line", self.lines, ("from_bus", "to_bus")),
-                                          ("load", self.loads, ("bus_id",))):
+        for records, refs in ((self.lines, ("from_bus", "to_bus")), (self.loads, ("bus_id",))):
             seen = set()
             for record in records:
                 if record.id in seen:
-                    raise SchemaError(f"duplicate id: {kind} {record.id}")
+                    raise SchemaError(f"duplicate id: {record.kind} {record.id}")
                 seen.add(record.id)
-                for bus_id in (getattr(record, name) for name in bus_fields):
+                for bus_id in (getattr(record, name) for name in refs):
                     if bus_id not in bus_index:
-                        raise SchemaError(f"dangling bus reference: {bus_id} ({kind} {record.id})")
+                        raise SchemaError(
+                            f"dangling bus reference: {bus_id} ({record.kind} {record.id})")
 
         if self.source.bus_id not in bus_index:
             raise SchemaError(f"dangling bus reference: {self.source.bus_id} (source)")
@@ -170,37 +173,13 @@ class TopologyReport:
 
 # --- parsing -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Document:
-    """The top level of the network document, before its records are read."""
 
-    buses: list
-    lines: list
-    loads: list
-    source: Source
-
-
-def _read_records(cls, items: list, what: str) -> tuple:
-    return tuple(
-        read_record(cls, item, f"{what} {item.get('id', '?')}" if isinstance(item, dict) else what)
-        for item in items)
-
-
-def parse_network(document: Union[str, bytes, dict]) -> NetworkModel:
-    """Parse the native JSON network document and validate all invariants.
-
-    Accepts the JSON text itself or an already-decoded dict.
-    """
+def parse_network(document: str | bytes | dict) -> NetworkModel:
+    """Parse the native JSON network document, as text or already decoded,
+    into ``NetworkModel``, its schema. Every fault is a ``SchemaError``."""
     if isinstance(document, (str, bytes)):
-        try:
-            document = decode_json(document, "network document")
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"network document is not valid JSON: {exc}") from exc
-    doc = read_record(_Document, document, "network document")
-    return NetworkModel(buses=_read_records(Bus, doc.buses, "bus"),
-                        lines=_read_records(Line, doc.lines, "line"),
-                        loads=_read_records(LoadPoint, doc.loads, "load"),
-                        source=doc.source)
+        document = decode_json(document, "network document")
+    return read_record(NetworkModel, document, "network document")
 
 
 def load_network(path) -> NetworkModel:

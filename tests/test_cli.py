@@ -258,10 +258,29 @@ class TestValidate:
         assert main(["pipeline", "--config", str(config)]) == 2
 
     def test_unreadable_network_path_reported(self, tmp_path):
-        config = write_config(tmp_path, network_path=str(tmp_path / "missing.json"))
+        missing = tmp_path / "missing.json"
+        config = write_config(tmp_path, network_path=str(missing))
         assert main(["validate", "--config", str(config)]) == 2
         report = json.loads((run_dir_of(config) / "validate.json").read_text())
-        assert "error" in report["network"]
+        assert report["network"]["error"].startswith(f"network {missing}: ")
+        assert report["stations"] == {"count": 951}
+
+    def test_unreadable_registry_path_reported(self, tmp_path):
+        missing = tmp_path / "missing.csv"
+        config = write_config(tmp_path, stations_path=str(missing))
+        assert main(["validate", "--config", str(config)]) == 2
+        report = json.loads((run_dir_of(config) / "validate.json").read_text())
+        assert report["stations"]["error"].startswith(f"station registry {missing}: ")
+        assert report["network"]["radial"] is True
+        assert main(["pipeline", "--config", str(config)]) == 2
+
+    def test_malformed_run_config_named_and_exits_2(self, tmp_path, caplog):
+        config = write_config(tmp_path)
+        config.write_text(config.read_text()[:-1])
+        with caplog.at_level(logging.ERROR, logger="gridimpact"):
+            assert main(["validate", "--config", str(config)]) == 2
+        assert caplog.records[-1].getMessage().startswith(
+            f"run config {config} is not valid JSON: Expecting ")
 
     @pytest.mark.parametrize("key,what,fixture,plain,bad,other,checked", [
         ("network", "network", "feeder40.json", b'"lat"', b'"l\xf1t"', "stations",

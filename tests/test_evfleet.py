@@ -265,7 +265,31 @@ class TestDemandProfileInvariants:
                         location=Location.WORKPLACE), "valid only at home"),
         (lambda: aggregate_profiles([aggregate_profiles([], dt_h=1.0)], dt_h=0.5),
          re.escape("mismatched dt_h: profiles use [1.0], the run 0.5")),
-    ], ids=["count", "energy", "rate", "dwell", "midnight_at_work", "aggregate_dt"])
+        # every ``< 0`` check passes NaN, and an infinite need or rate reached
+        # cohort_profile as a NaN integral that named no field
+        (lambda: overnight_cohort(ChargingStrategy.IMMEDIATE_FAST, energy=math.nan),
+         "^energy_need_kwh must be finite, got nan$"),
+        (lambda: overnight_cohort(ChargingStrategy.IMMEDIATE_FAST, energy=math.inf),
+         "^energy_need_kwh must be finite, got inf$"),
+        (lambda: overnight_cohort(ChargingStrategy.IMMEDIATE_FAST, rate=math.inf),
+         "^max_rate_kw must be finite, got inf$"),
+        (lambda: Cohort(count=1, energy_need_kwh=1.0, arrive_h=math.nan, depart_h=7.0,
+                        max_rate_kw=7.2, strategy=ChargingStrategy.IMMEDIATE_FAST,
+                        location=Location.HOME), "^arrive_h must be finite, got nan$"),
+        (lambda: Cohort(count=1, energy_need_kwh=1.0, arrive_h=18.0, depart_h=math.inf,
+                        max_rate_kw=7.2, strategy=ChargingStrategy.IMMEDIATE_FAST,
+                        location=Location.HOME), "^depart_h must be finite, got inf$"),
+        # an inf sample declared as inf kWh passed the ``< 0`` check and
+        # math.isclose(inf, inf), and the sweep then divided by it
+        (lambda: DemandProfile(dt_h=1.0, values_kw=[math.inf] + [0.0] * 23,
+                               energy_kwh=math.inf), "^values_kw samples must be finite$"),
+        (lambda: DemandProfile(dt_h=1.0, values_kw=[math.nan] * 24, energy_kwh=0.0),
+         "^values_kw samples must be finite$"),
+        (lambda: DemandProfile(dt_h=1.0, values_kw=np.zeros(24), energy_kwh=math.nan),
+         "^energy_kwh must be finite, got nan$"),
+    ], ids=["count", "energy", "rate", "dwell", "midnight_at_work", "aggregate_dt",
+            "energy_nan", "energy_inf", "rate_inf", "arrive_nan", "depart_inf",
+            "profile_inf_sample", "profile_nan_sample", "profile_nan_energy"])
     def test_cohort_and_aggregate_checks(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import re
 from unittest import mock
 
 import pytest
 
-from gridimpact.errors import SchemaError, TopologyError
+from gridimpact.errors import SchemaError, TopologyError, read_record
 from gridimpact.netmodel import (
     Bus,
     Line,
@@ -98,6 +99,31 @@ class TestParse:
     def test_invalid_json_text(self):
         with pytest.raises(SchemaError, match="not valid JSON"):
             parse_network("{nope")
+
+    @pytest.mark.parametrize("buses,message", [
+        ([5], "bus: expected an object, got int"),
+        ([{"lat": 37.0, "lon": -122.0, "base_kv": 12.47}], "bus ?: missing field 'id'"),
+    ], ids=["not_an_object", "no_id"])
+    def test_record_array_names_kind_and_id(self, minimal_doc, buses, message):
+        minimal_doc["buses"] = buses
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            parse_network(minimal_doc)
+
+    def test_bad_record_reported_before_unknown_key(self, minimal_doc):
+        """Top-level keys are read in document order, records included, so a
+        bad record listed first is the fault reported."""
+        del minimal_doc["buses"][1]["lat"]
+        minimal_doc["feeders"] = []
+        with pytest.raises(SchemaError, match="^bus b1: missing field 'lat'$"):
+            parse_network(minimal_doc)
+
+    def test_field_type_without_reader_raises_type_error(self):
+        @dataclasses.dataclass(frozen=True)
+        class Unreadable:
+            ids: set
+
+        with pytest.raises(TypeError, match="^no JSON reader for field type <class 'set'>$"):
+            read_record(Unreadable, {"ids": []}, "document")
 
     def test_coordinate_bounds_enforced(self, minimal_doc):
         minimal_doc["buses"][0]["lat"] = 95.0
