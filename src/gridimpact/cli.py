@@ -222,7 +222,7 @@ class PipelineRun:
 
         from .assign import inject_loads
         from .evfleet import DemandProfile
-        from .powerflow.solver import raise_if_collapsed, run_qsts
+        from .powerflow.solver import run_qsts, solve_snapshot
 
         cfg = self.config
         assignments = self.stage_assign()
@@ -242,17 +242,19 @@ class PipelineRun:
                 dt_h=cfg.dt_h, values_kw=series,
                 energy_kwh=float(np.sum(series)) * cfg.dt_h)
 
-        # One solve per side: the snapshot is a row of the series' batch.
+        # Each side's snapshot, its network's own loads solved alone, is
+        # checked first, so a failed snapshot stops the stage before that
+        # side's series is solved.
         result = {"before_net": before_net, "after_net": after_net}
         for side, net, side_shapes, label in (("before", before_net, {}, "baseline"),
                                               ("after", after_net, shapes, "EV")):
-            series = run_qsts(net, side_shapes, cfg.solver, steps=cfg.steps, dt_h=cfg.dt_h)
-            snapshot = series.snapshot
-            raise_if_collapsed(snapshot)
+            snapshot = solve_snapshot(net, cfg.solver)
             if not snapshot.converged:
                 raise SolverError(
                     f"{label} snapshot diverged after {snapshot.iterations} iterations")
-            result[f"{side}_series"], result[f"{side}_snapshot"] = series, snapshot
+            result[f"{side}_snapshot"] = snapshot
+            result[f"{side}_series"] = run_qsts(net, side_shapes, cfg.solver,
+                                                steps=cfg.steps, dt_h=cfg.dt_h)
         return result
 
     @_stage

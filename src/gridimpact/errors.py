@@ -141,10 +141,14 @@ def _field_reader(hint, name: str):
     if hasattr(hint, "parse"):  # an enum such as ChargingStrategy, named by a string
         read_token = _field_reader(str, name)
         return lambda value, where: hint.parse(read_token(value, where))
+    # A nested record's schema is built with the outer one, so a field type
+    # without a reader fails here, not as a fault of some input.
     if dataclasses.is_dataclass(hint):
+        _record_schema(hint)
         return lambda value, where: read_record(hint, value, f"{where}: {name}")
     if typing.get_origin(hint) is tuple:  # tuple[Record, ...], each named by its kind and id
         record, _ = typing.get_args(hint)
+        _record_schema(record)
 
         def read_array(value, where):
             if not isinstance(value, list):

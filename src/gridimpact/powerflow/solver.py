@@ -75,14 +75,12 @@ class QstsResult:
     """A time series stored once per distinct load row.
 
     ``rows`` stacks the steady states of the distinct load rows, in order of
-    first appearance, and step ``t`` solved row ``step_row[t]``. ``snapshot``
-    is the steady state of the network's own loads, derived as a one-step run.
+    first appearance, and step ``t`` solved row ``step_row[t]``.
     """
 
     rows: PowerFlowSolution
     step_row: np.ndarray
     dt_h: float
-    snapshot: PowerFlowSolution
 
     @property
     def steps(self) -> int:
@@ -154,12 +152,11 @@ def _distinct_rows(s_batch):
     """Key each load row by its bytes: returns (step_row, distinct rows in
     order of first appearance), so ``s_batch[t]`` is ``rows[step_row[t]]``.
 
-    ``run_qsts`` passes the rows of one profile period, then the network's
-    own row: every later step repeats one of the period's rows, so every
-    distinct row of the run first appears there, in the same order, and the
-    network's row is a row of its own only when no step carries it. Steps
-    share a row only when their loads are bit-identical, so solving a row
-    once gives every one of its steps the result of its own solve.
+    ``run_qsts`` passes the rows of one profile period: every later step
+    repeats one of them, so every distinct row of the run first appears
+    there, in the same order. Steps share a row only when their loads are
+    bit-identical, so solving a row once gives every one of its steps the
+    result of its own solve.
     """
     index: dict[bytes, int] = {}
     first: list[int] = []
@@ -236,14 +233,14 @@ def raise_if_collapsed(solution: PowerFlowSolution) -> None:
 
 
 def solve_snapshot(net: NetworkModel, cfg: SolverConfig = SolverConfig()) -> PowerFlowSolution:
-    """Solve one steady state by backward/forward sweep: the snapshot of a
+    """Solve one steady state by backward/forward sweep: step 0 of a
     one-step ``run_qsts``.
 
     Raises TopologyError on non-radial input and VoltageCollapseError if any
     bus dips below 0.5 pu during iteration. A solve that merely fails to
     converge within max_iter returns with ``converged=False``.
     """
-    snapshot = run_qsts(net, {}, cfg, steps=1, dt_h=1.0).snapshot
+    snapshot = run_qsts(net, {}, cfg, steps=1, dt_h=1.0).step(0)
     raise_if_collapsed(snapshot)
     return snapshot
 
@@ -275,10 +272,6 @@ def run_qsts(
     gets its result, which is the exact form of QSTS time reduction
     (Deboever, Reno et al., SAND2017-5743): a row's solve never depends on
     the rest of the batch, so each step equals its own solve bit for bit.
-    The network's own load row joins the batch after the period's rows, and
-    costs a solve only when no step carries it; its steady state is
-    ``snapshot``, derived as a one-step run, while ``rows`` and ``step_row``
-    keep only the rows some step solved.
 
     The distinct rows are solved in ``workers`` contiguous chunks, one
     kernel call each: one chunk runs in the calling thread, more run on a
@@ -297,17 +290,14 @@ def run_qsts(
     common_dt_h((p.dt_h for p in shapes.values()), dt_h, "shapes")
 
     n = len(feeder.bus_ids)
-    # One period of load rows, then the network's own row for the snapshot.
-    s_batch = np.broadcast_to(feeder.s_static_pu, (period + 1, n)).copy()
+    s_batch = np.broadcast_to(feeder.s_static_pu, (period, n)).copy()
     for load_id, profile in shapes.items():
         bus = feeder.load_bus_idx[load_id]
-        s_batch[:period, bus] += (profile.values_kw[:period] - feeder.load_kw[load_id]) / 1000.0
+        s_batch[:, bus] += (profile.values_kw[:period] - feeder.load_kw[load_id]) / 1000.0
 
     batch_row, s_rows = _distinct_rows(s_batch)
     del s_batch
     step_row = batch_row[np.arange(steps) % period]
-    snapshot_row = int(batch_row[-1])
-    used = int(batch_row[:period].max()) + 1  # the rows some step solved
     rows = s_rows.shape[0]
     bounds = np.linspace(0, rows, min(max(workers, 1), rows) + 1, dtype=int).tolist()
 
@@ -325,20 +315,16 @@ def run_qsts(
         v, i_line, iters, converged, collapse = map(np.concatenate, zip(*parts))
 
     _, first_step, row_steps = np.unique(step_row, return_index=True, return_counts=True)
-    for r in np.flatnonzero(collapse[:used] >= 0):
+    for r in np.flatnonzero(collapse >= 0):
         log.warning("voltage collapse at bus %s in %d steps (first at step %d), "
                     "recorded as not converged",
                     feeder.bus_ids[collapse[r]], row_steps[r], first_step[r])
-    diverged = int(np.sum(row_steps[~converged[:used]]))
+    diverged = int(np.sum(row_steps[~converged]))
     if diverged:
         log.warning("%d of %d steps did not converge", diverged, steps)
 
-    def derive(span, run_steps):
-        return _build_solutions(feeder, s_rows[span], v[span], i_line[span], iters[span],
-                                converged[span], run_steps)
-
-    return QstsResult(rows=derive(slice(used), steps), step_row=step_row, dt_h=dt_h,
-                      snapshot=_row(derive(slice(snapshot_row, snapshot_row + 1), 1), 0))
+    return QstsResult(rows=_build_solutions(feeder, s_rows, v, i_line, iters, converged, steps),
+                      step_row=step_row, dt_h=dt_h)
 
 
 def total_losses(result: QstsResult) -> float:

@@ -563,6 +563,27 @@ class TestPipeline:
         peak_index = run.stage_profile()["profile_peak_index"]
         assert_same_solution(power["after_series"].step(peak_index), power["after_snapshot"])
 
+    def test_annual_peak_step_matches_after_snapshot_but_for_kvar(self, tmp_path):
+        """At 8,760 steps the after snapshot equals the after series' peak
+        step in every field but ``line_flow_kvar``, whose bits depend on the
+        batch size (``solver._ELIDE_BYTES``). The impact and export stages
+        read none of it: fed that step as the after snapshot, both give the
+        same results."""
+        from gridimpact.cli import PipelineRun
+
+        config, digest = load_run_config(write_config(tmp_path, steps=8760))
+        run = PipelineRun(config, digest)
+        power = run.stage_power()
+        snapshot = power["after_snapshot"]
+        step = power["after_series"].step(run.stage_profile()["profile_peak_index"])
+        assert_same_solution(dataclasses.replace(step, line_flow_kvar=snapshot.line_flow_kvar),
+                             snapshot)
+
+        stepped = PipelineRun(config, digest)
+        stepped._stages["stage_power"] = {**power, "after_snapshot": step}
+        assert stepped.stage_impact() == run.stage_impact()
+        assert stepped.stage_export() == run.stage_export()
+
     @pytest.mark.parametrize("overrides, peak_beyond_run", [
         ({"steps": PEAK_INDEX}, True),
         ({"steps": PEAK_INDEX + 1}, False),
@@ -571,11 +592,11 @@ class TestPipeline:
     ], ids=["peak-beyond-run", "peak-is-last-step", "zero-fleet-override", "quarter-hour"])
     def test_one_kernel_call_per_side_gives_the_snapshots(self, tmp_path, monkeypatch,
                                                           overrides, peak_beyond_run):
-        """``gridimpact pipeline`` solves each side once: the snapshot is the
-        network's own load row of the series' batch, one more kernel row
-        only when no step of the run carries it (the EV side's peak step
-        does). Each snapshot, and its CSV, equals the network's solve on
-        its own."""
+        """``gridimpact pipeline`` gives each side's snapshot one kernel call
+        of one row, the network's own loads, ahead of that side's series.
+        The series solve only the rows some step carries, also when the EV
+        peak step lies past the run's end. Each snapshot, and its CSV,
+        equals the network's solve on its own."""
         from gridimpact import cli
         from gridimpact.powerflow import kernels, snapshot_csv, solve_snapshot
 
@@ -589,16 +610,16 @@ class TestPipeline:
         config_path = write_config(tmp_path, **overrides)
         monkeypatch.setattr(kernels, "solve_batch", counting)
         assert main(["pipeline", "--config", str(config_path)]) == 0
-        assert len(solved_rows) == 2
+        assert len(solved_rows) == 4
 
         run = cli.PipelineRun(*load_run_config(config_path))
         power = run.stage_power()
         peak_index = run.stage_profile()["profile_peak_index"]
         assert (peak_index >= run.config.steps) == peak_beyond_run
-        series_rows = sum(len(power[f"{side}_series"].rows.converged)
-                          for side in ("before", "after"))
-        assert solved_rows[:2] == solved_rows[2:]  # the stage rerun solves the same rows
-        assert sum(solved_rows[:2]) == series_rows + peak_beyond_run
+        series_rows = [len(power[f"{side}_series"].rows.converged)
+                       for side in ("before", "after")]
+        # the stage rerun solves the same rows
+        assert solved_rows == [1, series_rows[0], 1, series_rows[1]] * 2
         for side in ("before", "after"):
             net, snapshot = power[f"{side}_net"], power[f"{side}_snapshot"]
             assert_same_solution(snapshot, solve_snapshot(net, run.config.solver))
@@ -703,6 +724,26 @@ class TestPipeline:
         marker = run_dir_of(config) / "FAILED"
         assert marker.read_text() == ("stage: power\nerror: voltage collapse at bus b003: "
                                       "|V| = 0.1840 pu < 0.5 pu\n")
+
+    def test_failing_snapshot_stops_its_side_before_the_series(self, tmp_path, monkeypatch):
+        """The EV snapshot collapses: the power stage stops before the EV
+        series, after three kernel calls of the before snapshot, the before
+        series and the after snapshot."""
+        from gridimpact.powerflow import kernels
+
+        solved_rows = []
+        solve_batch = kernels.solve_batch
+
+        def counting(parent, child, z, s, *args):
+            solved_rows.append(s.shape[0])
+            return solve_batch(parent, child, z, s, *args)
+
+        config = write_config(tmp_path, peak_kw_override=1e9)  # guaranteed collapse
+        monkeypatch.setattr(kernels, "solve_batch", counting)
+        assert main(["pipeline", "--config", str(config)]) == 4
+        assert solved_rows == [1, 1, 1]  # the before series has one distinct row
+        assert (run_dir_of(config) / "FAILED").read_text() == (
+            "stage: power\nerror: voltage collapse at bus b003: |V| = 0.1840 pu < 0.5 pu\n")
 
     def test_unwritable_marker_keeps_the_stage_error(self, tmp_path, caplog):
         """A directory in FAILED's place makes the marker's write fail: the

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -113,3 +115,35 @@ def test_benchmark_wrapped_pipeline_methods_exist():
     writers = ("profile", "assignments", "power", "impact", "export", "manifest")
     for name in [f"stage_{s}" for s in stages] + [f"write_{w}" for w in writers]:
         assert inspect.isfunction(PipelineRun.__dict__.get(name)), name
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _benchmark_imports():
+    """``(file, module, name)`` for every ``from gridimpact... import name``
+    in the benchmark's sources, read with ``ast`` and never run."""
+    found = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and not node.level and (
+                    node.module.partition(".")[0] == "gridimpact"):
+                found += [(path.name, node.module, alias.name) for alias in node.names]
+    return found
+
+
+def test_benchmark_imports_resolve_in_the_package():
+    """No CI step runs ``perfbench/freeze.py``, so a name that the package
+    drops would break it unseen: each name the benchmark imports must be an
+    attribute or a submodule of a module of this package."""
+    imports = _benchmark_imports()
+    assert {file for file, _, _ in imports} >= {"freeze.py", "worker.py"}
+    package = Path(gridimpact.__file__).resolve().parent
+    unresolved = []
+    for file, module_name, name in imports:
+        module = importlib.import_module(module_name)
+        assert Path(module.__file__).resolve().is_relative_to(package), module_name
+        if not (hasattr(module, name) or hasattr(module, "__path__")
+                and importlib.util.find_spec(f"{module_name}.{name}")):
+            unresolved.append(f"{file}: from {module_name} import {name}")
+    assert unresolved == []

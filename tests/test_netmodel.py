@@ -125,6 +125,26 @@ class TestParse:
         with pytest.raises(TypeError, match="^no JSON reader for field type <class 'set'>$"):
             read_record(Unreadable, {"ids": []}, "document")
 
+    @pytest.mark.parametrize("nested", ["record", "records"])
+    def test_nested_field_type_without_reader_raises_type_error(self, nested):
+        """An unreadable field type in a nested record, or in the records of
+        a ``tuple[Record, ...]``, is the class's fault as at the top level:
+        the outer schema fails as it is built, never as a ``SchemaError``
+        that blames the document."""
+        @dataclasses.dataclass(frozen=True)
+        class Unreadable:
+            kind = "unreadable"
+            ids: set
+
+        @dataclasses.dataclass(frozen=True)
+        class Outer:
+            record: Unreadable
+            records: tuple[Unreadable, ...]
+
+        document = {"record": {"ids": []}, "records": [{"ids": []}]}
+        with pytest.raises(TypeError, match="^no JSON reader for field type <class 'set'>$"):
+            read_record(Outer, {nested: document[nested]}, "doc")
+
     def test_coordinate_bounds_enforced(self, minimal_doc):
         minimal_doc["buses"][0]["lat"] = 95.0
         with pytest.raises(SchemaError, match="lat"):

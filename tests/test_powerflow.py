@@ -673,14 +673,15 @@ class TestQsts:
         np.testing.assert_array_equal(result.step(1).line_flow_kw, nominal.line_flow_kw)
 
     def test_feeder_without_lines_writes_step_rows_only(self, kernel):
-        """A one-bus feeder: the line CSVs are their header alone, and the
-        summary has one row per step, the source serving the load."""
+        """A one-bus feeder: the line CSVs, the series' and the snapshot's,
+        are their header alone, and the summary has one row per step, the
+        source serving the load."""
         net = NetworkModel(buses=(Bus("b0", 37.0, -122.0, 12.47),), lines=(),
                            loads=(LoadPoint("ld1", "b0", 5.0, 1.0),), source=Source("b0", 1.0))
         result = run_qsts(net, {}, steps=3, dt_h=1.0)
         written = []
         for write, solved in ((qsts_lines_csv, result), (qsts_summary_csv, result),
-                              (snapshot_csv, result.snapshot)):
+                              (snapshot_csv, solve_snapshot(net))):
             out = io.StringIO()
             write(solved, out)
             written.append(out.getvalue())
@@ -897,19 +898,20 @@ class TestDistinctRows:
             values = rng.uniform(0.2, 2.0, 24) * load.kw
             shapes[load.id] = DemandProfile(dt_h=1.0, values_kw=values,
                                             energy_kwh=float(np.sum(values)))
-        solved_rows = []
+        solved = []
         solve_batch = kernels.solve_batch
 
-        def counting(parent, child, z, s, *args):
-            solved_rows.append(s.shape[0])
+        def recording(parent, child, z, s, *args):
+            solved.extend(row.tobytes() for row in s)
             return solve_batch(parent, child, z, s, *args)
 
-        monkeypatch.setattr(kernels, "solve_batch", counting)
+        monkeypatch.setattr(kernels, "solve_batch", recording)
         result = run_qsts(feeder40, shapes, steps=steps, dt_h=1.0, workers=workers)
         assert len(result.rows.converged) == 24
-        # The 25th row is the network's own, for the snapshot: no random step
-        # carries it.
-        assert sum(solved_rows) == 25
+        # Each of the 24 rows is solved once, and the network's own row,
+        # which no random step carries, is not solved at all.
+        assert len(solved) == len(set(solved)) == 24
+        assert _CompiledFeeder(feeder40).s_static_pu.tobytes() not in solved
         assert result.step_row.tolist() == [t % 24 for t in range(steps)]
         assert_equals_per_step(
             result, oracles.qsts_per_step(feeder40, shapes, SolverConfig(),
@@ -1017,10 +1019,15 @@ class TestCollapseRule:
                                                      levels, max_iter, load_seed):
         """``raise_if_collapsed`` reads collapse from a solution: it raises for
         exactly the rows ``kernels.solve_batch`` flags, naming the kernel's
-        bus and that bus's ``|V|``, for every step and for the snapshot."""
+        bus and that bus's ``|V|``, for every step. ``solve_snapshot``
+        raises the same way for the one row of its own kernel call: the
+        network's own loads, set to step 0's kW so that it can collapse."""
         net = random_feeder(n_buses, seed=feeder_seed)
         shapes = periodic_shapes(net, np.random.default_rng(load_seed), period, levels)
         cfg = SolverConfig(max_iter=max_iter)
+        step0_net = dataclasses.replace(net, loads=tuple(
+            dataclasses.replace(load, kw=float(shapes[load.id].values_kw[0]))
+            if load.id in shapes else load for load in net.loads))
         calls = []
         solve_batch = kernels.solve_batch
 
@@ -1028,21 +1035,26 @@ class TestCollapseRule:
             calls.append((args[3].copy(), solve_batch(*args)))
             return calls[-1][1]
 
+        def raised(solve, *args):
+            try:
+                solve(*args)
+            except VoltageCollapseError as exc:
+                return exc
+            return None
+
         with mock.patch.object(kernels, "solve_batch", recording):
             result = run_qsts(net, shapes, cfg, steps=period, dt_h=24 / period)
-        ((s_rows, (v, _, _, _, collapse)),) = calls
-        static = _CompiledFeeder(net).s_static_pu.tobytes()
-        snapshot_row = [row.tobytes() for row in s_rows].index(static)
-        solutions = [(result.step(t), r) for t, r in enumerate(result.step_row.tolist())]
-        for sol, r in solutions + [(result.snapshot, snapshot_row)]:
-            if collapse[r] < 0:
-                raise_if_collapsed(sol)
+            snapshot_error = raised(solve_snapshot, step0_net, cfg)
+        (_, (v, _, _, _, collapse)), (s_own, (v_own, _, _, _, collapse_own)) = calls
+        assert s_own.tobytes() == _CompiledFeeder(step0_net).s_static_pu.tobytes()
+        outcomes = [(raised(raise_if_collapsed, result.step(t)), v[r], collapse[r])
+                    for t, r in enumerate(result.step_row.tolist())]
+        for error, v_row, bus in outcomes + [(snapshot_error, v_own[0], collapse_own[0])]:
+            if bus < 0:
+                assert error is None
                 continue
-            with pytest.raises(VoltageCollapseError) as caught:
-                raise_if_collapsed(sol)
-            bus = collapse[r]
-            assert caught.value.bus_id == net.buses[bus].id
-            assert np.float64(caught.value.v_mag_pu).tobytes() == np.abs(v[r, bus]).tobytes()
+            assert error.bus_id == net.buses[bus].id
+            assert np.float64(error.v_mag_pu).tobytes() == np.abs(v_row[bus]).tobytes()
 
 
 class TestRowView:
