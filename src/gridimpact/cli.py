@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING, Iterator, TextIO
 # run, so the pre-flight check starts without loading or compiling them.
 from . import stations
 from .config import DEFAULT_SCHEDULE, ScenarioConfig, Schedule, SolverConfig
-from .errors import (GridImpactError, SchemaError, SolverError, decode_json, read_record,
-                     read_text)
+from .errors import (GridImpactError, SchemaError, SolverError, VoltageCollapseError,
+                     decode_json, read_record, read_text)
 from .netmodel import NetworkModel, load_network, tree_walk, validate_radial
 
 if TYPE_CHECKING:
@@ -243,12 +243,15 @@ class PipelineRun:
                 energy_kwh=float(np.sum(series)) * cfg.dt_h)
 
         # Each side's snapshot, its network's own loads solved alone, is
-        # checked first, so a failed snapshot stops the stage before that
-        # side's series is solved.
+        # checked first, so a collapsed or diverged snapshot stops the stage
+        # before that side's series is solved.
         result = {"before_net": before_net, "after_net": after_net}
         for side, net, side_shapes, label in (("before", before_net, {}, "baseline"),
                                               ("after", after_net, shapes, "EV")):
             snapshot = solve_snapshot(net, cfg.solver)
+            b = snapshot.collapse_bus
+            if b >= 0:
+                raise VoltageCollapseError(snapshot.bus_ids[b], float(snapshot.v_mag_pu[b]))
             if not snapshot.converged:
                 raise SolverError(
                     f"{label} snapshot diverged after {snapshot.iterations} iterations")

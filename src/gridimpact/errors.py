@@ -44,7 +44,8 @@ COLLAPSE_FLOOR_PU = 0.5
 
 
 class VoltageCollapseError(GridImpactError):
-    """Sweep iteration drove a bus voltage below ``COLLAPSE_FLOOR_PU``."""
+    """A snapshot's sweep left a bus voltage below ``COLLAPSE_FLOOR_PU``:
+    raised by the power stage from the snapshot's ``collapse_bus``."""
 
     exit_code = 4
 

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Mapping, TextIO
 import numpy as np
 
 from ..config import SolverConfig, common_dt_h, samples_per_day
-from ..errors import TopologyError, VoltageCollapseError
+from ..errors import TopologyError
 from ..netmodel import NetworkModel, tree_walk, validate_radial
 from . import kernels
 
@@ -30,7 +30,6 @@ __all__ = [
     "PowerFlowSolution",
     "QstsResult",
     "solve_snapshot",
-    "raise_if_collapsed",
     "run_qsts",
     "total_losses",
     "snapshot_csv",
@@ -48,7 +47,9 @@ _ELIDE_BYTES = 256 * 1024
 @dataclass(frozen=True, eq=False)
 class PowerFlowSolution:
     """One converged (or flagged) steady state. Arrays follow the id-sorted
-    bus/line order of the model they were solved on.
+    bus/line order of the model they were solved on. ``collapse_bus`` is the
+    sweep kernel's collapse verdict: the index into ``bus_ids`` of the first
+    bus under ``COLLAPSE_FLOOR_PU`` when the solve stopped, or -1 if none is.
 
     ``QstsResult.rows`` stacks the steady states of many load rows in one
     instance: each array gains a leading row axis, and each scalar field
@@ -68,6 +69,7 @@ class PowerFlowSolution:
     source_kw: float
     converged: bool
     iterations: int
+    collapse_bus: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +174,7 @@ def _distinct_rows(s_batch):
 
 
 def _build_solutions(feeder: _CompiledFeeder, s_rows, v, i_line, iters, converged,
-                     steps: int):
+                     collapse, steps: int):
     """Derive reported quantities from kernel outputs: the row-stacked
     solution of the rows of ``s_rows``, for a run of ``steps`` steps.
 
@@ -220,29 +222,15 @@ def _build_solutions(feeder: _CompiledFeeder, s_rows, v, i_line, iters, converge
         source_kw=(src_flow + s_rows[:, feeder.source_idx].real) * 1000.0,
         converged=converged,
         iterations=iters,
+        collapse_bus=collapse,
     )
-
-
-def raise_if_collapsed(solution: PowerFlowSolution) -> None:
-    """Raise VoltageCollapseError if some bus of ``solution`` is under the
-    collapse floor, naming the first such bus in model order: the bus that
-    ``kernels.solve_batch`` reports for a collapsed row."""
-    low = np.flatnonzero(solution.v_mag_pu < kernels.COLLAPSE_FLOOR_PU)
-    if low.size:
-        raise VoltageCollapseError(solution.bus_ids[low[0]], float(solution.v_mag_pu[low[0]]))
 
 
 def solve_snapshot(net: NetworkModel, cfg: SolverConfig = SolverConfig()) -> PowerFlowSolution:
     """Solve one steady state by backward/forward sweep: step 0 of a
-    one-step ``run_qsts``.
-
-    Raises TopologyError on non-radial input and VoltageCollapseError if any
-    bus dips below 0.5 pu during iteration. A solve that merely fails to
-    converge within max_iter returns with ``converged=False``.
-    """
-    snapshot = run_qsts(net, {}, cfg, steps=1, dt_h=1.0).step(0)
-    raise_if_collapsed(snapshot)
-    return snapshot
+    one-step ``run_qsts``. Raises TopologyError on non-radial input; a
+    collapse or a divergence returns with ``converged=False``."""
+    return run_qsts(net, {}, cfg, steps=1, dt_h=1.0).step(0)
 
 
 def run_qsts(
@@ -265,7 +253,8 @@ def run_qsts(
     step ``t`` takes row ``t % period``. ``steps`` also sets the operand
     order of the derivation (see ``_build_solutions``).
     Diverged or collapsed steps are recorded with ``converged=False`` without
-    aborting the run; each collapsed row is logged once, with its bus, its
+    aborting the run, and a collapsed step's row names its bus in
+    ``collapse_bus``; each collapsed row is logged once, with its bus, its
     step count and its first step.
 
     Each distinct load row is solved once and every step with the same row
@@ -316,14 +305,15 @@ def run_qsts(
 
     _, first_step, row_steps = np.unique(step_row, return_index=True, return_counts=True)
     for r in np.flatnonzero(collapse >= 0):
-        log.warning("voltage collapse at bus %s in %d steps (first at step %d), "
+        log.warning("voltage collapse at bus %s in %d of %d steps (first at step %d), "
                     "recorded as not converged",
-                    feeder.bus_ids[collapse[r]], row_steps[r], first_step[r])
+                    feeder.bus_ids[collapse[r]], row_steps[r], steps, first_step[r])
     diverged = int(np.sum(row_steps[~converged]))
     if diverged:
         log.warning("%d of %d steps did not converge", diverged, steps)
 
-    return QstsResult(rows=_build_solutions(feeder, s_rows, v, i_line, iters, converged, steps),
+    return QstsResult(rows=_build_solutions(feeder, s_rows, v, i_line, iters, converged,
+                                            collapse, steps),
                       step_row=step_row, dt_h=dt_h)
 
 

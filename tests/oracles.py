@@ -243,7 +243,7 @@ def qsts_per_step(net, shapes, cfg, *, steps: int, dt_h: float):
     # Walk line k is the network's line line_of[k]; the line into a bus
     # comes before the lines out of it.
     parent_bfs, child_bfs, line_of = np.array(tree_walk(net), dtype=np.int64).reshape(-1, 3).T
-    v, i_line_bfs, iters, converged, _ = kernels.solve_batch(
+    v, i_line_bfs, iters, converged, collapse = kernels.solve_batch(
         parent_bfs, child_bfs, feeder.z[line_of], s_batch, feeder.v0, cfg.tol_pu, cfg.max_iter)
 
     bfs_of_model = np.empty_like(line_of)
@@ -271,7 +271,8 @@ def qsts_per_step(net, shapes, cfg, *, steps: int, dt_h: float):
             line_flow_kw=flow_kw[t], line_flow_kvar=flow_kvar[t],
             line_current_a=amps[t], line_loss_kw=loss_kw[t],
             total_loss_kw=total_loss, total_load_kw=total_load, source_kw=source_kw,
-            converged=bool(converged[t]), iterations=int(iters[t])))
+            converged=bool(converged[t]), iterations=int(iters[t]),
+            collapse_bus=int(collapse[t])))
     return solutions
 
 

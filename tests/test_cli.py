@@ -760,6 +760,29 @@ class TestPipeline:
         assert (run_dir / "FAILED").is_dir()
         assert not list(run_dir.glob(".FAILED.*"))
 
+    def test_collapsed_snapshot_logs_its_verdict_then_the_stage_error(self, tmp_path, caplog):
+        """The EV snapshot, a one-step run, logs its collapse and its count
+        of steps that did not converge; the power stage then raises on the
+        snapshot's ``collapse_bus``, with its bus and its ``|V|`` as a
+        Python float."""
+        from gridimpact import cli
+        from gridimpact.errors import VoltageCollapseError
+
+        config = write_config(tmp_path, peak_kw_override=1e9)  # guaranteed collapse
+        with caplog.at_level(logging.WARNING, logger="gridimpact"):
+            assert main(["pipeline", "--config", str(config)]) == 4
+        collapse = "voltage collapse at bus b003: |V| = 0.1840 pu < 0.5 pu"
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("gridimpact.powerflow.solver", logging.WARNING,
+             "voltage collapse at bus b003 in 1 of 1 steps (first at step 0), "
+             "recorded as not converged"),
+            ("gridimpact.powerflow.solver", logging.WARNING, "1 of 1 steps did not converge"),
+            ("gridimpact", logging.ERROR, f"stage power failed: {collapse}"),
+            ("gridimpact", logging.ERROR, collapse)]
+        with pytest.raises(VoltageCollapseError) as raised:
+            cli.PipelineRun(*load_run_config(config)).stage_power()
+        assert (raised.value.bus_id, type(raised.value.v_mag_pu)) == ("b003", float)
+
     def test_diverged_snapshot_marks_stage_and_exits_4(self, tmp_path):
         config = write_config(tmp_path, solver={"tol_pu": 1e-12, "max_iter": 1})
         assert main(["pipeline", "--config", str(config)]) == 4

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gridimpact.errors import TopologyError, VoltageCollapseError
+from gridimpact.errors import COLLAPSE_FLOOR_PU, TopologyError
 from gridimpact.evfleet import DemandProfile
 from gridimpact.netmodel import Bus, Line, LoadPoint, NetworkModel, Source
 from gridimpact.powerflow import (
@@ -29,7 +29,7 @@ from gridimpact.powerflow import (
     total_losses,
 )
 from gridimpact.powerflow import kernels
-from gridimpact.powerflow.solver import _CompiledFeeder, raise_if_collapsed
+from gridimpact.powerflow.solver import _CompiledFeeder
 from gridimpact.synth import random_feeder
 
 import oracles
@@ -166,14 +166,17 @@ class TestSnapshot:
             solve_snapshot(looped)
 
     def test_voltage_collapse_names_bus(self, kernel):
+        """A collapsed snapshot returns, not converged, naming its bus."""
         net = NetworkModel(
             buses=(Bus("b1", 37.0, -122.0, 1.0), Bus("b2", 37.001, -122.0, 1.0)),
             lines=(Line("l1", "b1", "b2", 0.05, 0.05, 400.0),),
             loads=(LoadPoint("ld1", "b2", 10_000.0, 0.0),),  # 10 pu: hopeless
             source=Source("b1", 1.0),
         )
-        with pytest.raises(VoltageCollapseError, match="bus b2"):
-            solve_snapshot(net)
+        sol = solve_snapshot(net)
+        assert not sol.converged
+        assert sol.bus_ids[sol.collapse_bus] == "b2"
+        assert sol.v_mag_pu[sol.collapse_bus] < COLLAPSE_FLOOR_PU
 
     def test_divergence_returns_unconverged(self, kernel, two_bus_net):
         sol = solve_snapshot(two_bus_net, SolverConfig(tol_pu=1e-12, max_iter=1))
@@ -986,8 +989,8 @@ class TestDistinctRows:
             run_qsts(net, shapes, cfg, steps=steps, dt_h=8.0)
         collapsed = [r.getMessage() for r in caplog.records if "collapse" in r.getMessage()]
         heavy_steps = len(range(2, steps, 3))
-        assert collapsed == [f"voltage collapse at bus b03 in {heavy_steps} steps "
-                             f"(first at step 2), recorded as not converged"]
+        assert collapsed == [f"voltage collapse at bus b03 in {heavy_steps} of {steps} "
+                             f"steps (first at step 2), recorded as not converged"]
         assert len(caplog.records) == 2
         assert caplog.records[1].getMessage() == (
             f"{steps - (steps + 2) // 3} of {steps} steps did not converge")
@@ -1015,13 +1018,16 @@ class TestCollapseRule:
            max_iter=st.sampled_from([2, 3, 50]), load_seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     @example(n_buses=12, feeder_seed=3, period=3, levels=6, max_iter=50, load_seed=3)
+    @example(n_buses=12, feeder_seed=2, period=3, levels=6, max_iter=50, load_seed=2)
     def test_solution_names_the_kernels_collapse_bus(self, n_buses, feeder_seed, period,
                                                      levels, max_iter, load_seed):
-        """``raise_if_collapsed`` reads collapse from a solution: it raises for
-        exactly the rows ``kernels.solve_batch`` flags, naming the kernel's
-        bus and that bus's ``|V|``, for every step. ``solve_snapshot``
-        raises the same way for the one row of its own kernel call: the
-        network's own loads, set to step 0's kW so that it can collapse."""
+        """``collapse_bus`` of every row is the fifth output of the kernel
+        call that solved it, and is the first bus whose ``v_mag_pu`` is under
+        ``COLLAPSE_FLOOR_PU``, or -1. ``solve_snapshot`` returns the same
+        verdict for the one row of its own kernel call, not converged when it
+        collapsed: the network's own loads, set to step 0's kW so that it can
+        collapse. In the first example a series row collapses, in the second
+        the snapshot."""
         net = random_feeder(n_buses, seed=feeder_seed)
         shapes = periodic_shapes(net, np.random.default_rng(load_seed), period, levels)
         cfg = SolverConfig(max_iter=max_iter)
@@ -1035,26 +1041,33 @@ class TestCollapseRule:
             calls.append((args[3].copy(), solve_batch(*args)))
             return calls[-1][1]
 
-        def raised(solve, *args):
-            try:
-                solve(*args)
-            except VoltageCollapseError as exc:
-                return exc
-            return None
+        def first_under_floor(v_mag_pu):
+            low = np.flatnonzero(v_mag_pu < COLLAPSE_FLOOR_PU)
+            return int(low[0]) if low.size else -1
 
         with mock.patch.object(kernels, "solve_batch", recording):
-            result = run_qsts(net, shapes, cfg, steps=period, dt_h=24 / period)
-            snapshot_error = raised(solve_snapshot, step0_net, cfg)
-        (_, (v, _, _, _, collapse)), (s_own, (v_own, _, _, _, collapse_own)) = calls
+            rows = run_qsts(net, shapes, cfg, steps=period, dt_h=24 / period).rows
+            snapshot = solve_snapshot(step0_net, cfg)
+        (_, (_, _, _, _, collapse)), (s_own, (_, _, _, _, collapse_own)) = calls
         assert s_own.tobytes() == _CompiledFeeder(step0_net).s_static_pu.tobytes()
-        outcomes = [(raised(raise_if_collapsed, result.step(t)), v[r], collapse[r])
-                    for t, r in enumerate(result.step_row.tolist())]
-        for error, v_row, bus in outcomes + [(snapshot_error, v_own[0], collapse_own[0])]:
-            if bus < 0:
-                assert error is None
-                continue
-            assert error.bus_id == net.buses[bus].id
-            assert np.float64(error.v_mag_pu).tobytes() == np.abs(v_row[bus]).tobytes()
+        assert (rows.collapse_bus.dtype, rows.collapse_bus.tolist()) == (
+            np.int64, collapse.tolist())
+        assert [first_under_floor(v) for v in rows.v_mag_pu] == collapse.tolist()
+        assert snapshot.collapse_bus == collapse_own[0] == first_under_floor(snapshot.v_mag_pu)
+        if snapshot.collapse_bus >= 0:
+            assert not snapshot.converged
+
+
+def assert_same_fields(got, want):
+    """Every field of two steady states, bit for bit."""
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.tobytes() == b.tobytes(), field.name
+        elif isinstance(b, float):
+            assert np.float64(a).tobytes() == np.float64(b).tobytes(), field.name
+        else:
+            assert a == b, field.name
 
 
 class TestRowView:
@@ -1074,20 +1087,38 @@ class TestRowView:
         step = run_qsts(net, {}, steps=1, dt_h=1.0).step(0)
         assert_row_view_types(snapshot, n_buses, n_lines)
         assert_row_view_types(step, n_buses, n_lines)
-        for field in dataclasses.fields(snapshot):
-            a, b = getattr(step, field.name), getattr(snapshot, field.name)
-            if isinstance(b, np.ndarray):
-                assert a.tobytes() == b.tobytes(), field.name
-            elif isinstance(b, float):
-                assert np.float64(a).tobytes() == np.float64(b).tobytes(), field.name
-            else:
-                assert a == b, field.name
+        assert_same_fields(step, snapshot)
 
         shapes = periodic_shapes(net, np.random.default_rng(load_seed), period, levels)
         result = run_qsts(net, shapes, SolverConfig(max_iter=max_iter), steps=steps,
                           dt_h=24 / period)
         for sol in every_step(result):
             assert_row_view_types(sol, n_buses, n_lines)
+
+    @given(n_buses=st.integers(2, 60), feeder_seed=st.integers(0, 2**31 - 1),
+           outcome=st.sampled_from(["converged", "diverged", "collapsed"]),
+           max_iter=st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    @example(n_buses=10, feeder_seed=0, outcome="converged", max_iter=1)
+    @example(n_buses=10, feeder_seed=0, outcome="diverged", max_iter=3)
+    @example(n_buses=10, feeder_seed=0, outcome="collapsed", max_iter=1)
+    def test_snapshot_is_step_zero_of_a_one_step_run(self, n_buses, feeder_seed, outcome,
+                                                     max_iter):
+        """``solve_snapshot`` returns step 0 of a one-step ``run_qsts`` bit for
+        bit in every field, whether the network converges, runs out of
+        ``max_iter`` iterations at a 1e-12 pu tolerance, or carries 1000 times
+        its loads (the examples hit each outcome)."""
+        net = random_feeder(n_buses, seed=feeder_seed)
+        cfg = SolverConfig()
+        if outcome == "diverged":
+            cfg = SolverConfig(tol_pu=1e-12, max_iter=max_iter)
+        elif outcome == "collapsed":
+            net = dataclasses.replace(net, loads=tuple(
+                dataclasses.replace(load, kw=load.kw * 1e3, kvar=load.kvar * 1e3)
+                for load in net.loads))
+        snapshot = solve_snapshot(net, cfg)
+        assert_same_fields(snapshot, run_qsts(net, {}, cfg, steps=1, dt_h=1.0).step(0))
+        assert_row_view_types(snapshot, n_buses, len(net.lines))
 
 
 class TestTotalLosses:
