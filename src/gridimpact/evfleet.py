@@ -103,12 +103,14 @@ class DemandProfile:
     truncated: bool = False
 
     def __post_init__(self):
-        values = np.ascontiguousarray(np.asarray(self.values_kw, dtype=np.float64))
+        values = np.asarray(self.values_kw, dtype=np.float64)
+        samples = samples_per_day(self.dt_h)
+        if values.shape != (samples,):
+            raise ValueError(f"profile must span exactly 24 h as a 1-D series of {samples} "
+                             f"samples at dt={self.dt_h}, not shape {values.shape}")
+        values = np.ascontiguousarray(values)
         values.setflags(write=False)
         object.__setattr__(self, "values_kw", values)
-        n = values.shape[0]
-        if n != samples_per_day(self.dt_h):
-            raise ValueError(f"profile must span exactly 24 h: {n} samples at dt={self.dt_h}")
         if not np.isfinite(values).all():
             raise ValueError("values_kw samples must be finite")
         if not math.isfinite(self.energy_kwh):

@@ -66,17 +66,18 @@ currents need no array of their own.
 
 Column tiles. The batch is solved in tiles of whole rows of ``s`` (columns
 of the working arrays), one tile after the other, with the level schedule
-computed once per call. The call's working memory is one anonymous
-``mmap``, sized by ``_block_bytes`` for the call's widest tile, and cut
-into array views: four tile regions (loads, voltages, currents, and a
-free one that only an exit with rows staying touches; an anonymous page
-costs no memory until it is touched), the forward and backward passes'
-level scratch (two complex and one float array of the most lines of one
-level by the tile width) and two rows of the tile width (a level's largest
-change and ``dv``). The mapping goes back to the operating system when
-the call returns and its last view is dropped; freed heap would stay with
-the process. Nothing of it is cached between calls, so concurrent calls
-never share it, and the working memory does not grow with the batch.
+computed once per call and the tiles cut by ``_tile_bounds``. The call's
+working memory is one anonymous ``mmap`` for the call's widest tile, its
+size summed from the array views it is cut into: four tile regions (loads,
+voltages, currents, and a free one that only an exit with rows staying
+touches; an anonymous page costs no memory until it is touched), the
+forward and backward passes' level scratch (two complex and one float
+array of the most lines of one level by the tile width) and two rows of
+the tile width (a level's largest change and ``dv``). The mapping goes
+back to the operating system when the call returns and its last view is
+dropped; freed heap would stay with the process. Nothing of it is cached
+between calls, so concurrent calls never share it, and the working memory
+does not grow with the batch.
 Tiling cannot change any bits: every arithmetic step is per column, each
 column starts from ``v0`` in its tile as it does in the whole batch, and
 rows already leave the active set without touching the rows that stay
@@ -205,37 +206,18 @@ def _blocks(cuts, size):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _tile_width(n, m, n_levels, batch):
-    """Columns per tile: the widest tile of a balanced split of ``batch``.
+def _tile_bounds(n, m, n_levels, batch):
+    """Cut points of a batch's column tiles; tile t is ``bounds[t]:bounds[t + 1]``.
 
-    Each of the tile's three working arrays fills ``TILE_BYTES`` at 16
-    bytes per complex element, unless that would leave the average numpy
-    call of a level under ``CALL_ELEMS`` elements; then the tile widens to
-    that floor.
-    The width is then balanced: ``ceil(batch / width)`` tiles of at most
-    ``ceil(batch / tiles)`` columns each. At least 1, also for no rows.
+    Each of a tile's three working arrays fills ``TILE_BYTES`` at 16 bytes
+    per complex element, unless that would leave the average numpy call of
+    a level under ``CALL_ELEMS`` elements; then the tile widens to that
+    floor. The batch is cut into ``ceil(batch / width)`` contiguous tiles
+    whose sizes differ by at most 1, and no rows make no tiles, ``[0]``.
     """
     width = max(TILE_BYTES // (16 * n), -(-CALL_ELEMS * n_levels // m))
     tiles = -(-batch // width)
-    return -(-batch // tiles) if tiles else 1
-
-
-def _tile_bounds(batch, width):
-    """Cut points of ``ceil(batch / width)`` contiguous tiles whose sizes
-    differ by at most 1; tile t is ``bounds[t]:bounds[t + 1]``."""
-    tiles = -(-batch // width)
     return [t * batch // tiles for t in range(tiles + 1)] if tiles else [0]
-
-
-def _block_bytes(n, widest, tile):
-    """Bytes of a call's working block for tiles of up to ``tile`` columns.
-
-    Four ``(n, tile)`` complex tile regions, two ``(widest, tile)`` complex
-    and one ``(widest, tile)`` float level scratch arrays (``widest`` is the
-    most lines of one level), and two float rows of ``tile``: a level's
-    largest voltage change and ``dv``.
-    """
-    return tile * (16 * (4 * n + 2 * widest) + 8 * (widest + 2))
 
 
 def _parent_rows(par_row, blocks):
@@ -299,26 +281,31 @@ def solve_batch(parent, child, z, s, v0, tol, max_iter):
 
     v_out = np.empty((batch, n), dtype=np.complex128)
     i_out = np.empty((batch, m), dtype=np.complex128)
-    tile = _tile_width(n, m, len(levels), batch)
-    # The call's working memory: one anonymous mapping, cut into views. It
-    # is unmapped, not kept on the heap, once the last view goes at return.
-    # ACCESS_COPY makes it private: a shared anonymous mapping is backed by
-    # shared memory and faults slower (touching 67 MB: 58 against 41 ms on a
-    # 2-vCPU VM).
+    bounds = _tile_bounds(n, m, len(levels), batch)
+    tiles = list(zip(bounds[:-1], bounds[1:]))
+    tile = max((stop - start for start, stop in tiles), default=1)
     widest = max(hi - lo for lo, hi in levels)
-    mapping = mmap.mmap(-1, _block_bytes(n, widest, tile), access=mmap.ACCESS_COPY)
-    block = np.frombuffer(mapping, dtype=np.complex128, count=(4 * n + 2 * widest) * tile)
-    floats = np.frombuffer(mapping, dtype=np.float64, offset=block.nbytes)
+    # The call's working memory: one anonymous mapping, cut into views in
+    # this order: the tile regions in the roles each tile starts in (loads,
+    # voltages, currents), the two complex level scratch arrays, the free
+    # tile region, the float level scratch, and the rows of a level's
+    # largest change and of dv. It is unmapped, not kept on the heap, once
+    # the last view goes at return. ACCESS_COPY makes it private: a shared
+    # anonymous mapping is backed by shared memory and faults slower
+    # (touching 67 MB: 58 against 41 ms on a 2-vCPU VM).
+    layout = ([(np.complex128, n * tile)] * 3 + [(np.complex128, widest * tile)] * 2
+              + [(np.complex128, n * tile), (np.float64, widest * tile)]
+              + [(np.float64, tile)] * 2)
+    mapping = mmap.mmap(-1, sum(np.dtype(kind).itemsize * size for kind, size in layout),
+                        access=mmap.ACCESS_COPY)
+    views, offset = [], 0
+    for kind, size in layout:
+        views.append(np.frombuffer(mapping, dtype=kind, count=size, offset=offset))
+        offset += views[-1].nbytes
     del mapping
-    # The four tile regions in the roles each tile starts in: loads,
-    # voltages, currents and, after the level scratch of both passes, free.
-    region = n * tile
-    regions = (*(block[r * region:(r + 1) * region] for r in range(3)), block[-region:])
-    new_buf = block[3 * region:3 * region + widest * tile]
-    step_buf = block[3 * region + widest * tile:-region]
-    abs_buf, level_dv_buf, dv_buf = floats[:widest * tile], floats[-2 * tile:-tile], floats[-tile:]
-    bounds = _tile_bounds(batch, tile)
-    for start, stop in zip(bounds[:-1], bounds[1:]):
+    s_reg, v_reg, i_reg, new_buf, step_buf, f_reg, abs_buf, level_dv_buf, dv_buf = views
+    regions = (s_reg, v_reg, i_reg, f_reg)
+    for start, stop in tiles:
         s_reg, v_reg, i_reg, f_reg = regions
         rows = np.arange(start, stop)
         # Bus-major working arrays, one column per active row, buses in

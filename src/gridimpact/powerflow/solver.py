@@ -138,7 +138,7 @@ class _CompiledFeeder:
         self.z = np.array(
             [(l.resistance_ohm + 1j * l.reactance_ohm) / z_base_ohm for l in net.lines],
             dtype=np.complex128)
-        self.r_pu = np.array([l.resistance_ohm / z_base_ohm for l in net.lines])
+        self.r_pu = self.z.real  # exactly resistance_ohm / z_base_ohm
 
         self.s_static_pu = np.zeros(n, dtype=np.complex128)
         self.load_bus_idx: dict[str, int] = {}

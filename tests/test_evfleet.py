@@ -327,6 +327,14 @@ class TestDemandProfileInvariants:
         with pytest.raises(ValueError, match="span exactly 24"):
             DemandProfile(dt_h=1.0, values_kw=np.zeros(23), energy_kwh=0.0)
 
+    @pytest.mark.parametrize("shape", [(24, 1), (24, 2), ()])
+    def test_series_must_be_1d(self, shape):
+        """A 2-D array passes a length check on its first axis alone, and
+        find_peak and run_qsts then failed inside numpy; a scalar is named
+        by its own shape, not the one-sample series numpy would make of it."""
+        with pytest.raises(ValueError, match=re.escape(f"not shape {shape}")):
+            DemandProfile(dt_h=1.0, values_kw=np.zeros(shape), energy_kwh=0.0)
+
     def test_energy_declaration_must_match_integral(self):
         with pytest.raises(ValueError, match="disagrees"):
             DemandProfile(dt_h=1.0, values_kw=np.ones(24), energy_kwh=5.0)
