@@ -8,6 +8,7 @@ reading and checking a run configuration imports no numpy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -21,6 +22,7 @@ __all__ = [
     "HOURS_PER_DAY",
     "samples_per_day",
     "common_dt_h",
+    "check_finite",
 ]
 
 HOURS_PER_DAY = 24.0
@@ -39,6 +41,15 @@ class ChargingStrategy(Enum):
         except ValueError:
             valid = ", ".join(s.value for s in cls)
             raise ValueError(f"unknown charging strategy '{token}' (expected one of: {valid})") from None
+
+
+def check_finite(record, *names: str) -> None:
+    """Raise ``ValueError`` naming the first of ``record``'s fields ``names``
+    that is NaN or ±inf, which a range check alone may let through."""
+    for name in names:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _check_fraction(name: str, value: float) -> None:
@@ -72,6 +83,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if not 0 <= self.fleet_size <= 10**12:
             raise ValueError(f"fleet_size must be in [0, 10**12], got {self.fleet_size}")
+        check_finite(self, "avg_daily_miles", "ambient_temp_f")
         if not self.avg_daily_miles > 0:
             raise ValueError(f"avg_daily_miles must be > 0, got {self.avg_daily_miles}")
         for name in ("bev_share", "sedan_share", "work_mix_l1", "home_access",
@@ -109,6 +121,7 @@ class SolverConfig:
     max_iter: int = 50
 
     def __post_init__(self):
+        check_finite(self, "tol_pu")
         if not self.tol_pu > 0:
             raise ValueError("tol_pu must be > 0")
         if self.max_iter < 1:

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import (DEFAULT_SCHEDULE, HOURS_PER_DAY, ChargingStrategy, ScenarioConfig, Schedule,
-                     common_dt_h, samples_per_day)
+                     check_finite, common_dt_h, samples_per_day)
 
 __all__ = [
     "ChargingStrategy",
@@ -68,9 +68,7 @@ class Cohort:
     location: Location
 
     def __post_init__(self):
-        for name in ("energy_need_kwh", "arrive_h", "depart_h", "max_rate_kw"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        check_finite(self, "energy_need_kwh", "arrive_h", "depart_h", "max_rate_kw")
         if self.count < 0:
             raise ValueError("cohort count must be >= 0")
         if self.energy_need_kwh < 0:
@@ -113,8 +111,7 @@ class DemandProfile:
         object.__setattr__(self, "values_kw", values)
         if not np.isfinite(values).all():
             raise ValueError("values_kw samples must be finite")
-        if not math.isfinite(self.energy_kwh):
-            raise ValueError(f"energy_kwh must be finite, got {self.energy_kwh}")
+        check_finite(self, "energy_kwh")
         if np.any(values < 0):
             raise ValueError("profile samples must be >= 0")
         total = float(np.sum(values)) * self.dt_h

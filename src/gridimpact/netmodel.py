@@ -10,6 +10,7 @@ at parse time instead of producing silently wrong physics.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
 
@@ -35,6 +36,15 @@ def _id_key(identifier: str) -> bytes:
     return identifier.encode("utf-8")
 
 
+def _check_finite(record, *names) -> None:
+    """Refuse NaN and ±inf in the named fields: a one-sided range check lets
+    inf through, and NaN through any check written as ``x < bound``."""
+    for name in names:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise SchemaError(f"{record.kind} {record.id}: {name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Bus:
     """A network node with WGS84 coordinates and a line-to-line voltage base."""
@@ -51,6 +61,7 @@ class Bus:
             raise SchemaError(f"bus {self.id}: lat {self.lat} outside [-90, 90]")
         if not -180.0 <= self.lon <= 180.0:
             raise SchemaError(f"bus {self.id}: lon {self.lon} outside [-180, 180]")
+        _check_finite(self, "base_kv")
         if not self.base_kv > 0:
             raise SchemaError(f"bus {self.id}: base_kv must be > 0")
 
@@ -72,6 +83,7 @@ class Line:
         check_id(self.kind, self.id)
         if self.from_bus == self.to_bus:
             raise SchemaError(f"line {self.id}: from_bus equals to_bus ({self.from_bus})")
+        _check_finite(self, "resistance_ohm", "reactance_ohm", "ampacity_a")
         if not self.ampacity_a > 0:
             raise SchemaError(f"line {self.id}: ampacity_a must be > 0")
         if self.resistance_ohm < 0 or self.reactance_ohm < 0:
@@ -92,6 +104,7 @@ class LoadPoint:
 
     def __post_init__(self):
         check_id(self.kind, self.id)
+        _check_finite(self, "kw", "kvar")
         if self.kw < 0:
             raise SchemaError(f"load {self.id}: kw must be >= 0")
 

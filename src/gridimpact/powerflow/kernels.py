@@ -27,8 +27,8 @@ currents need no array of their own.
   are all distinct, and one row add, ``i_acc[parents] += i_acc[lo:hi]``,
   serves the whole group; ``parents`` is a slice when their rows are
   contiguous, and the add then runs on a view with no gather or scatter.
-  Otherwise the parent rows are gathered into level scratch, added to and
-  scattered back (addition commutes bit for bit).
+  Otherwise numpy gathers the parent rows, adds and scatters them back,
+  which is exact: no parent repeats within a group.
   Within a level the groups run rank 0 first, and a parent's children all
   share one level, so every parent sums its children's currents in
   descending line order, exactly as a per-line loop from the last line to
@@ -71,9 +71,9 @@ working memory is one anonymous ``mmap`` for the call's widest tile, its
 size summed from the array views it is cut into: four tile regions (loads,
 voltages, currents, and a free one that only an exit with rows staying
 touches; an anonymous page costs no memory until it is touched), the
-forward and backward passes' level scratch (two complex and one float
-array of the most lines of one level by the tile width) and two rows of
-the tile width (a level's largest change and ``dv``). The mapping goes
+forward pass's level scratch (two complex and one float array of the
+most lines of one level by the tile width) and two rows of the tile
+width (a level's largest change and ``dv``). The mapping goes
 back to the operating system when the call returns and its last view is
 dropped; freed heap would stay with the process. Nothing of it is cached
 between calls, so concurrent calls never share it, and the working memory
@@ -127,7 +127,7 @@ from ..errors import COLLAPSE_FLOOR_PU
 # 0.59-0.70 s, within the runs' spread. With the three arrays sharing the
 # 2 MiB, the floor decides on the benchmark feeder (412 columns). There an
 # 8,760-row solve maps a 5.78 MB block, of which it touches the three tile
-# regions and the level scratch, and holds 0.16 MB on the heap beyond its
+# regions and the level scratch, and holds 0.18 MB on the heap beyond its
 # outputs.
 TILE_BYTES = (2 << 20) // 3  # each of a tile's three complex working arrays
 CALL_ELEMS = 8192  # least average elements per numpy call of a level
@@ -327,13 +327,7 @@ def solve_batch(parent, child, z, s, v0, tol, max_iter):
             np.divide(sa, va, out=i_acc)
             np.conjugate(i_acc, out=i_acc)
             for lo, hi, parents in backward:
-                if isinstance(parents, slice):
-                    i_acc[parents] += i_acc[lo:hi]
-                else:
-                    sums = i_acc.take(parents, axis=0, mode="clip",
-                                      out=_view(new_buf, hi - lo, width))
-                    np.add(sums, i_acc[lo:hi], out=sums)
-                    i_acc[parents] = sums
+                i_acc[parents] += i_acc[lo:hi]
             dv, level_dv = dv_buf[:width], level_dv_buf[:width]
             dv.fill(0.0)
             for lo, hi, parents, z_level in forward:

@@ -19,6 +19,9 @@ in the breadth-first order of ``netmodel.tree_walk``, where the package
 keeps the network's own line order, and gathers every per-line result back
 into that order.
 
+``assert_same_state`` is the one bitwise comparison of two steady states
+that the tests use.
+
 ``charging_window_per_strategy`` resolves a cohort's charging window with
 one branch per strategy, each computing its own full-rate window; the
 package's single full-rate window must equal it bit for bit.
@@ -35,7 +38,7 @@ added-kW map bit for bit, and raise the same errors.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -274,6 +277,22 @@ def qsts_per_step(net, shapes, cfg, *, steps: int, dt_h: float):
             converged=bool(converged[t]), iterations=int(iters[t]),
             collapse_bus=int(collapse[t])))
     return solutions
+
+
+def assert_same_state(got, want, *where):
+    """Every field of two steady states, bit for bit: arrays by dtype, shape
+    and bytes, floats by type and float64 bits, anything else by type and
+    ``==``. A failure names the field after ``where``."""
+    for field in fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), \
+                (*where, field.name)
+        elif isinstance(b, float):
+            assert type(a) is type(b) and \
+                np.float64(a).tobytes() == np.float64(b).tobytes(), (*where, field.name)
+        else:
+            assert type(a) is type(b) and a == b, (*where, field.name)
 
 
 def qsts_total_losses(solutions, dt_h: float) -> float:

@@ -19,7 +19,6 @@ from gridimpact.assign import Assignment, inject_loads
 from gridimpact.cli import load_run_config, main
 from gridimpact.evfleet import ChargingStrategy, Cohort, Location, cohort_profile, find_peak
 from gridimpact.impact import Category, categorize
-from gridimpact.netmodel import load_network
 from gridimpact.powerflow import SolverConfig, run_qsts, solve_snapshot
 from gridimpact.stations import CapacityClass, allocate_peak
 from gridimpact.synth import random_feeder

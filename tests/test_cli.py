@@ -9,7 +9,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import gridimpact
@@ -89,16 +88,6 @@ def add_resistive_spur_to_reactive_feeder(doc):
 
 # validate's error for a network whose baseline loss is 0
 NO_LOSS = "below a line with resistance_ohm > 0: no baseline loss"
-
-
-def assert_same_solution(got, want):
-    """Every field of two steady states, bit for bit."""
-    for field in dataclasses.fields(want):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(b, np.ndarray):
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
-        else:
-            assert type(a) is type(b) and repr(a) == repr(b), field.name
 
 
 def run_dir_of(config_path, out=None):
@@ -528,6 +517,38 @@ class TestPipeline:
         assert delta == pytest.approx(manifest["assigned_total_kw"], rel=1e-9)
         assert manifest["assigned_total_kw"] == pytest.approx(130_000.0, rel=1e-9)
 
+    def test_ampacity_threshold_keeps_the_lines_rated_above_it(self, tmp_path):
+        """At 300 A only the 21 feeder40 lines rated 400 or 600 A keep their
+        flow and loss records, the flow histogram counts those alone, the GeoJSON
+        styles them as the unfiltered run does and leaves the other 18 lines
+        at the default style, and the feeder-wide summary is unchanged."""
+        runs = {}
+        for threshold in (0.0, 300.0):
+            config = write_config(tmp_path, name=f"config-{threshold}.json",
+                                  ampacity_threshold_a=threshold)
+            assert main(["pipeline", "--config", str(config)]) == 0
+            run_dir = run_dir_of(config)
+            runs[threshold] = (json.loads((run_dir / "impact_report.json").read_text()),
+                               (run_dir / "histogram_flow.csv").read_text(),
+                               json.loads((run_dir / "network_styled.geojson").read_text()))
+        (report_all, _, geo_all), (report, histogram, geo) = runs[0.0], runs[300.0]
+        lines = json.loads((FIXTURES / "feeder40.json").read_text())["lines"]
+        rated = {line["id"] for line in lines if line["ampacity_a"] > 300.0}
+        assert len(rated) == 21 and len(lines) == 39
+        for key in ("records", "loss_records"):
+            assert report[key] == [r for r in report_all[key] if r["line_id"] in rated]
+        assert report["summary"] == report_all["summary"]
+        counts = [int(row.split(",")[2]) for row in histogram.splitlines()[1:]]
+        assert counts == [0, 0, 1, 0, 20]
+        default = {"line_color": "#808080", "line_width": 1.0, "line_opacity": 0.6,
+                   "pct_change": 0.0}
+        for feature, unfiltered in zip(geo["features"], geo_all["features"], strict=True):
+            props = feature["properties"]
+            if feature["id"] in rated:
+                assert feature == unfiltered
+            else:
+                assert {key: props[key] for key in default} == default, feature["id"]
+
     def test_reruns_are_byte_identical(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["pipeline", "--config", str(config)]) == 0
@@ -561,7 +582,7 @@ class TestPipeline:
         run = PipelineRun(config, digest)
         power = run.stage_power()
         peak_index = run.stage_profile()["profile_peak_index"]
-        assert_same_solution(power["after_series"].step(peak_index), power["after_snapshot"])
+        oracles.assert_same_state(power["after_series"].step(peak_index), power["after_snapshot"])
 
     def test_annual_peak_step_matches_after_snapshot_but_for_kvar(self, tmp_path):
         """At 8,760 steps the after snapshot equals the after series' peak
@@ -576,8 +597,8 @@ class TestPipeline:
         power = run.stage_power()
         snapshot = power["after_snapshot"]
         step = power["after_series"].step(run.stage_profile()["profile_peak_index"])
-        assert_same_solution(dataclasses.replace(step, line_flow_kvar=snapshot.line_flow_kvar),
-                             snapshot)
+        oracles.assert_same_state(
+            dataclasses.replace(step, line_flow_kvar=snapshot.line_flow_kvar), snapshot)
 
         stepped = PipelineRun(config, digest)
         stepped._stages["stage_power"] = {**power, "after_snapshot": step}
@@ -622,7 +643,7 @@ class TestPipeline:
         assert solved_rows == [1, series_rows[0], 1, series_rows[1]] * 2
         for side in ("before", "after"):
             net, snapshot = power[f"{side}_net"], power[f"{side}_snapshot"]
-            assert_same_solution(snapshot, solve_snapshot(net, run.config.solver))
+            oracles.assert_same_state(snapshot, solve_snapshot(net, run.config.solver))
             alone = io.StringIO()
             snapshot_csv(oracles.qsts_per_step(net, {}, run.config.solver, steps=1, dt_h=1.0)[0],
                          alone)

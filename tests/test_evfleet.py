@@ -20,7 +20,7 @@ from gridimpact.evfleet import (
     profile_to_csv,
 )
 from gridimpact import evfleet
-from gridimpact.config import samples_per_day
+from gridimpact.config import SolverConfig, samples_per_day
 from gridimpact.errors import read_record
 from gridimpact.powerflow import run_qsts
 from gridimpact.synth import random_feeder
@@ -293,6 +293,20 @@ class TestDemandProfileInvariants:
     def test_cohort_and_aggregate_checks(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("build,field", [
+        (make_config, "avg_daily_miles"),
+        (make_config, "ambient_temp_f"),
+        (SolverConfig, "tol_pu"),
+    ], ids=["avg_daily_miles", "ambient_temp_f", "tol_pu"])
+    def test_config_refuses_non_finite_numbers(self, build, field, value):
+        """A NaN passed every check these fields had, or failed one that
+        named no fault of its own; an infinite tolerance let every row
+        "converge" after one iteration, and infinite miles failed later in
+        ``build_cohorts``, naming ``energy_need_kwh``."""
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            build(**{field: value})
 
     @pytest.mark.parametrize("dt_h", [0.0, -1.0, math.nan, math.inf, 7.0, 0.25, 24 / 7])
     def test_one_time_step_rule(self, dt_h):

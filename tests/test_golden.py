@@ -5,7 +5,7 @@ one compares a run with sha256 digests recorded from an earlier build, so a
 refactor of a stage or a writer that changes a single byte fails here.
 
 The digests were recorded with Python 3.11.7 and numpy 2.4.6. The kvar
-columns depend on numpy's FMA path: from 256 KiB (420 steps on 39 lines)
+columns depend on numpy's FMA path: from 256 KiB (421 steps on 39 lines)
 numpy elides a temporary in the line-flow product and fuses the multiply-add
 the other way round, so the 8,760-step run covers the long-batch path and the
 24-step run the short one. Another numpy may legitimately change those bits.

@@ -2,7 +2,6 @@ import json
 import math
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 

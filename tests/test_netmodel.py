@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 from unittest import mock
 
@@ -320,3 +321,21 @@ class TestInvariants:
     def test_negative_load_rejected(self):
         with pytest.raises(SchemaError):
             LoadPoint("ld", "b0", -5.0, 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("record,field", [
+        (Bus("b1", 0.0, 0.0, 12.47), "base_kv"),
+        (Line("l1", "b0", "b1", 0.1, 0.2, 400.0), "resistance_ohm"),
+        (Line("l1", "b0", "b1", 0.1, 0.2, 400.0), "reactance_ohm"),
+        (Line("l1", "b0", "b1", 0.1, 0.2, 400.0), "ampacity_a"),
+        (LoadPoint("ld", "b1", 1.0, 0.5), "kw"),
+        (LoadPoint("ld", "b1", 1.0, 0.5), "kvar"),
+    ], ids=["base_kv", "resistance_ohm", "reactance_ohm", "ampacity_a", "kw", "kvar"])
+    def test_records_refuse_non_finite_numbers(self, record, field, value):
+        """The JSON reader refuses NaN and inf before a record is built; a
+        record built in Python refuses them too. An infinite ``base_kv``
+        solved as z = 0 with |V| = 1.0 everywhere, and a NaN load ran to
+        ``max_iter``."""
+        message = f"^{record.kind} {record.id}: {field} must be finite, got {value}$"
+        with pytest.raises(SchemaError, match=message):
+            dataclasses.replace(record, **{field: value})

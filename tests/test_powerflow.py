@@ -70,7 +70,7 @@ def kernel(request):
 
 
 class TestSnapshot:
-    def test_no_load_fixed_point(self, kernel):
+    def test_no_load_fixed_point(self):
         net = NetworkModel(
             buses=tuple(Bus(f"b{i}", 37.0, -122.0 + i * 1e-4, 12.47) for i in range(4)),
             lines=tuple(Line(f"l{i}", f"b{i - 1}", f"b{i}", 0.1, 0.2, 400.0)
@@ -86,7 +86,7 @@ class TestSnapshot:
         assert sol.total_loss_kw == 0.0
         assert sol.source_kw == 0.0
 
-    def test_two_bus_matches_closed_form(self, kernel, two_bus_net):
+    def test_two_bus_matches_closed_form(self, two_bus_net):
         sol = solve_snapshot(two_bus_net)
         assert sol.converged
         v2 = sol.v_mag_pu[list(sol.bus_ids).index("b2")]
@@ -98,14 +98,14 @@ class TestSnapshot:
         assert v2 == pytest.approx(TWO_BUS_V2, abs=1e-12)
         assert loss == pytest.approx(TWO_BUS_LOSS_PU, abs=1e-15)
 
-    def test_feeder20_matches_dense_newton(self, kernel, feeder20):
+    def test_feeder20_matches_dense_newton(self, feeder20):
         sol = solve_snapshot(feeder20, SolverConfig(tol_pu=1e-9))
         oracle = newton_solve(feeder20)
         v = sol.v_mag_pu * np.exp(1j * sol.v_ang_rad)
         worst = max(abs(v[i] - oracle[bid]) for i, bid in enumerate(sol.bus_ids))
         assert worst < 1e-6
 
-    def test_random_feeders_match_newton(self, kernel):
+    def test_random_feeders_match_newton(self):
         for seed in range(10):
             net = random_feeder(int(5 + seed), seed=seed + 100,
                                 load_kw_range=(20.0, 300.0))
@@ -115,25 +115,25 @@ class TestSnapshot:
             worst = max(abs(v[i] - oracle[bid]) for i, bid in enumerate(sol.bus_ids))
             assert worst < 1e-6, f"seed {seed}: {worst}"
 
-    def test_power_balance_on_random_feeders(self, kernel):
+    def test_power_balance_on_random_feeders(self):
         for seed in range(8):
             net = random_feeder(30 + 10 * seed, seed=seed)
             sol = solve_snapshot(net)
             assert sol.converged
             assert relative_balance_error(sol) < 1e-6
 
-    def test_loss_nonnegative(self, kernel):
+    def test_loss_nonnegative(self):
         for seed in range(5):
             sol = solve_snapshot(random_feeder(25, seed=seed + 50))
             assert sol.total_loss_kw >= 0.0
             assert np.all(sol.line_loss_kw >= 0.0)
 
-    def test_voltage_monotone_on_uniform_chain(self, kernel):
+    def test_voltage_monotone_on_uniform_chain(self):
         sol = solve_snapshot(chain_network(12))
         assert sol.converged
         assert np.all(np.diff(sol.v_mag_pu) <= 1e-15)  # bus order equals chain order
 
-    def test_single_bus_network(self, kernel):
+    def test_single_bus_network(self):
         net = NetworkModel(
             buses=(Bus("b0", 37.0, -122.0, 12.47),),
             lines=(), loads=(LoadPoint("ld0", "b0", 75.0, 15.0),),
@@ -144,7 +144,7 @@ class TestSnapshot:
         assert sol.total_loss_kw == 0.0
         assert sol.source_kw == pytest.approx(75.0, rel=1e-12)
 
-    def test_load_at_source_bus_in_balance(self, kernel):
+    def test_load_at_source_bus_in_balance(self):
         net = chain_network(3)
         with_src_load = NetworkModel(
             buses=net.buses, lines=net.lines,
@@ -165,7 +165,7 @@ class TestSnapshot:
         with pytest.raises(TopologyError, match="not radial"):
             solve_snapshot(looped)
 
-    def test_voltage_collapse_names_bus(self, kernel):
+    def test_voltage_collapse_names_bus(self):
         """A collapsed snapshot returns, not converged, naming its bus."""
         net = NetworkModel(
             buses=(Bus("b1", 37.0, -122.0, 1.0), Bus("b2", 37.001, -122.0, 1.0)),
@@ -178,12 +178,12 @@ class TestSnapshot:
         assert sol.bus_ids[sol.collapse_bus] == "b2"
         assert sol.v_mag_pu[sol.collapse_bus] < COLLAPSE_FLOOR_PU
 
-    def test_divergence_returns_unconverged(self, kernel, two_bus_net):
+    def test_divergence_returns_unconverged(self, two_bus_net):
         sol = solve_snapshot(two_bus_net, SolverConfig(tol_pu=1e-12, max_iter=1))
         assert not sol.converged
         assert sol.iterations == 1
 
-    def test_deterministic_bitwise(self, kernel, feeder20):
+    def test_deterministic_bitwise(self, feeder20):
         a = solve_snapshot(feeder20)
         b = solve_snapshot(feeder20)
         assert a.v_mag_pu.tobytes() == b.v_mag_pu.tobytes()
@@ -802,16 +802,7 @@ def assert_equals_per_step(result, reference):
     ``result`` equal the plain per-step reference bit for bit."""
     assert result.steps == len(reference)
     for t, want in enumerate(reference):
-        got = result.step(t)
-        for field in dataclasses.fields(want):
-            a, b = getattr(got, field.name), getattr(want, field.name)
-            if isinstance(b, np.ndarray):
-                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), \
-                    (t, field.name)
-            elif isinstance(b, float):
-                assert np.float64(a).tobytes() == np.float64(b).tobytes(), (t, field.name)
-            else:
-                assert a == b, (t, field.name)
+        oracles.assert_same_state(result.step(t), want, t)
     lines, summary = io.StringIO(), io.StringIO()
     qsts_lines_csv(result, lines)
     qsts_summary_csv(result, summary)
@@ -1066,18 +1057,6 @@ class TestCollapseRule:
             assert not snapshot.converged
 
 
-def assert_same_fields(got, want):
-    """Every field of two steady states, bit for bit."""
-    for field in dataclasses.fields(want):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(b, np.ndarray):
-            assert a.tobytes() == b.tobytes(), field.name
-        elif isinstance(b, float):
-            assert np.float64(a).tobytes() == np.float64(b).tobytes(), field.name
-        else:
-            assert a == b, field.name
-
-
 class TestRowView:
     @given(n_buses=st.integers(1, 60), feeder_seed=st.integers(0, 2**31 - 1),
            period=st.sampled_from([1, 2, 3, 8]), levels=st.integers(1, 4),
@@ -1095,7 +1074,7 @@ class TestRowView:
         step = run_qsts(net, {}, steps=1, dt_h=1.0).step(0)
         assert_row_view_types(snapshot, n_buses, n_lines)
         assert_row_view_types(step, n_buses, n_lines)
-        assert_same_fields(step, snapshot)
+        oracles.assert_same_state(step, snapshot)
 
         shapes = periodic_shapes(net, np.random.default_rng(load_seed), period, levels)
         result = run_qsts(net, shapes, SolverConfig(max_iter=max_iter), steps=steps,
@@ -1125,7 +1104,7 @@ class TestRowView:
                 dataclasses.replace(load, kw=load.kw * 1e3, kvar=load.kvar * 1e3)
                 for load in net.loads))
         snapshot = solve_snapshot(net, cfg)
-        assert_same_fields(snapshot, run_qsts(net, {}, cfg, steps=1, dt_h=1.0).step(0))
+        oracles.assert_same_state(snapshot, run_qsts(net, {}, cfg, steps=1, dt_h=1.0).step(0))
         assert_row_view_types(snapshot, n_buses, len(net.lines))
 
 
