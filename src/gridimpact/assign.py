@@ -13,6 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .config import check_finite
 from .netmodel import LoadPoint, NetworkModel
 from .stations import CapacityClass, EvStation, classify
 
@@ -35,6 +36,7 @@ class Assignment:
     assigned_kw: float
 
     def __post_init__(self):
+        check_finite(self, "distance_m", "assigned_kw")
         if self.distance_m < 0:
             raise ValueError("distance_m must be >= 0")
         if self.assigned_kw < 0:

@@ -69,16 +69,16 @@ class RunConfig:
 
     def __post_init__(self):
         if not self.network_path or not self.stations_path or not self.output_dir:
-            raise SchemaError("network_path, stations_path and output_dir must be non-empty")
+            raise ValueError("network_path, stations_path and output_dir must be non-empty")
         if self.steps < 1:
-            raise SchemaError(f"steps must be >= 1, got {self.steps}")
+            raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.dt_h not in ALLOWED_DT_H:
-            raise SchemaError(f"dt_h must be one of {ALLOWED_DT_H}, got {self.dt_h}")
+            raise ValueError(f"dt_h must be one of {ALLOWED_DT_H}, got {self.dt_h}")
         if self.peak_kw_override is not None and not 0 <= self.peak_kw_override < math.inf:
-            raise SchemaError(
+            raise ValueError(
                 f"peak_kw_override must be finite and >= 0, got {self.peak_kw_override}")
         if not 0 <= self.ampacity_threshold_a < math.inf:
-            raise SchemaError(
+            raise ValueError(
                 f"ampacity_threshold_a must be finite and >= 0, got {self.ampacity_threshold_a}")
 
 
@@ -237,10 +237,7 @@ class PipelineRun:
         factor = values_kw / peak_kw if peak_kw > 0 else np.ones_like(values_kw)
         shapes: dict[str, DemandProfile] = {}
         for load_id, (base_kw, added_kw) in added.items():
-            series = base_kw + added_kw * factor
-            shapes[load_id] = DemandProfile(
-                dt_h=cfg.dt_h, values_kw=series,
-                energy_kwh=float(np.sum(series)) * cfg.dt_h)
+            shapes[load_id] = DemandProfile(dt_h=cfg.dt_h, values_kw=base_kw + added_kw * factor)
 
         # Each side's snapshot, its network's own loads solved alone, is
         # checked first, so a collapsed or diverged snapshot stops the stage

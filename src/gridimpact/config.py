@@ -124,6 +124,8 @@ class SolverConfig:
         check_finite(self, "tol_pu")
         if not self.tol_pu > 0:
             raise ValueError("tol_pu must be > 0")
+        if not isinstance(self.max_iter, int) or isinstance(self.max_iter, bool):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

@@ -13,6 +13,7 @@ charging strategies:
 * delayed_start_midnight: full rate from 00:00 to departure at the latest
   (home charging only; none if the vehicle is not parked at midnight).
 
+A profile is its kW series: its ``energy_kwh`` is the series' integral.
 Everything here is a pure function of its inputs; identical configurations
 produce byte-identical profiles.
 """
@@ -89,15 +90,13 @@ class Cohort:
 @dataclass(frozen=True, eq=False)
 class DemandProfile:
     """A 24-hour kW series. ``values_kw[i]`` is the average power over
-    ``[i*dt_h, (i+1)*dt_h)``; ``energy_kwh`` is the energy the profile was
-    built to deliver and must agree with the integral of the series.
+    ``[i*dt_h, (i+1)*dt_h)``; ``energy_kwh`` is the series' integral.
     ``truncated`` flags profiles whose cohort could not fit its full energy
     need into the charging window.
     """
 
     dt_h: float
     values_kw: np.ndarray
-    energy_kwh: float
     truncated: bool = False
 
     def __post_init__(self):
@@ -111,14 +110,12 @@ class DemandProfile:
         object.__setattr__(self, "values_kw", values)
         if not np.isfinite(values).all():
             raise ValueError("values_kw samples must be finite")
-        check_finite(self, "energy_kwh")
         if np.any(values < 0):
             raise ValueError("profile samples must be >= 0")
-        total = float(np.sum(values)) * self.dt_h
-        if not math.isclose(total, self.energy_kwh, rel_tol=1e-9, abs_tol=1e-9):
-            raise ValueError(
-                f"profile integral {total} kWh disagrees with declared energy {self.energy_kwh} kWh"
-            )
+
+    @property
+    def energy_kwh(self) -> float:
+        return float(np.sum(self.values_kw)) * self.dt_h
 
 
 def _largest_remainder(fractions: Sequence[float], total: int) -> list[int]:
@@ -221,9 +218,12 @@ def cohort_profile(c: Cohort, dt_h: float) -> DemandProfile:
         np.maximum(overlap, 0.0, out=overlap)
         values += overlap * (rate / dt_h)
 
-    values *= c.count
+    profile = DemandProfile(dt_h=dt_h, values_kw=values * c.count, truncated=truncated)
     delivered = c.count * duration * rate
-    return DemandProfile(dt_h=dt_h, values_kw=values, energy_kwh=delivered, truncated=truncated)
+    if not math.isclose(profile.energy_kwh, delivered, rel_tol=1e-9, abs_tol=1e-9):
+        raise ValueError(f"profile integral {profile.energy_kwh} kWh disagrees with "
+                         f"the window's {delivered} kWh")
+    return profile
 
 
 def aggregate_profiles(profiles: Iterable[DemandProfile], dt_h: float) -> DemandProfile:
@@ -232,13 +232,11 @@ def aggregate_profiles(profiles: Iterable[DemandProfile], dt_h: float) -> Demand
     profiles = list(profiles)
     common_dt_h((p.dt_h for p in profiles), dt_h, "profiles")
     if not profiles:
-        return DemandProfile(dt_h=dt_h, values_kw=np.zeros(samples_per_day(dt_h)), energy_kwh=0.0)
+        return DemandProfile(dt_h=dt_h, values_kw=np.zeros(samples_per_day(dt_h)))
 
     stacked = np.stack([p.values_kw for p in profiles])
     values = np.sum(stacked, axis=0)  # pairwise reduction: deterministic for a fixed order
-    energy = math.fsum(p.energy_kwh for p in profiles)
-    return DemandProfile(dt_h=dt_h, values_kw=values, energy_kwh=energy,
-                         truncated=any(p.truncated for p in profiles))
+    return DemandProfile(dt_h=dt_h, values_kw=values, truncated=any(p.truncated for p in profiles))
 
 
 def find_peak(p: DemandProfile) -> tuple[int, float]:

@@ -31,11 +31,6 @@ __all__ = [
 ]
 
 
-def _id_key(identifier: str) -> bytes:
-    # byte-wise ordering keeps downstream tie-breaking reproducible across locales
-    return identifier.encode("utf-8")
-
-
 def _check_finite(record, *names) -> None:
     """Refuse NaN and ±inf in the named fields: a one-sided range check lets
     inf through, and NaN through any check written as ``x < bound``."""
@@ -126,7 +121,8 @@ class NetworkModel:
     """Immutable container for one feeder, and the schema of the network
     document: each field is one top-level key. Collections are normalized to
     ascending-id order on construction so every downstream ordering contract
-    (catalogs, exports, tie-breaks) is reproducible.
+    (catalogs, exports, tie-breaks) is reproducible. Ids sort by code point,
+    which for the ids ``check_id`` admits is their UTF-8 byte order.
     """
 
     buses: tuple[Bus, ...]
@@ -136,9 +132,9 @@ class NetworkModel:
     _bus_index: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "buses", tuple(sorted(self.buses, key=lambda b: _id_key(b.id))))
-        object.__setattr__(self, "lines", tuple(sorted(self.lines, key=lambda l: _id_key(l.id))))
-        object.__setattr__(self, "loads", tuple(sorted(self.loads, key=lambda l: _id_key(l.id))))
+        object.__setattr__(self, "buses", tuple(sorted(self.buses, key=lambda b: b.id)))
+        object.__setattr__(self, "lines", tuple(sorted(self.lines, key=lambda l: l.id)))
+        object.__setattr__(self, "loads", tuple(sorted(self.loads, key=lambda l: l.id)))
 
         bus_index = {}
         for bus in self.buses:
@@ -172,8 +168,6 @@ class NetworkModel:
 
     def total_load_kw(self) -> float:
         """Total constant-power demand of the model, exactly-rounded sum."""
-        import math
-
         return math.fsum(load.kw for load in self.loads)
 
 

@@ -354,7 +354,7 @@ def charging_window_per_strategy(c):
 
 
 def cohort_profile_two_segments(c, dt_h: float):
-    """(values_kw, energy_kwh, truncated) of cohort ``c`` at step ``dt_h``: its
+    """(values_kw, delivered kWh, truncated) of cohort ``c`` at step ``dt_h``: its
     window, split at midnight into at most two segments, each credited to the
     samples it overlaps. An empty window credits nothing."""
     start, duration, rate, truncated = charging_window_per_strategy(c)

@@ -304,8 +304,7 @@ def test_criterion_9_qsts_performance():
     shapes = {}
     for load in net.loads[:40]:
         values = rng.uniform(0.2, 2.0, 24) * load.kw
-        shapes[load.id] = DemandProfile(dt_h=1.0, values_kw=values,
-                                        energy_kwh=float(np.sum(values)))
+        shapes[load.id] = DemandProfile(dt_h=1.0, values_kw=values)
 
     run_qsts(net, shapes, steps=24, dt_h=1.0)  # warmup
 

@@ -136,6 +136,12 @@ class TestInjectLoads:
     @pytest.mark.parametrize("distance_m,assigned_kw,message", [
         (-1.0, 5.0, "distance_m must be >= 0"),
         (0.0, -5.0, "assigned_kw must be >= 0"),
+        # NaN passes a ``< 0`` check; inf reached the injected load's kW
+        (math.nan, 5.0, "^distance_m must be finite, got nan$"),
+        (math.inf, 5.0, "^distance_m must be finite, got inf$"),
+        (0.0, math.nan, "^assigned_kw must be finite, got nan$"),
+        (0.0, math.inf, "^assigned_kw must be finite, got inf$"),
+        (0.0, -math.inf, "^assigned_kw must be finite, got -inf$"),
     ])
     def test_assignment_checks(self, distance_m, assigned_kw, message):
         with pytest.raises(ValueError, match=message):

@@ -914,6 +914,26 @@ class TestRunConfig:
             load_run_config(config)
         assert main(["validate", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"stations_path": ""}, "network_path, stations_path and output_dir must be non-empty"),
+        ({"steps": 0}, "steps must be >= 1, got 0"),
+        ({"dt_h": 0.3}, "dt_h must be one of (0.25, 0.5, 1.0), got 0.3"),
+        ({"peak_kw_override": -1.0}, "peak_kw_override must be finite and >= 0, got -1.0"),
+        ({"ampacity_threshold_a": -1.0},
+         "ampacity_threshold_a must be finite and >= 0, got -1.0"),
+    ], ids=["empty_path", "steps", "dt_h", "peak_kw_override", "ampacity_threshold_a"])
+    def test_run_config_range_fault_names_the_run_config(self, tmp_path, caplog, overrides,
+                                                         message):
+        """The run config's own range checks are worded as its nested
+        records' are: the input first, then the fault."""
+        config = write_config(tmp_path, **overrides)
+        with pytest.raises(SchemaError) as raised:
+            load_run_config(config)
+        assert str(raised.value) == f"run config {config}: {message}"
+        with caplog.at_level(logging.ERROR, logger="gridimpact"):
+            assert main(["validate", "--config", str(config)]) == 2
+        assert f"run config {config}: {message}" in caplog.text
+
     @pytest.mark.parametrize("key,overrides", [
         ("bev_share", {"scenario": {**SCENARIO, "bev_share": 1.5}}),
         ("avg_daily_miles", {"scenario": {**SCENARIO, "avg_daily_miles": 0}}),

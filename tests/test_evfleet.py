@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -229,15 +230,15 @@ class TestAggregateAndPeak:
         assert float(np.sum(total.values_kw)) * 1.0 == pytest.approx(expected, rel=1e-9)
 
     def test_find_peak_argmax(self):
-        p = DemandProfile(dt_h=8.0, values_kw=np.array([1.0, 3.0, 2.0]), energy_kwh=48.0)
+        p = DemandProfile(dt_h=8.0, values_kw=np.array([1.0, 3.0, 2.0]))
         assert find_peak(p) == (1, 3.0)
 
     def test_find_peak_tie_breaks_low_index(self):
-        p = DemandProfile(dt_h=12.0, values_kw=np.array([5.0, 5.0]), energy_kwh=120.0)
+        p = DemandProfile(dt_h=12.0, values_kw=np.array([5.0, 5.0]))
         assert find_peak(p) == (0, 5.0)
 
     def test_find_peak_all_zero(self):
-        p = DemandProfile(dt_h=1.0, values_kw=np.zeros(24), energy_kwh=0.0)
+        p = DemandProfile(dt_h=1.0, values_kw=np.zeros(24))
         assert find_peak(p) == (0, 0.0)
 
     def test_profile_csv_shape(self):
@@ -279,17 +280,14 @@ class TestDemandProfileInvariants:
         (lambda: Cohort(count=1, energy_need_kwh=1.0, arrive_h=18.0, depart_h=math.inf,
                         max_rate_kw=7.2, strategy=ChargingStrategy.IMMEDIATE_FAST,
                         location=Location.HOME), "^depart_h must be finite, got inf$"),
-        # an inf sample declared as inf kWh passed the ``< 0`` check and
-        # math.isclose(inf, inf), and the sweep then divided by it
-        (lambda: DemandProfile(dt_h=1.0, values_kw=[math.inf] + [0.0] * 23,
-                               energy_kwh=math.inf), "^values_kw samples must be finite$"),
-        (lambda: DemandProfile(dt_h=1.0, values_kw=[math.nan] * 24, energy_kwh=0.0),
+        # an inf sample passed the ``< 0`` check, and the sweep then divided by it
+        (lambda: DemandProfile(dt_h=1.0, values_kw=[math.inf] + [0.0] * 23),
          "^values_kw samples must be finite$"),
-        (lambda: DemandProfile(dt_h=1.0, values_kw=np.zeros(24), energy_kwh=math.nan),
-         "^energy_kwh must be finite, got nan$"),
+        (lambda: DemandProfile(dt_h=1.0, values_kw=[math.nan] * 24),
+         "^values_kw samples must be finite$"),
     ], ids=["count", "energy", "rate", "dwell", "midnight_at_work", "aggregate_dt",
             "energy_nan", "energy_inf", "rate_inf", "arrive_nan", "depart_inf",
-            "profile_inf_sample", "profile_nan_sample", "profile_nan_energy"])
+            "profile_inf_sample", "profile_nan_sample"])
     def test_cohort_and_aggregate_checks(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
@@ -308,6 +306,22 @@ class TestDemandProfileInvariants:
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
             build(**{field: value})
 
+    @pytest.mark.parametrize("max_iter", [math.inf, math.nan, 2.5, True],
+                             ids=["inf", "nan", "fraction", "bool"])
+    def test_solver_max_iter_is_an_integer(self, max_iter):
+        """With an infinite or NaN ``max_iter`` the kernel's exit test
+        ``iters >= max_iter`` could never fire; the JSON reader refuses all four."""
+        with pytest.raises(ValueError,
+                           match=f"^max_iter must be an integer, got {re.escape(repr(max_iter))}$"):
+            SolverConfig(max_iter=max_iter)
+
+    def test_solver_max_iter_range(self):
+        """An int past float range is checked without ``math.isfinite``,
+        which would raise ``OverflowError`` on it."""
+        assert SolverConfig(max_iter=10**400).max_iter == 10**400
+        with pytest.raises(ValueError, match="^max_iter must be >= 1$"):
+            SolverConfig(max_iter=0)
+
     @pytest.mark.parametrize("dt_h", [0.0, -1.0, math.nan, math.inf, 7.0, 0.25, 24 / 7])
     def test_one_time_step_rule(self, dt_h):
         """Every user of a run's time step accepts exactly the steps that
@@ -319,7 +333,7 @@ class TestDemandProfileInvariants:
                 lambda: cohort_profile(overnight_cohort(ChargingStrategy.IMMEDIATE_FAST), dt_h),
             "aggregate_profiles": lambda: aggregate_profiles([], dt_h),
             "DemandProfile":
-                lambda: DemandProfile(dt_h=dt_h, values_kw=np.zeros(samples), energy_kwh=0.0),
+                lambda: DemandProfile(dt_h=dt_h, values_kw=np.zeros(samples)),
             "run_qsts": lambda: run_qsts(random_feeder(10, seed=1), {}, steps=3, dt_h=dt_h),
         }
         if dt_h in (0.25, 24 / 7):
@@ -335,11 +349,11 @@ class TestDemandProfileInvariants:
 
     def test_negative_sample_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
-            DemandProfile(dt_h=1.0, values_kw=np.full(24, -1.0), energy_kwh=-24.0)
+            DemandProfile(dt_h=1.0, values_kw=np.full(24, -1.0))
 
     def test_span_must_be_24h(self):
         with pytest.raises(ValueError, match="span exactly 24"):
-            DemandProfile(dt_h=1.0, values_kw=np.zeros(23), energy_kwh=0.0)
+            DemandProfile(dt_h=1.0, values_kw=np.zeros(23))
 
     @pytest.mark.parametrize("shape", [(24, 1), (24, 2), ()])
     def test_series_must_be_1d(self, shape):
@@ -347,16 +361,27 @@ class TestDemandProfileInvariants:
         find_peak and run_qsts then failed inside numpy; a scalar is named
         by its own shape, not the one-sample series numpy would make of it."""
         with pytest.raises(ValueError, match=re.escape(f"not shape {shape}")):
-            DemandProfile(dt_h=1.0, values_kw=np.zeros(shape), energy_kwh=0.0)
-
-    def test_energy_declaration_must_match_integral(self):
-        with pytest.raises(ValueError, match="disagrees"):
-            DemandProfile(dt_h=1.0, values_kw=np.ones(24), energy_kwh=5.0)
+            DemandProfile(dt_h=1.0, values_kw=np.zeros(shape))
 
     def test_values_read_only(self):
         p = aggregate_profiles([], dt_h=1.0)
         with pytest.raises(ValueError):
             p.values_kw[0] = 1.0
+
+    def test_energy_is_derived_not_declared(self):
+        assert [f.name for f in dataclasses.fields(DemandProfile)] == [
+            "dt_h", "values_kw", "truncated"]
+        assert isinstance(DemandProfile.__dict__["energy_kwh"], property)
+        with pytest.raises(TypeError, match="energy_kwh"):
+            DemandProfile(dt_h=1.0, values_kw=np.ones(24), energy_kwh=24.0)
+
+    def test_cohort_window_must_match_integral(self, monkeypatch):
+        """``cohort_profile`` credits a window to at most two days, so a
+        50 h window integrates to 48 of its 50 kWh, and the mismatch is named."""
+        monkeypatch.setattr(evfleet, "_charging_window", lambda c: (0.0, 50.0, 1.0, False))
+        with pytest.raises(ValueError, match=r"^profile integral 48\.0 kWh disagrees with "
+                                             r"the window's 50\.0 kWh$"):
+            cohort_profile(overnight_cohort(ChargingStrategy.IMMEDIATE_FAST), 1.0)
 
 
 feasible_cohorts = st.builds(
@@ -379,7 +404,28 @@ feasible_cohorts = st.builds(
 )
 
 
+@st.composite
+def series_profile(draw, dt_h):
+    """A valid profile at ``dt_h`` and the list of samples it was built from."""
+    samples = samples_per_day(dt_h)
+    values = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+                           min_size=samples, max_size=samples))
+    return DemandProfile(dt_h=dt_h, values_kw=values, truncated=draw(st.booleans())), values
+
+
 class TestProperties:
+    @given(data=st.data(), dt=st.sampled_from([0.25, 0.5, 1.0, 24 / 7, 8.0]),
+           parts=st.integers(0, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_energy_is_the_series_integral(self, data, dt, parts):
+        drawn = [data.draw(series_profile(dt)) for _ in range(parts)]
+        for profile, values in drawn:
+            assert profile.energy_kwh.hex() == (float(np.sum(np.array(values))) * dt).hex()
+        profiles = [profile for profile, _ in drawn]
+        total = aggregate_profiles(profiles, dt)
+        assert math.isclose(total.energy_kwh, math.fsum(p.energy_kwh for p in profiles),
+                            rel_tol=1e-9, abs_tol=1e-9)
+
     @given(cohort=feasible_cohorts, dt=st.sampled_from([0.25, 0.5, 1.0]))
     @settings(max_examples=200, deadline=None)
     def test_energy_conserved(self, cohort, dt):
@@ -479,10 +525,12 @@ class TestChargingWindow:
                            location=Location.HOME), dt=1.0)
     @settings(max_examples=500, deadline=None)
     def test_profile_equals_two_segment_form(self, cohort, dt):
-        values, energy, truncated = cohort_profile_two_segments(cohort, dt)
+        values, delivered, truncated = cohort_profile_two_segments(cohort, dt)
         profile = cohort_profile(cohort, dt)
         assert profile.values_kw.tobytes() == values.tobytes()
-        assert (profile.energy_kwh.hex(), profile.truncated) == (energy.hex(), truncated)
+        assert profile.truncated == truncated
+        assert profile.energy_kwh.hex() == (float(np.sum(values)) * dt).hex()
+        assert math.isclose(profile.energy_kwh, delivered, rel_tol=1e-9, abs_tol=1e-9)
 
     def test_infeasible_even_spread_is_the_immediate_fast_window(self):
         """2 kW over the 12 h overnight dwell delivers 24 kWh of 30."""

@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import math
+import random
 import re
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gridimpact.errors import SchemaError, TopologyError, read_record
 from gridimpact.netmodel import (
@@ -275,6 +277,14 @@ class TestOneWalk:
         assert tree_walk(net) == [(0, 3, 0), (0, 4, 1), (0, 1, 2), (3, 5, 3), (1, 2, 4)]
 
 
+# Ids that ``check_id`` admits, drawn from every plane: no comma, double
+# quote, CR, LF or lone surrogate.
+record_ids = st.text(
+    alphabet=st.one_of(st.characters(exclude_categories=("Cs",), exclude_characters=',"\r\n'),
+                       st.characters(min_codepoint=0x10000)),
+    min_size=1, max_size=4)
+
+
 class TestBusCatalog:
     """``NetworkModel.buses`` is the id-sorted bus catalog."""
 
@@ -289,6 +299,26 @@ class TestBusCatalog:
         ids = [b.id for b in feeder40.buses]
         assert len(ids) == 40
         assert ids == sorted(ids)
+
+    @given(ids=st.lists(record_ids, min_size=2, max_size=8, unique=True), rnd=st.randoms())
+    # UTF-16 order would put U+10000 before U+E000 and U+FFFF
+    @example(ids=["\U00010000", "\uffff", "\ue000", "z", "\x80", "\x7f"], rnd=random.Random(0))
+    @settings(max_examples=200, deadline=None)
+    def test_records_listed_in_utf8_byte_order(self, ids, rnd):
+        """Buses, lines and loads sort by id, that is by code point, which for
+        UTF-8-encodable ids is their UTF-8 byte order in any locale."""
+        records = {
+            "buses": [Bus(i, 37.0, -122.0, 12.47) for i in ids],
+            "lines": [Line(i, ids[0], i, 0.1, 0.2, 400.0) for i in ids[1:]],
+            "loads": [LoadPoint(i, i, 1.0, 0.0) for i in ids],
+        }
+        for listed in records.values():
+            rnd.shuffle(listed)
+        net = NetworkModel(**{name: tuple(listed) for name, listed in records.items()},
+                           source=Source(ids[0], 1.0))
+        for name, listed in records.items():
+            assert ([r.id for r in getattr(net, name)]
+                    == sorted((r.id for r in listed), key=lambda i: i.encode("utf-8"))), name
 
     def test_order_stable_across_construction_order(self, minimal_doc):
         net_a = parse_network(minimal_doc)

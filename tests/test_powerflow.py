@@ -20,7 +20,6 @@ from gridimpact.evfleet import DemandProfile
 from gridimpact.netmodel import Bus, Line, LoadPoint, NetworkModel, Source
 from gridimpact.powerflow import (
     SolverConfig,
-    active_backend,
     qsts_lines_csv,
     qsts_summary_csv,
     run_qsts,
@@ -56,17 +55,6 @@ def every_step(result):
 
 def relative_balance_error(sol):
     return abs(sol.source_kw - sol.total_load_kw - sol.total_loss_kw) / max(sol.source_kw, 1e-9)
-
-
-@pytest.fixture(params=["numpy"])
-def kernel(request):
-    """The sweep kernel a test solves with, named in its id (``test_x[numpy]``).
-
-    There is one kernel; the param keeps the ids that earlier runs report
-    under, and the assertion checks that ``active_backend()`` names it.
-    """
-    assert active_backend() == request.param
-    return request.param
 
 
 class TestSnapshot:
@@ -652,8 +640,7 @@ class TestLevelSchedule:
 
 
 def two_step_profile(values, dt_h=12.0):
-    return DemandProfile(dt_h=dt_h, values_kw=np.asarray(values, float),
-                         energy_kwh=float(np.sum(values)) * dt_h)
+    return DemandProfile(dt_h=dt_h, values_kw=np.asarray(values, float))
 
 
 class TestQsts:
@@ -666,7 +653,7 @@ class TestQsts:
         with pytest.raises(ValueError, match=message):
             run_qsts(two_bus_net, shapes, **kwargs)
 
-    def test_two_step_shape_defines_pointwise(self, kernel):
+    def test_two_step_shape_defines_pointwise(self):
         net = NetworkModel(
             buses=(Bus("b1", 37.0, -122.0, 12.47), Bus("b2", 37.001, -122.0, 12.47)),
             lines=(Line("l1", "b1", "b2", 0.1, 0.2, 400.0),),
@@ -683,7 +670,7 @@ class TestQsts:
         np.testing.assert_array_equal(result.step(1).v_mag_pu, nominal.v_mag_pu)
         np.testing.assert_array_equal(result.step(1).line_flow_kw, nominal.line_flow_kw)
 
-    def test_feeder_without_lines_writes_step_rows_only(self, kernel):
+    def test_feeder_without_lines_writes_step_rows_only(self):
         """A one-bus feeder: the line CSVs, the series' and the snapshot's,
         are their header alone, and the summary has one row per step, the
         source serving the load."""
@@ -703,34 +690,32 @@ class TestQsts:
             "line_id,kw,kvar,amps,loss_kw\n",
         ]
 
-    def test_constant_shape_is_time_invariant(self, kernel, feeder20):
+    def test_constant_shape_is_time_invariant(self, feeder20):
         load = feeder20.loads[0]
-        shape = DemandProfile(dt_h=1.0, values_kw=np.full(24, load.kw),
-                              energy_kwh=load.kw * 24.0)
+        shape = DemandProfile(dt_h=1.0, values_kw=np.full(24, load.kw))
         result = run_qsts(feeder20, {load.id: shape}, steps=24, dt_h=1.0)
         nominal = solve_snapshot(feeder20)
         for sol in every_step(result):
             np.testing.assert_array_equal(sol.v_mag_pu, nominal.v_mag_pu)
             assert sol.total_loss_kw == nominal.total_loss_kw
 
-    def test_per_step_power_balance(self, kernel, feeder20):
+    def test_per_step_power_balance(self, feeder20):
         rng = np.random.default_rng(3)
         shapes = {}
         for load in feeder20.loads[:5]:
             values = rng.uniform(0.0, 3.0 * load.kw, 24)
-            shapes[load.id] = DemandProfile(dt_h=1.0, values_kw=values,
-                                            energy_kwh=float(np.sum(values)))
+            shapes[load.id] = DemandProfile(dt_h=1.0, values_kw=values)
         result = run_qsts(feeder20, shapes, steps=24, dt_h=1.0)
         assert result.steps == 24
         for sol in every_step(result):
             assert sol.converged
             assert relative_balance_error(sol) < 1e-6
 
-    def test_steps_wrap_profile(self, kernel, feeder20):
+    def test_steps_wrap_profile(self, feeder20):
         load = feeder20.loads[0]
         rng = np.random.default_rng(11)
         values = rng.uniform(0.0, 200.0, 24)
-        shape = DemandProfile(dt_h=1.0, values_kw=values, energy_kwh=float(np.sum(values)))
+        shape = DemandProfile(dt_h=1.0, values_kw=values)
         result = run_qsts(feeder20, {load.id: shape}, steps=48, dt_h=1.0)
         assert result.steps == 48
         for t in range(24):
@@ -757,7 +742,7 @@ class TestQsts:
         result = run_qsts(feeder20, {}, steps=4, dt_h=1.0)
         assert result.steps == 4
 
-    def test_divergent_step_recorded_not_fatal(self, kernel):
+    def test_divergent_step_recorded_not_fatal(self):
         net = NetworkModel(
             buses=(Bus("b1", 37.0, -122.0, 1.0), Bus("b2", 37.001, -122.0, 1.0)),
             lines=(Line("l1", "b1", "b2", 0.05, 0.05, 400.0),),
@@ -770,13 +755,12 @@ class TestQsts:
         assert result.step(0).converged
         assert not result.step(1).converged
 
-    def test_parallel_equals_sequential(self, kernel, feeder20):
+    def test_parallel_equals_sequential(self, feeder20):
         rng = np.random.default_rng(5)
         shapes = {}
         for load in feeder20.loads[:3]:
             values = rng.uniform(0.0, 2.0 * load.kw, 24)
-            shapes[load.id] = DemandProfile(dt_h=1.0, values_kw=values,
-                                            energy_kwh=float(np.sum(values)))
+            shapes[load.id] = DemandProfile(dt_h=1.0, values_kw=values)
         seq = run_qsts(feeder20, shapes, steps=48, dt_h=1.0)
         par = run_qsts(feeder20, shapes, steps=48, dt_h=1.0, workers=4)
         for a, b in zip(every_step(seq), every_step(par)):
@@ -827,8 +811,7 @@ def periodic_shapes(net, rng, period, levels):
         if rng.random() < 0.5:
             continue
         values = load.kw * level[pattern] * rng.uniform(0.0, 1.0)
-        shapes[load.id] = DemandProfile(dt_h=24 / period, values_kw=values,
-                                        energy_kwh=float(np.sum(values)) * 24 / period)
+        shapes[load.id] = DemandProfile(dt_h=24 / period, values_kw=values)
     return shapes
 
 
@@ -838,7 +821,7 @@ def three_step_case():
     net = chain_network(12, load_kvar=0.0)
     cfg = SolverConfig(tol_pu=1e-12, max_iter=3)
     shapes = {load.id: DemandProfile(dt_h=8.0, values_kw=np.array(
-                  [0.0, load.kw, 1e3 * load.kw]), energy_kwh=8.0 * 1001 * load.kw)
+                  [0.0, load.kw, 1e3 * load.kw]))
               for load in net.loads}
     return net, shapes, cfg, elision_steps(net) + 7
 
@@ -898,8 +881,7 @@ class TestDistinctRows:
         shapes = {}
         for load in feeder40.loads[:10]:
             values = rng.uniform(0.2, 2.0, 24) * load.kw
-            shapes[load.id] = DemandProfile(dt_h=1.0, values_kw=values,
-                                            energy_kwh=float(np.sum(values)))
+            shapes[load.id] = DemandProfile(dt_h=1.0, values_kw=values)
         solved = []
         solve_batch = kernels.solve_batch
 
@@ -933,8 +915,7 @@ class TestDistinctRows:
         shapes = {}
         for load in net.loads[::2]:
             values = rng.uniform(0.2, 2.0, length) * load.kw
-            shapes[load.id] = DemandProfile(dt_h=24 / length, values_kw=values,
-                                            energy_kwh=float(np.sum(values)) * 24 / length)
+            shapes[load.id] = DemandProfile(dt_h=24 / length, values_kw=values)
         if period_edge == "unshaped":
             shapes, steps = {}, elision_steps(net) + 3
         else:
@@ -953,8 +934,7 @@ class TestDistinctRows:
         shapes = {}
         for load in net.loads[::2]:
             values = rng.uniform(0.2, 2.0, 24) * load.kw
-            shapes[load.id] = DemandProfile(dt_h=1.0, values_kw=values,
-                                            energy_kwh=float(np.sum(values)))
+            shapes[load.id] = DemandProfile(dt_h=1.0, values_kw=values)
         run_qsts(net, shapes, steps=8760, dt_h=1.0)
         tracemalloc.start()
         try:
@@ -1109,18 +1089,18 @@ class TestRowView:
 
 
 class TestTotalLosses:
-    def test_single_step(self, kernel, two_bus_net):
+    def test_single_step(self, two_bus_net):
         result = run_qsts(two_bus_net, {}, steps=1, dt_h=1.0)
         expected = result.step(0).total_loss_kw * 1.0
         assert total_losses(result) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(TWO_BUS_LOSS_PU * 1000.0, abs=2e-3)
 
-    def test_zero_load_run(self, kernel):
+    def test_zero_load_run(self):
         net = chain_network(4, load_kw=0.0, load_kvar=0.0)
         result = run_qsts(net, {}, steps=3, dt_h=1.0)
         assert total_losses(result) == 0.0
 
-    def test_resummation_oracle(self, kernel, feeder20):
+    def test_resummation_oracle(self, feeder20):
         result = run_qsts(feeder20, {}, steps=24, dt_h=0.5)
         by_hand = sum(s.total_loss_kw for s in every_step(result)) * 0.5
         assert total_losses(result) == pytest.approx(by_hand, rel=1e-12)
@@ -1129,7 +1109,7 @@ class TestTotalLosses:
         net = chain_network(3)
         load = net.loads[0]
         values = np.tile([load.kw, 2.0 * load.kw], 12)
-        hourly = DemandProfile(dt_h=1.0, values_kw=values, energy_kwh=float(np.sum(values)))
+        hourly = DemandProfile(dt_h=1.0, values_kw=values)
         good = run_qsts(net, {load.id: hourly}, steps=2, dt_h=1.0)
         assert good.step_row.tolist() == [0, 1]
         patched = dataclasses.replace(good, rows=dataclasses.replace(
@@ -1140,7 +1120,7 @@ class TestTotalLosses:
 
 
 class TestExports:
-    def test_lines_csv_shape(self, kernel, feeder20):
+    def test_lines_csv_shape(self, feeder20):
         result = run_qsts(feeder20, {}, steps=2, dt_h=1.0)
         out = io.StringIO()
         qsts_lines_csv(result, out)
@@ -1151,7 +1131,7 @@ class TestExports:
         assert first[0] == "0"
         assert float(first[2]) == result.step(0).line_flow_kw[0]
 
-    def test_summary_csv_shape(self, kernel, feeder20):
+    def test_summary_csv_shape(self, feeder20):
         result = run_qsts(feeder20, {}, steps=3, dt_h=1.0)
         out = io.StringIO()
         qsts_summary_csv(result, out)
