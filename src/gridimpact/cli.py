@@ -460,7 +460,7 @@ def cmd_validate(config: RunConfig, config_hash: str) -> int:
             code = 2
     except SchemaError as exc:
         report["network"] = {"error": str(exc)}
-        log.error("network error: %s", exc)
+        log.error("%s", exc)
         code = 2
     try:
         parsed = run.stations
@@ -471,7 +471,7 @@ def cmd_validate(config: RunConfig, config_hash: str) -> int:
             code = code or 2
     except SchemaError as exc:
         report["stations"] = {"error": str(exc)}
-        log.error("station registry error: %s", exc)
+        log.error("%s", exc)
         code = 2
     report["ok"] = code == 0
     run._write("validate.json", json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -1,7 +1,11 @@
 """Exception types shared across the package, ``check_id``, the one id rule,
 and the one input path: ``read_text`` reads a file, ``decode_json`` its JSON,
 ``read_record`` the dataclass that the JSON builds, and every failure on the
-way is a ``SchemaError`` that names the input."""
+way is a ``SchemaError`` that names the input.
+
+A record states only its own fault, as a ``ValueError`` naming the field; the
+reader puts the input and the record in front: ``<input> <path>: <record>:
+<fault>``."""
 
 from __future__ import annotations
 
@@ -23,7 +27,8 @@ class GridImpactError(Exception):
 
 class SchemaError(GridImpactError, ValueError):
     """Input document violates the expected schema (missing/unknown/mistyped field,
-    duplicate id, dangling reference)."""
+    range fault, duplicate id, dangling reference). Only a reader raises it,
+    and its message starts with the document's name."""
 
     exit_code = 2
 
@@ -59,21 +64,38 @@ class VoltageCollapseError(GridImpactError):
 _ID_FORBIDDEN = frozenset(',"\r\n')
 
 
-def check_id(kind: str, identifier: str) -> None:
-    """Raise ``SchemaError`` naming the ``kind`` record unless ``identifier`` can
-    be written verbatim as a UTF-8 CSV field: non-empty, with no comma, double
-    quote, CR, LF or lone surrogate (a JSON escape such as ``"\\ud800"``). The
-    artifact writers do not quote ids."""
+def check_id(identifier: str) -> None:
+    """Raise ``ValueError`` unless ``identifier`` can be written verbatim as a
+    UTF-8 CSV field: non-empty, with no comma, double quote, CR, LF or lone
+    surrogate (a JSON escape such as ``"\\ud800"``). The artifact writers do
+    not quote ids."""
     if not identifier:
-        raise SchemaError(f"{kind} with empty id")
+        raise ValueError("id must not be empty")
     if not _ID_FORBIDDEN.isdisjoint(identifier):
-        raise SchemaError(f"{kind} {identifier!r}: id must not contain a comma, "
-                          "double quote, CR or LF")
+        raise ValueError(f"id {identifier!r} must not contain a comma, double quote, CR or LF")
     try:
         identifier.encode("utf-8")
     except UnicodeEncodeError:
-        raise SchemaError(f"{kind} {identifier!r}: id must not contain a lone surrogate, "
-                          "which UTF-8 cannot encode") from None
+        raise ValueError(f"id {identifier!r} must not contain a lone surrogate, "
+                         "which UTF-8 cannot encode") from None
+
+
+def record_label(kind: str, obj) -> str:
+    """How a reader names, in a fault, the ``kind`` record that ``obj`` (a
+    decoded object or a row's cells by column) builds: ``<kind> <id>``;
+    ``<kind> ?`` when ``check_id`` refuses the id, which the fault then
+    quotes, so a message never carries a raw line break or lone surrogate;
+    ``<kind>`` alone when ``obj`` is not an object."""
+    if not isinstance(obj, dict):
+        return kind
+    identifier = obj.get("id")
+    if isinstance(identifier, str):
+        try:
+            check_id(identifier)
+            return f"{kind} {identifier}"
+        except ValueError:
+            pass
+    return f"{kind} ?"
 
 
 # --- input files and typed JSON records --------------------------------------
@@ -154,8 +176,7 @@ def _field_reader(hint, name: str):
         def read_array(value, where):
             if not isinstance(value, list):
                 raise TypeError("an array")
-            return tuple(read_record(record, item, f"{record.kind} {item.get('id', '?')}"
-                                     if isinstance(item, dict) else record.kind)
+            return tuple(read_record(record, item, f"{where}: {record_label(record.kind, item)}")
                          for item in value)
 
         return read_array
@@ -180,8 +201,9 @@ def read_record(cls, obj, where: str):
     and defaults are the schema. No unknown or missing keys; ``float`` is finite
     and never a bool, ``int`` an integer, ``X | None`` also null; enums go through
     ``parse``, dataclasses recurse, ``tuple[Record, ...]`` reads an array whose
-    errors name each record's ``kind`` and ``id``. Range checks stay in
-    ``__post_init__``. Every error is a ``SchemaError`` naming the input."""
+    errors name each record's ``kind`` and ``id`` after ``where``. Range checks
+    stay in ``__post_init__``, which raises ``ValueError``. Every error is a
+    ``SchemaError`` starting with ``where``."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
     readers, required = _record_schema(cls)
@@ -204,7 +226,5 @@ def read_record(cls, obj, where: str):
             raise SchemaError(f"{where}: missing field '{name}'")
     try:
         return cls(**kwargs)
-    except SchemaError:
-        raise
     except ValueError as exc:  # a range check in __post_init__
         raise SchemaError(f"{where}: {exc}") from None

@@ -14,7 +14,8 @@ import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
 
-from .errors import SchemaError, check_id, decode_json, read_record, read_text
+from .config import check_finite
+from .errors import check_id, decode_json, read_record, read_text
 
 __all__ = [
     "Bus",
@@ -31,34 +32,25 @@ __all__ = [
 ]
 
 
-def _check_finite(record, *names) -> None:
-    """Refuse NaN and ±inf in the named fields: a one-sided range check lets
-    inf through, and NaN through any check written as ``x < bound``."""
-    for name in names:
-        value = getattr(record, name)
-        if not math.isfinite(value):
-            raise SchemaError(f"{record.kind} {record.id}: {name} must be finite, got {value}")
-
-
 @dataclass(frozen=True)
 class Bus:
     """A network node with WGS84 coordinates and a line-to-line voltage base."""
 
-    kind = "bus"  # a record's name in error messages; not a field
+    kind = "bus"  # how a network reader names the record in a fault; not a field
     id: str
     lat: float
     lon: float
     base_kv: float
 
     def __post_init__(self):
-        check_id(self.kind, self.id)
+        check_id(self.id)
         if not -90.0 <= self.lat <= 90.0:
-            raise SchemaError(f"bus {self.id}: lat {self.lat} outside [-90, 90]")
+            raise ValueError(f"lat {self.lat} outside [-90, 90]")
         if not -180.0 <= self.lon <= 180.0:
-            raise SchemaError(f"bus {self.id}: lon {self.lon} outside [-180, 180]")
-        _check_finite(self, "base_kv")
+            raise ValueError(f"lon {self.lon} outside [-180, 180]")
+        check_finite(self, "base_kv")
         if not self.base_kv > 0:
-            raise SchemaError(f"bus {self.id}: base_kv must be > 0")
+            raise ValueError("base_kv must be > 0")
 
 
 @dataclass(frozen=True)
@@ -75,16 +67,16 @@ class Line:
     ampacity_a: float
 
     def __post_init__(self):
-        check_id(self.kind, self.id)
+        check_id(self.id)
         if self.from_bus == self.to_bus:
-            raise SchemaError(f"line {self.id}: from_bus equals to_bus ({self.from_bus})")
-        _check_finite(self, "resistance_ohm", "reactance_ohm", "ampacity_a")
+            raise ValueError(f"from_bus equals to_bus ({self.from_bus})")
+        check_finite(self, "resistance_ohm", "reactance_ohm", "ampacity_a")
         if not self.ampacity_a > 0:
-            raise SchemaError(f"line {self.id}: ampacity_a must be > 0")
+            raise ValueError("ampacity_a must be > 0")
         if self.resistance_ohm < 0 or self.reactance_ohm < 0:
-            raise SchemaError(f"line {self.id}: impedance components must be >= 0")
+            raise ValueError("impedance components must be >= 0")
         if self.resistance_ohm == 0 and self.reactance_ohm == 0:
-            raise SchemaError(f"line {self.id}: resistance and reactance are both zero")
+            raise ValueError("resistance and reactance are both zero")
 
 
 @dataclass(frozen=True)
@@ -98,10 +90,10 @@ class LoadPoint:
     kvar: float
 
     def __post_init__(self):
-        check_id(self.kind, self.id)
-        _check_finite(self, "kw", "kvar")
+        check_id(self.id)
+        check_finite(self, "kw", "kvar")
         if self.kw < 0:
-            raise SchemaError(f"load {self.id}: kw must be >= 0")
+            raise ValueError("kw must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -113,7 +105,7 @@ class Source:
 
     def __post_init__(self):
         if not 0.8 <= self.voltage_pu <= 1.2:
-            raise SchemaError(f"source voltage_pu {self.voltage_pu} outside [0.8, 1.2]")
+            raise ValueError(f"voltage_pu {self.voltage_pu} outside [0.8, 1.2]")
 
 
 @dataclass(frozen=True)
@@ -139,7 +131,7 @@ class NetworkModel:
         bus_index = {}
         for bus in self.buses:
             if bus.id in bus_index:
-                raise SchemaError(f"duplicate id: {bus.kind} {bus.id}")
+                raise ValueError(f"duplicate id: {bus.kind} {bus.id}")
             bus_index[bus.id] = bus
         object.__setattr__(self, "_bus_index", bus_index)
 
@@ -147,21 +139,21 @@ class NetworkModel:
         # kV, so a feeder with a second voltage level would give wrong amps.
         levels = sorted({bus.base_kv for bus in self.buses})
         if len(levels) > 1:
-            raise SchemaError(f"mixed base_kv {levels}: every bus must share one voltage base")
+            raise ValueError(f"mixed base_kv {levels}: every bus must share one voltage base")
 
         for records, refs in ((self.lines, ("from_bus", "to_bus")), (self.loads, ("bus_id",))):
             seen = set()
             for record in records:
                 if record.id in seen:
-                    raise SchemaError(f"duplicate id: {record.kind} {record.id}")
+                    raise ValueError(f"duplicate id: {record.kind} {record.id}")
                 seen.add(record.id)
                 for bus_id in (getattr(record, name) for name in refs):
                     if bus_id not in bus_index:
-                        raise SchemaError(
+                        raise ValueError(
                             f"dangling bus reference: {bus_id} ({record.kind} {record.id})")
 
         if self.source.bus_id not in bus_index:
-            raise SchemaError(f"dangling bus reference: {self.source.bus_id} (source)")
+            raise ValueError(f"dangling bus reference: {self.source.bus_id} (source)")
 
     def bus(self, bus_id: str) -> Bus:
         return self._bus_index[bus_id]
@@ -183,14 +175,18 @@ class TopologyReport:
 
 def parse_network(document: str | bytes | dict) -> NetworkModel:
     """Parse the native JSON network document, as text or already decoded,
-    into ``NetworkModel``, its schema. Every fault is a ``SchemaError``."""
+    into ``NetworkModel``, its schema. Every fault is a ``SchemaError``
+    starting ``network document``."""
     if isinstance(document, (str, bytes)):
         document = decode_json(document, "network document")
     return read_record(NetworkModel, document, "network document")
 
 
 def load_network(path) -> NetworkModel:
-    return parse_network(read_text(path, "network"))
+    """Read the network file ``path``; every fault is a ``SchemaError``
+    starting ``network <path>``."""
+    where = f"network {path}"
+    return read_record(NetworkModel, decode_json(read_text(path, "network"), where), where)
 
 
 def serialize_network(net: NetworkModel) -> str:

@@ -223,7 +223,16 @@ def _tile_bounds(n, m, n_levels, batch):
 def _parent_rows(par_row, blocks):
     """The parent rows of each ``(lo, hi)`` block of lines: a slice where
     they are consecutive, so that indexing with them gives a view, and the
-    row array otherwise."""
+    row array otherwise, where the add goes through a gather and a scatter.
+
+    The slice path pays on deep feeders, where a rank group's parents are
+    mostly consecutive. ``solve_batch`` with every block indexed instead,
+    medians of 21 alternating runs (2 vCPU, Python 3.11.7, numpy 2.4.6):
+    241 against 230 ms on the benchmark's 10-level 200-bus feeder with
+    8,760 rows, inside the runs' spread; 108 against 99 ms on a chain of
+    240 lines with 2,000 rows, and 82.5 against 77.8 ms in a second series
+    of 15, so 6-9% slower.
+    """
     runs = np.concatenate(([0], np.cumsum(np.diff(par_row) != 1))).tolist()
     rows = par_row.tolist()
     return [slice(rows[lo], rows[lo] + hi - lo) if runs[lo] == runs[hi - 1] else par_row[lo:hi]

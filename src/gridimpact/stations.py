@@ -18,7 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import SchemaError, check_id, read_text
+from .config import check_finite
+from .errors import SchemaError, check_id, read_text, record_label
 
 __all__ = [
     "CapacityClass",
@@ -57,11 +58,14 @@ class EvStation:
     rated_kw: float
 
     def __post_init__(self):
-        check_id("station", self.id)
-        if not 0 < self.rated_kw < math.inf:
-            raise SchemaError(f"station {self.id}: rated_kw must be finite and > 0")
-        if not -90.0 <= self.lat <= 90.0 or not -180.0 <= self.lon <= 180.0:
-            raise SchemaError(f"station {self.id}: coordinates outside WGS84 bounds")
+        check_id(self.id)
+        check_finite(self, "rated_kw")
+        if not self.rated_kw > 0:
+            raise ValueError(f"rated_kw must be > 0, got {self.rated_kw}")
+        if not -90.0 <= self.lat <= 90.0:
+            raise ValueError(f"lat {self.lat} outside [-90, 90]")
+        if not -180.0 <= self.lon <= 180.0:
+            raise ValueError(f"lon {self.lon} outside [-180, 180]")
 
 
 _COLUMNS = ("id", "name", "lat", "lon", "rated_kw")
@@ -73,7 +77,8 @@ def parse_stations(table: str) -> list[EvStation]:
     column that is read may not. Duplicate ids, non-numeric values and rows
     the CSV reader refuses (a field over its size limit, say) are rejected
     with the offending row number: the line the record starts on, header =
-    row 1, as a quoted field may span lines.
+    row 1, as a quoted field may span lines. A station's own fault reads
+    ``row N: station <id>: <fault>``.
     """
     rows = _rows(csv.reader(io.StringIO(table)))
     try:
@@ -111,8 +116,8 @@ def parse_stations(table: str) -> list[EvStation]:
             stations.append(EvStation(id=raw["id"], name=raw["name"],
                                       lat=numeric["lat"], lon=numeric["lon"],
                                       rated_kw=numeric["rated_kw"]))
-        except SchemaError as exc:
-            raise SchemaError(f"row {row_num}: {exc}") from None
+        except ValueError as exc:
+            raise SchemaError(f"row {row_num}: {record_label('station', raw)}: {exc}") from None
     return stations
 
 
@@ -129,8 +134,14 @@ def _rows(reader):
 
 
 def load_stations(path) -> list[EvStation]:
+    """Read the registry file ``path``; every fault is a ``SchemaError``
+    starting ``station registry <path>: ``."""
     # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
-    return parse_stations(read_text(path, "station registry", encoding="utf-8-sig", newline=""))
+    text = read_text(path, "station registry", encoding="utf-8-sig", newline="")
+    try:
+        return parse_stations(text)
+    except SchemaError as exc:
+        raise SchemaError(f"station registry {path}: {exc}") from None
 
 
 def classify(rated_kw: float) -> CapacityClass:

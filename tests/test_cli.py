@@ -16,6 +16,8 @@ import oracles
 from gridimpact.cli import load_run_config, main
 from gridimpact.config import ScenarioConfig
 from gridimpact.errors import SchemaError
+from gridimpact.netmodel import load_network
+from gridimpact.stations import load_stations
 
 FIXTURES = Path(__file__).parent / "fixtures"
 # The fleet profile's peak step in a ``write_config`` run at dt_h 1.0
@@ -84,6 +86,44 @@ def add_resistive_spur_to_reactive_feeder(doc):
     doc["buses"].append({**source, "id": "spur"})
     doc["lines"].append({**doc["lines"][0], "id": "spur_line", "from_bus": source["id"],
                          "to_bus": "spur", "resistance_ohm": 0.5})
+
+
+def feeder40_with(edit):
+    """The text of feeder40 after ``edit`` changes its document in place."""
+    doc = json.loads((FIXTURES / "feeder40.json").read_text())
+    edit(doc)
+    return json.dumps(doc)
+
+
+# One fault of each kind in an input file: (input, file text, the reader's
+# message). Every message reads ``<input> <path>: <record>: <fault>``.
+INPUT_FAULTS = {
+    "bus_range": ("network", feeder40_with(lambda doc: doc["buses"][0].update(lat=100.0)),
+                  "network {path}: bus b000: lat 100.0 outside [-90, 90]"),
+    "line_range": ("network", feeder40_with(lambda doc: doc["lines"][0].update(ampacity_a=0.0)),
+                   "network {path}: line l001: ampacity_a must be > 0"),
+    "load_range": ("network", feeder40_with(lambda doc: doc["loads"][0].update(kw=-1.0)),
+                   "network {path}: load ld001: kw must be >= 0"),
+    "type": ("network", feeder40_with(lambda doc: doc["buses"][0].update(lat="x")),
+             "network {path}: bus b000: field 'lat' has wrong type: expected a finite number, "
+             "got 'x'"),
+    "source_voltage": ("network",
+                       feeder40_with(lambda doc: doc["source"].update(voltage_pu=1.5)),
+                       "network {path}: source: voltage_pu 1.5 outside [0.8, 1.2]"),
+    "duplicate_id": ("network", feeder40_with(lambda doc: doc["loads"].append(doc["loads"][0])),
+                     "network {path}: duplicate id: load ld001"),
+    "dangling_reference": ("network",
+                           feeder40_with(lambda doc: doc["lines"][0].update(to_bus="nope")),
+                           "network {path}: dangling bus reference: nope (line l001)"),
+    "mixed_base_kv": ("network", feeder40_with(lambda doc: doc["buses"][1].update(base_kv=12.47)),
+                      "network {path}: mixed base_kv [12.47, 69.0]: every bus must share one "
+                      "voltage base"),
+    "malformed_json": ("network", '{"buses": [',
+                       "network {path} is not valid JSON: Expecting value: line 1 column 12 "
+                       "(char 11)"),
+    "registry_row": ("stations", "id,name,lat,lon,rated_kw\ns1,A,37.0,-121.0,0\n",
+                     "station registry {path}: row 2: station s1: rated_kw must be > 0, got 0.0"),
+}
 
 
 # validate's error for a network whose baseline loss is 0
@@ -176,7 +216,8 @@ class TestValidate:
         config = write_config(tmp_path, network_path=str(net_path))
         assert main(["validate", "--config", str(config)]) == 2
         report = json.loads((run_dir_of(config) / "validate.json").read_text())
-        assert "line 'l,1': id must not contain a comma" in report["network"]["error"]
+        assert report["network"]["error"] == (f"network {net_path}: line ?: id 'l,1' must not "
+                                              "contain a comma, double quote, CR or LF")
         assert main(["pipeline", "--config", str(config)]) == 2
 
     def test_quoted_station_id_with_comma_exits_2(self, tmp_path):
@@ -188,7 +229,9 @@ class TestValidate:
         config = write_config(tmp_path, stations_path=str(bad))
         assert main(["validate", "--config", str(config)]) == 2
         report = json.loads((run_dir_of(config) / "validate.json").read_text())
-        assert "row 2: station 's,000': id must not contain" in report["stations"]["error"]
+        assert report["stations"]["error"] == (f"station registry {bad}: row 2: station ?: "
+                                               "id 's,000' must not contain a comma, double "
+                                               "quote, CR or LF")
         assert main(["pipeline", "--config", str(config)]) == 2
 
     def test_registry_with_byte_order_mark_passes(self, tmp_path):
@@ -242,7 +285,7 @@ class TestValidate:
         config = write_config(tmp_path, network_path=str(net_path))
         assert main(["validate", "--config", str(config)]) == 2
         report = json.loads((run_dir_of(config) / "validate.json").read_text())
-        assert report["network"]["error"] == ("network document: key 'kw' appears twice "
+        assert report["network"]["error"] == (f"network {net_path}: key 'kw' appears twice "
                                               "in the object with id 'ld001'")
         assert main(["pipeline", "--config", str(config)]) == 2
 
@@ -309,22 +352,28 @@ class TestValidate:
         config = write_config(tmp_path, stations_path=str(registry))
         assert main(["validate", "--config", str(config)]) == 2
         report = json.loads((run_dir_of(config) / "validate.json").read_text())
-        assert report["stations"] == {"error": "row 3: field larger than field limit (131072)"}
+        assert report["stations"] == {
+            "error": f"station registry {registry}: row 3: field larger than field limit (131072)"}
         assert report["network"]["radial"] is True
 
     def test_lone_surrogate_id_named_and_exits_2(self, tmp_path):
         """A load id written as the JSON escape of a lone surrogate: UTF-8
-        cannot encode it, so the id is refused with its record kind."""
+        cannot encode it, so the id is refused with its record kind, and the
+        fault quotes it escaped: a raw one could not be written to the
+        FAILED marker."""
         net_path = tmp_path / "network.json"
         net_path.write_text((FIXTURES / "feeder40.json").read_text().replace(
             '"id": "ld001"', '"id": "\\ud800"', 1))
         config = write_config(tmp_path, network_path=str(net_path))
         assert main(["validate", "--config", str(config)]) == 2
         report = json.loads((run_dir_of(config) / "validate.json").read_text())
-        assert report["network"] == {"error": "load '\\ud800': id must not contain a lone "
-                                              "surrogate, which UTF-8 cannot encode"}
+        assert report["network"] == {"error": f"network {net_path}: load ?: id '\\ud800' must "
+                                              "not contain a lone surrogate, which UTF-8 "
+                                              "cannot encode"}
         assert report["stations"] == {"count": 951}
         assert main(["pipeline", "--config", str(config)]) == 2
+        marker = (run_dir_of(config) / "FAILED").read_text(encoding="utf-8")
+        assert marker.endswith(f"error: {report['network']['error']}\n")
 
     def test_network_nested_too_deeply_named_and_exits_2(self, tmp_path):
         net_path = tmp_path / "network.json"
@@ -333,7 +382,7 @@ class TestValidate:
         assert main(["validate", "--config", str(config)]) == 2
         report = json.loads((run_dir_of(config) / "validate.json").read_text())
         assert report["network"] == {
-            "error": "network document: arrays or objects nested too deeply to decode"}
+            "error": f"network {net_path}: arrays or objects nested too deeply to decode"}
         assert report["stations"] == {"count": 951}
 
     def test_run_config_nested_too_deeply_named_and_exits_2(self, tmp_path, caplog):
@@ -414,11 +463,11 @@ class TestValidate:
         config = write_config(tmp_path, network_path=str(net_path))
         assert main(["validate", "--config", str(config)]) == 2
         report = json.loads((run_dir_of(config) / "validate.json").read_text())
-        assert message in report["network"]["error"]
+        assert report["network"]["error"] == f"network {net_path}: {message}"
 
     @pytest.mark.parametrize("text,code,registry", [
         ("id,name,lat,lon,rated_kw\ns1,A,91.0,-121.0,60\n", 2,
-         {"error": "row 2: station s1: coordinates outside WGS84 bounds"}),
+         {"error": "row 2: station s1: lat 91.0 outside [-90, 90]"}),
         ("", 2, {"error": "row 1: missing header"}),
         # blank rows, empty or all-blank cells, are skipped
         ("id,name,lat,lon,rated_kw\ns1,A,37.0,-121.0,60\n\n , ,,,\ns2,B,37.1,-121.1,7\n", 0,
@@ -430,7 +479,41 @@ class TestValidate:
         config = write_config(tmp_path, stations_path=str(path))
         assert main(["validate", "--config", str(config)]) == code
         report = json.loads((run_dir_of(config) / "validate.json").read_text())
+        if "error" in registry:  # the reader names the file before the row
+            registry = {"error": f"station registry {path}: {registry['error']}"}
         assert report["stations"] == registry
+
+    @pytest.mark.parametrize("case", INPUT_FAULTS)
+    def test_input_fault_names_file_then_record(self, tmp_path, case):
+        """The reader names the file and the record; validate.json files the
+        same text under the input's key."""
+        key, text, message = INPUT_FAULTS[case]
+        path = tmp_path / ("network.json" if key == "network" else "stations.csv")
+        path.write_text(text)
+        with pytest.raises(SchemaError) as raised:
+            (load_network if key == "network" else load_stations)(path)
+        assert str(raised.value) == message.format(path=path)
+        config = write_config(tmp_path, **{f"{key}_path": str(path)})
+        assert main(["validate", "--config", str(config)]) == 2
+        report = json.loads((run_dir_of(config) / "validate.json").read_text())
+        assert report[key] == {"error": message.format(path=path)}
+
+    def test_validate_logs_each_fault_once_in_the_readers_words(self, tmp_path):
+        """On stderr each faulty input is named once, by its reader's message
+        alone."""
+        network, registry = tmp_path / "network.json", tmp_path / "stations.csv"
+        network.write_text(INPUT_FAULTS["bus_range"][1])
+        registry.write_text(INPUT_FAULTS["registry_row"][1])
+        config = write_config(tmp_path, network_path=str(network), stations_path=str(registry))
+        src = Path(gridimpact.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-m", "gridimpact.cli", "validate", "--config",
+                               str(config)], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 2
+        for case, path in (("bus_range", network), ("registry_row", registry)):
+            message = INPUT_FAULTS[case][2].format(path=path)
+            assert f"ERROR gridimpact: {message}" in done.stderr.splitlines()
+            assert done.stderr.count(str(path)) == 1
 
     def test_validate_loads_no_numpy(self, tmp_path):
         """In a fresh interpreter, validate passes on feeder40 and leaves

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -25,6 +26,17 @@ from gridimpact.powerflow import solve_snapshot, solver
 from gridimpact.powerflow.solver import _CompiledFeeder
 
 from oracles import is_tree, reachable_from
+
+
+@contextlib.contextmanager
+def record_fault(message):
+    """A record built in Python states only its fault: a plain ``ValueError``
+    whose text is exactly ``message``, never a ``SchemaError``, which names a
+    document."""
+    with pytest.raises(ValueError) as raised:
+        yield
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == message
 
 
 def path_network(n_buses: int, extra_lines=()) -> NetworkModel:
@@ -104,8 +116,9 @@ class TestParse:
             parse_network("{nope")
 
     @pytest.mark.parametrize("buses,message", [
-        ([5], "bus: expected an object, got int"),
-        ([{"lat": 37.0, "lon": -122.0, "base_kv": 12.47}], "bus ?: missing field 'id'"),
+        ([5], "network document: bus: expected an object, got int"),
+        ([{"lat": 37.0, "lon": -122.0, "base_kv": 12.47}],
+         "network document: bus ?: missing field 'id'"),
     ], ids=["not_an_object", "no_id"])
     def test_record_array_names_kind_and_id(self, minimal_doc, buses, message):
         minimal_doc["buses"] = buses
@@ -117,7 +130,7 @@ class TestParse:
         bad record listed first is the fault reported."""
         del minimal_doc["buses"][1]["lat"]
         minimal_doc["feeders"] = []
-        with pytest.raises(SchemaError, match="^bus b1: missing field 'lat'$"):
+        with pytest.raises(SchemaError, match="^network document: bus b1: missing field 'lat'$"):
             parse_network(minimal_doc)
 
     def test_field_type_without_reader_raises_type_error(self):
@@ -164,10 +177,12 @@ class TestParse:
     @pytest.mark.parametrize("bad", ["", "x,1", 'x"1', "x\r1", "x\n1"])
     def test_id_must_be_writable_verbatim(self, minimal_doc, section, kind, bad):
         minimal_doc[section][-1]["id"] = bad
-        message = (f"{kind} with empty id" if not bad else
-                   f"{kind} {bad!r}: id must not contain a comma, double quote, CR or LF")
-        with pytest.raises(SchemaError, match=re.escape(message)):
+        fault = (f"id {bad!r} must not contain a comma, double quote, CR or LF" if bad else
+                 "id must not be empty")
+        with pytest.raises(SchemaError) as raised:
             parse_network(minimal_doc)
+        # the reader names a record by an id only when it is writable
+        assert str(raised.value) == f"network document: {kind} ?: {fault}"
 
     def test_fixture_counts(self, feeder40):
         assert len(feeder40.buses) == 40
@@ -330,26 +345,26 @@ class TestBusCatalog:
 
 class TestInvariants:
     def test_source_must_reference_existing_bus(self):
-        with pytest.raises(SchemaError, match="dangling bus reference"):
+        with record_fault("dangling bus reference: zz (source)"):
             NetworkModel(buses=(Bus("b0", 0.0, 0.0, 1.0),), lines=(), loads=(),
                          source=Source("zz", 1.0))
 
     def test_mixed_base_kv_rejected(self):
         buses = (Bus("b0", 0.0, 0.0, 12.47), Bus("b1", 0.0, 0.001, 12.47),
                  Bus("b2", 0.0, 0.002, 4.16))
-        with pytest.raises(SchemaError, match="every bus must share one voltage base"):
+        with record_fault("mixed base_kv [4.16, 12.47]: every bus must share one voltage base"):
             NetworkModel(buses=buses, lines=(), loads=(), source=Source("b0", 1.0))
 
     def test_self_loop_rejected(self):
-        with pytest.raises(SchemaError, match="from_bus equals to_bus"):
+        with record_fault("from_bus equals to_bus (b0)"):
             Line("l1", "b0", "b0", 0.1, 0.1, 100.0)
 
     def test_source_voltage_window(self):
-        with pytest.raises(SchemaError):
+        with record_fault("voltage_pu 1.5 outside [0.8, 1.2]"):
             Source("b0", 1.5)
 
     def test_negative_load_rejected(self):
-        with pytest.raises(SchemaError):
+        with record_fault("kw must be >= 0"):
             LoadPoint("ld", "b0", -5.0, 0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
@@ -366,6 +381,5 @@ class TestInvariants:
         record built in Python refuses them too. An infinite ``base_kv``
         solved as z = 0 with |V| = 1.0 everywhere, and a NaN load ran to
         ``max_iter``."""
-        message = f"^{record.kind} {record.id}: {field} must be finite, got {value}$"
-        with pytest.raises(SchemaError, match=message):
+        with record_fault(f"{field} must be finite, got {value}"):
             dataclasses.replace(record, **{field: value})

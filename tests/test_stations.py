@@ -95,28 +95,47 @@ class TestParse:
             parse_stations(text)
 
     def test_nonpositive_rating_reports_row(self):
-        with pytest.raises(SchemaError, match="row 2: .*rated_kw"):
+        with pytest.raises(SchemaError,
+                           match=r"^row 2: station s1: rated_kw must be > 0, got 0\.0$"):
             parse_stations(csv_text("s1,A,37.0,-121.0,0\n"))
 
     @pytest.mark.parametrize("rating", ["inf", "1e400", "-inf", "nan"])
     def test_nonfinite_rating_reports_row(self, rating):
         text = csv_text(f"s1,A,37.0,-121.0,60\ns2,B,37.1,-121.1,{rating}\n")
-        with pytest.raises(SchemaError, match="row 3: station s2: rated_kw must be finite"):
+        with pytest.raises(SchemaError, match="^row 3: station s2: rated_kw must be finite, got"):
             parse_stations(text)
 
-    @pytest.mark.parametrize("cell,message", [
-        ('""', "row 2: station with empty id"),
-        ('"s,000"', "row 2: station 's,000': id must not contain a comma"),
-        ('"s""000"', "row 2: station 's\"000': id must not contain a comma"),
-    ])
-    def test_id_must_be_writable_verbatim(self, cell, message):
-        with pytest.raises(SchemaError, match=re.escape(message)):
+    @pytest.mark.parametrize("cell,fault", [
+        ('""', "id must not be empty"),
+        ('"s,000"', "id 's,000' must not contain a comma, double quote, CR or LF"),
+        ('"s""000"', "id 's\"000' must not contain a comma, double quote, CR or LF"),
+    ], ids=["empty", "comma", "double_quote"])
+    def test_id_must_be_writable_verbatim(self, cell, fault):
+        """The row names its station ``?``, and the fault quotes the id."""
+        with pytest.raises(SchemaError, match=f"^{re.escape('row 2: station ?: ' + fault)}$"):
             parse_stations(csv_text(f"{cell},A,37.0,-121.0,60\n"))
 
     @pytest.mark.parametrize("bad", ["s\r1", "s\n1"])
     def test_id_rejects_line_breaks(self, bad):
-        with pytest.raises(SchemaError, match="id must not contain"):
+        """A station built in Python states only its fault, as a plain
+        ``ValueError``: a ``SchemaError`` names a document."""
+        with pytest.raises(ValueError) as raised:
             EvStation(bad, "A", 37.0, -121.0, 60.0)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == f"id {bad!r} must not contain a comma, double quote, CR or LF"
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"rated_kw": 0.0}, "rated_kw must be > 0, got 0.0"),
+        ({"rated_kw": math.nan}, "rated_kw must be finite, got nan"),
+        ({"lat": 91.0}, "lat 91.0 outside [-90, 90]"),
+        ({"lon": -181.0}, "lon -181.0 outside [-180, 180]"),
+    ], ids=["rated_kw_zero", "rated_kw_nan", "lat", "lon"])
+    def test_station_states_only_its_fault(self, fields, message):
+        with pytest.raises(ValueError) as raised:
+            EvStation(**{"id": "s1", "name": "A", "lat": 37.0, "lon": -121.0,
+                         "rated_kw": 60.0, **fields})
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == message
 
     def test_byte_order_mark_is_dropped(self, tmp_path, stations951):
         path = tmp_path / "stations.csv"
