@@ -142,12 +142,15 @@ class PipelineRun:
         crash or a concurrent run never leaves a half-written file under the
         final name; if the block or the replace fails, the temp file is
         removed. The temp name carries the pid so two runs of the same config
-        never share one."""
+        never share one. A character that UTF-8 cannot encode, such as a
+        lone surrogate in an error text, is written as its backslash escape,
+        so no write fails on one."""
         self.run_dir.mkdir(parents=True, exist_ok=True)
         path = self.run_dir / name
         tmp = self.run_dir / f".{name}.{os.getpid()}.tmp"
         try:
-            with open(tmp, "w", encoding="utf-8", buffering=ARTIFACT_BUFFER_BYTES) as out:
+            with open(tmp, "w", encoding="utf-8", errors="backslashreplace",
+                      buffering=ARTIFACT_BUFFER_BYTES) as out:
                 yield out
             os.replace(tmp, path)
         except BaseException:

@@ -37,10 +37,11 @@ class ChargingStrategy(Enum):
     @classmethod
     def parse(cls, token: str) -> "ChargingStrategy":
         try:
-            return cls(token.strip().lower())
+            return cls(token)
         except ValueError:
             valid = ", ".join(s.value for s in cls)
-            raise ValueError(f"unknown charging strategy '{token}' (expected one of: {valid})") from None
+            raise ValueError(
+                f"unknown charging strategy {token!r} (expected one of: {valid})") from None
 
 
 def check_finite(record, *names: str) -> None:

@@ -1,7 +1,8 @@
 """Exception types shared across the package, ``check_id``, the one id rule,
-and the one input path: ``read_text`` reads a file, ``decode_json`` its JSON,
-``read_record`` the dataclass that the JSON builds, and every failure on the
-way is a ``SchemaError`` that names the input.
+and the one input path: ``read_text`` reads a file by the one decoding rule
+(strict UTF-8, one leading byte-order mark dropped, line ends as written),
+``decode_json`` its JSON, ``read_record`` the dataclass that the JSON builds,
+and every failure on the way is a ``SchemaError`` that names the input.
 
 A record states only its own fault, as a ``ValueError`` naming the field; the
 reader puts the input and the record in front: ``<input> <path>: <record>:
@@ -101,18 +102,23 @@ def record_label(kind: str, obj) -> str:
 # --- input files and typed JSON records --------------------------------------
 
 
-def read_text(path, what: str, *, encoding: str = "utf-8", newline: str | None = None) -> str:
-    """The text of the UTF-8 input file ``path``, the run's ``what``
-    (``encoding`` may only add ``-sig``). A file that cannot be read raises
-    ``SchemaError`` starting ``<what> <path>:``; for bytes that do not decode
-    it names the first bad byte's offset."""
+def read_text(path, what: str) -> str:
+    """The text of the input file ``path``, the run's ``what``: its bytes
+    decoded as strict UTF-8, with one leading byte-order mark dropped (RFC
+    8259 section 8.1 lets a JSON parser ignore one; spreadsheet CSV exports
+    prepend one) and line ends kept as written. A file that cannot be opened
+    or read, its path included, raises ``SchemaError`` starting ``<what>
+    <path>:``; for bytes that do not decode it names the first bad byte's
+    offset in the file."""
     try:
-        with open(path, "r", encoding=encoding, newline=newline) as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except (OSError, ValueError) as exc:  # ValueError: a path holding NUL or a lone surrogate
+        raise SchemaError(f"{what} {path}: {exc}") from None
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{what} {path}: not valid UTF-8: {exc}") from None
-    except OSError as exc:
-        raise SchemaError(f"{what} {path}: {exc}") from None
 
 
 def decode_json(text: str | bytes, where: str):

@@ -136,8 +136,7 @@ def _rows(reader):
 def load_stations(path) -> list[EvStation]:
     """Read the registry file ``path``; every fault is a ``SchemaError``
     starting ``station registry <path>: ``."""
-    # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
-    text = read_text(path, "station registry", encoding="utf-8-sig", newline="")
+    text = read_text(path, "station registry")
     try:
         return parse_stations(text)
     except SchemaError as exc:

@@ -32,10 +32,22 @@ def main(out_dir: Path = HERE) -> None:
     (out_dir / "feeder20.json").write_text(serialize_network(feeder20) + "\n")
 
     # 951-station registry with a 895/24/18/14 class census.
-    stations = random_stations(951, seed=7, class_counts=(895, 24, 18, 14))
+    write_registry(out_dir / "stations951.csv",
+                   random_stations(951, seed=7, class_counts=(895, 24, 18, 14)))
+
+    # 60-bus distribution feeder with a 60-station registry whose nameplate
+    # (5,722.3 kW) can overload it: a study input on which a line or bus
+    # reaches its limit within the chargers' ratings.
+    feeder60 = random_feeder(60, seed=64, base_kv=12.47)
+    (out_dir / "feeder60.json").write_text(serialize_network(feeder60) + "\n")
+    write_registry(out_dir / "stations60.csv",
+                   random_stations(60, seed=9, class_counts=(40, 10, 6, 4)))
+
+
+def write_registry(path: Path, stations) -> None:
     rows = ["id,name,lat,lon,rated_kw"]
     rows += [f"{s.id},{s.name},{s.lat},{s.lon},{s.rated_kw}" for s in stations]
-    (out_dir / "stations951.csv").write_text("\n".join(rows) + "\n")
+    path.write_text("\n".join(rows) + "\n")
 
 
 if __name__ == "__main__":

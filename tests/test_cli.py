@@ -336,6 +336,44 @@ class TestValidate:
         assert report[other] == checked
         assert main(["pipeline", "--config", str(config)]) == 2
 
+    def test_byte_order_marks_are_dropped(self, tmp_path):
+        """Copies of the run config and both inputs, each behind a UTF-8
+        byte-order mark, validate, land in the plain files' run directory and
+        write the same bytes."""
+        run_dirs = []
+        for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            study = tmp_path / name
+            study.mkdir()
+            for fixture in ("feeder40.json", "stations951.csv"):
+                (study / fixture).write_bytes(bom + (FIXTURES / fixture).read_bytes())
+            config = write_config(study, network_path="feeder40.json",
+                                  stations_path="stations951.csv", output_dir="out")
+            config.write_bytes(bom + config.read_bytes())
+            assert main(["validate", "--config", str(config)]) == 0
+            assert main(["pipeline", "--config", str(config)]) == 0
+            run_dirs.append(run_dir_of(config))
+        plain, bom = run_dirs
+        assert plain.name == bom.name
+        names = sorted(path.name for path in plain.iterdir())
+        assert names == sorted(path.name for path in bom.iterdir())
+        assert "manifest.json" in names and "FAILED" not in names
+        for name in names:
+            assert (plain / name).read_bytes() == (bom / name).read_bytes(), name
+
+    def test_unencodable_network_path_named_and_registry_checked(self, tmp_path):
+        """A network path holding a lone surrogate, which UTF-8 cannot
+        encode into a file name: the network's error names it, the registry
+        is still checked, and the pipeline's FAILED marker carries the
+        surrogate as its backslash escape."""
+        config = write_config(tmp_path, network_path="\ud800.json")
+        assert main(["validate", "--config", str(config)]) == 2
+        report = json.loads((run_dir_of(config) / "validate.json").read_text())
+        assert report["network"]["error"].startswith(f"network {tmp_path / chr(0xd800)}.json: ")
+        assert report["stations"] == {"count": 951}
+        assert main(["pipeline", "--config", str(config)]) == 2
+        marker = (run_dir_of(config) / "FAILED").read_text(encoding="utf-8")
+        assert marker.startswith(f"stage: assign\nerror: network {tmp_path}/\\ud800.json: ")
+
     def test_undecodable_run_config_named_and_exits_2(self, tmp_path, caplog):
         config = write_config(tmp_path)
         config.write_bytes(config.read_bytes().replace(b'"steps"', b'"st\xf1ps"'))
@@ -864,6 +902,21 @@ class TestPipeline:
         assert (run_dir / "FAILED").is_dir()
         assert not list(run_dir.glob(".FAILED.*"))
 
+    def test_unencodable_stage_error_still_marks_its_stage(self, tmp_path, monkeypatch):
+        """A stage error whose text UTF-8 cannot encode: the FAILED marker
+        carries it backslash-escaped, and the stage error sets the exit code."""
+        from gridimpact import cli
+        from gridimpact.errors import SolverError
+
+        def fail(run):
+            raise SolverError("bad \ud800 text")
+
+        monkeypatch.setattr(cli.PipelineRun, "stage_power", fail)
+        config = write_config(tmp_path)
+        assert main(["pipeline", "--config", str(config)]) == 4
+        assert (run_dir_of(config) / "FAILED").read_bytes() == (
+            b"stage: power\nerror: bad \\ud800 text\n")
+
     def test_collapsed_snapshot_logs_its_verdict_then_the_stage_error(self, tmp_path, caplog):
         """The EV snapshot, a one-step run, logs its collapse and its count
         of steps that did not converge; the power stage then raises on the
@@ -972,6 +1025,8 @@ class TestRunConfig:
         # past 10**12 vehicles, float64 apportionment stops summing to the fleet
         ("fleet_size", {"scenario": {**SCENARIO, "fleet_size": 10**17 + 3}}),
         ("ampacity_threshold_a", {"ampacity_threshold_a": True}),
+        # a token is read as written, with no trimming or case folding
+        ("home_strategy", {"scenario": {**SCENARIO, "home_strategy": " Immediate_Slow "}}),
     ])
     def test_wrongly_typed_value_names_key_and_exits_2(self, tmp_path, key, overrides):
         """Including NaN, which Python's json reads and every ``< 0`` check passes."""

@@ -22,7 +22,7 @@ from gridimpact.evfleet import (
 )
 from gridimpact import evfleet
 from gridimpact.config import SolverConfig, samples_per_day
-from gridimpact.errors import read_record
+from gridimpact.errors import SchemaError, read_record
 from gridimpact.powerflow import run_qsts
 from gridimpact.synth import random_feeder
 from oracles import charging_window_per_strategy, cohort_profile_two_segments
@@ -113,6 +113,13 @@ class TestBuildCohorts:
     def test_scenario_json_bad_strategy(self):
         with pytest.raises(ValueError, match="unknown charging strategy"):
             read_record(ScenarioConfig, {"home_strategy": "whenever"}, "scenario")
+
+    def test_scenario_json_strategy_read_as_written(self):
+        """A strategy token is matched as written, like every other JSON
+        string: no trimming and no case folding."""
+        with pytest.raises(SchemaError, match=re.escape(
+                "scenario: field 'home_strategy': unknown charging strategy ' Immediate_Slow '")):
+            read_record(ScenarioConfig, {"home_strategy": " Immediate_Slow "}, "scenario")
 
     def test_fleet_size_past_exact_apportionment_rejected(self):
         assert make_config(fleet_size=10**12).fleet_size == 10**12

@@ -142,6 +142,18 @@ class TestParse:
         path.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "stations951.csv").read_bytes())
         assert load_stations(path) == stations951
 
+    def test_bad_byte_after_byte_order_mark_named_by_file_offset(self, tmp_path):
+        """The byte-order mark counts: the bad byte is named by its offset in
+        the file, not in the text after the mark."""
+        path = tmp_path / "stations.csv"
+        path.write_bytes(b"\xef\xbb\xbfid,name,lat,lon,rated_kw\ns1,A\xff,37.0,-121.0,60\n")
+        assert path.read_bytes().index(b"\xff") == 32
+        with pytest.raises(SchemaError) as raised:
+            load_stations(path)
+        assert str(raised.value) == (
+            f"station registry {path}: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+            "in position 32: invalid start byte")
+
     def test_fixture_census(self, stations951):
         assert Counter(classify(s.rated_kw) for s in stations951) == REFERENCE_CENSUS
         assert REFERENCE_CENSUS.total() == 951
