@@ -33,58 +33,56 @@ currents need no array of their own.
   share one level, so every parent sums its children's currents in
   descending line order, exactly as a per-line loop from the last line to
   the first does. The sums, and so the bits, are the same.
-- Forward, shallowest level first: one vectorized update per level. Every
-  parent is already updated when its children's level runs. The largest
-  voltage change is a max, which no order changes. Each step of a level
-  (``z * i``, parent gather, difference, change, ``|change|`` and its
-  column max) writes into level scratch with ``out=``, so a level makes
-  no temporaries.
-- Exit test, after each forward pass. A row has collapsed when some bus's
-  ``|v|`` is under ``COLLAPSE_FLOOR_PU``. ``|v|`` is a faithfully rounded
-  ``hypot``, never below ``|re(v)|``, so a column whose real parts all
-  clear the floor cannot have collapsed. The test therefore takes each
-  column's smallest real part first (``np.fmin`` skips NaN, so a column is
-  picked exactly when some ``re(v)`` is under the floor) and computes
-  ``|v|`` only for the picked columns; NaN and ±inf decide as they would
-  on ``|v|``, and the collapse bus is still the first bus under the floor.
-- Rows that converge, collapse or run out of iterations are copied out,
-  and every exit takes one path, also when the whole tile leaves (on the
-  benchmark feeder all rows take the same number of iterations). The
-  staying columns of the loads are gathered into the free region; the
-  leaving columns of the currents, then of the voltages, are gathered into
-  the spent load region and from there, in line or bus order, into the
-  spent current region, and copied out; the staying columns of the
-  voltages are gathered into the current region last. The free and
-  current regions become the load and voltage regions, and the old load
-  and voltage regions the current and free ones. An exit where no column
-  stays writes nothing into the free region, so on the benchmark feeder it
-  is never touched. Every tile starts in the first roles, and until its
-  first row leaves, the kernel works on its arrays with no gather.
-  Every ``np.take`` writes into a region with ``mode="clip"``: its indices
-  are valid by construction, and the default ``mode="raise"`` would copy
-  the result through a buffer of its own.
+- Forward, shallowest level first, into a second voltage buffer: a level
+  writes its parents' new voltages less ``z * i`` (both in level scratch,
+  with ``out=``) into its own rows of it. Parents are new before their
+  children's level runs, root rows hold ``v0`` in both buffers, and the
+  buffers swap after the pass, so the old voltages stay whole for the tests.
+- Convergence test. No column's largest change is below its deepest
+  level's, so that level's change is taken first: a column whose witness
+  is ``>= tol`` or NaN cannot have converged. Only if some witness is under
+  ``tol`` is the change taken over every level, in level scratch; a max is
+  exact in any order, so the test decides as a per-line max does.
+- Collapse test. A row has collapsed when some bus's ``|v|`` is under
+  ``COLLAPSE_FLOOR_PU``. ``|v|`` is a faithfully rounded ``hypot``, never
+  below ``|re(v)|``, so the test takes each column's smallest real part
+  first (``np.fmin`` skips NaN, so a column is picked exactly when some
+  ``re(v)`` is under the floor) and computes ``|v|`` only for the picked
+  columns, gathered into the spent voltage buffer and overwritten there;
+  NaN and ±inf decide as on ``|v|``, and the collapse bus is the first bus
+  under the floor.
+- Exits: rows that converge, collapse or run out of iterations are copied
+  out, on one path also when the whole tile leaves. The staying loads are
+  gathered into the spent voltage region; the leaving currents, then
+  voltages, into the spent load region and from there, in line or bus
+  order, into the spent current region, and copied out; the staying
+  voltages into the current region last. These two regions become the
+  load and voltage regions, the old load and voltage regions the current
+  and next-voltage ones. Every tile starts in the first roles and works
+  with no gather until its first row leaves. Every ``np.take`` writes into
+  a region with ``mode="clip"``: its indices are valid by construction, and
+  ``mode="raise"`` would copy the result through a buffer of its own.
 
 Column tiles. The batch is solved in tiles of whole rows of ``s`` (columns
 of the working arrays), one tile after the other, with the level schedule
 computed once per call and the tiles cut by ``_tile_bounds``. The call's
 working memory is one anonymous ``mmap`` for the call's widest tile, its
 size summed from the array views it is cut into: four tile regions (loads,
-voltages, currents, and a free one that only an exit with rows staying
-touches; an anonymous page costs no memory until it is touched), the
-forward pass's level scratch (two complex and one float array of the
-most lines of one level by the tile width) and two rows of the tile
-width (a level's largest change and ``dv``). The mapping goes
-back to the operating system when the call returns and its last view is
-dropped; freed heap would stay with the process. Nothing of it is cached
-between calls, so concurrent calls never share it, and the working memory
-does not grow with the batch.
+currents and two voltage buffers; no step of an iteration touches more
+than three), the level scratch (two complex and one float array of the
+most lines of one level by the tile width) and two rows of the tile width
+(a level's largest change and ``dv``). The mapping goes back to the
+operating system when the call returns and its last view is dropped;
+freed heap would stay with the process. Nothing of it is cached between
+calls, so concurrent calls never share it, and the working memory does
+not grow with the batch.
 Tiling cannot change any bits: every arithmetic step is per column, each
 column starts from ``v0`` in its tile as it does in the whole batch, and
 rows already leave the active set without touching the rows that stay
 (which is also why a batch row equals its 1-row solve). The width rule
 has no knob: ``TILE_BYTES`` is a third of one core's 2 MiB L2, and
-``TILE_BYTES // (16 * n)`` columns keep each array within it, so all three
-fit the 2 MiB, unless a level's numpy calls would then average fewer than
+``TILE_BYTES // (16 * n)`` columns keep each region within it, so a step's
+three fit the 2 MiB, unless a level's numpy calls would average fewer than
 ``CALL_ELEMS`` elements; a feeder with few lines per level gets at
 least ``CALL_ELEMS * levels / lines`` columns. On the 10-level, 200-bus
 benchmark feeder that floor decides (at most 412 columns), and on deeper
@@ -124,12 +122,10 @@ from ..errors import COLLAPSE_FLOOR_PU
 # 0.32-0.42 s against 0.46-0.53 s untiled. On a 239-level, 240-bus chain,
 # 1 and 2 MiB arrays with no call-size floor took 1.32 and 0.90 s against
 # 0.61 s untiled; any floor from 4,096 to 32,768 elements brought it back to
-# 0.59-0.70 s, within the runs' spread. With the three arrays sharing the
-# 2 MiB, the floor decides on the benchmark feeder (412 columns). There an
-# 8,760-row solve maps a 5.78 MB block, of which it touches the three tile
-# regions and the level scratch, and holds 0.18 MB on the heap beyond its
-# outputs.
-TILE_BYTES = (2 << 20) // 3  # each of a tile's three complex working arrays
+# 0.59-0.70 s, within the runs' spread. With three arrays sharing the 2 MiB,
+# the floor decides on the benchmark feeder (412 columns); there an 8,760-row
+# solve maps and touches a 5.78 MB block, and 0.18 MB of heap past its outputs.
+TILE_BYTES = (2 << 20) // 3  # each of the three tile regions a step touches at most
 CALL_ELEMS = 8192  # least average elements per numpy call of a level
 
 
@@ -209,7 +205,7 @@ def _blocks(cuts, size):
 def _tile_bounds(n, m, n_levels, batch):
     """Cut points of a batch's column tiles; tile t is ``bounds[t]:bounds[t + 1]``.
 
-    Each of a tile's three working arrays fills ``TILE_BYTES`` at 16 bytes
+    Each of a tile's four regions fills ``TILE_BYTES`` at 16 bytes
     per complex element, unless that would leave the average numpy call of
     a level under ``CALL_ELEMS`` elements; then the tile widens to that
     floor. The batch is cut into ``ceil(batch / width)`` contiguous tiles
@@ -296,8 +292,8 @@ def solve_batch(parent, child, z, s, v0, tol, max_iter):
     widest = max(hi - lo for lo, hi in levels)
     # The call's working memory: one anonymous mapping, cut into views in
     # this order: the tile regions in the roles each tile starts in (loads,
-    # voltages, currents), the two complex level scratch arrays, the free
-    # tile region, the float level scratch, and the rows of a level's
+    # voltages, currents), the two complex level scratch arrays, the next
+    # voltages' region, the float level scratch, and the rows of a level's
     # largest change and of dv. It is unmapped, not kept on the heap, once
     # the last view goes at return. ACCESS_COPY makes it private: a shared
     # anonymous mapping is backed by shared memory and faults slower
@@ -312,22 +308,20 @@ def solve_batch(parent, child, z, s, v0, tol, max_iter):
         views.append(np.frombuffer(mapping, dtype=kind, count=size, offset=offset))
         offset += views[-1].nbytes
     del mapping
-    s_reg, v_reg, i_reg, new_buf, step_buf, f_reg, abs_buf, level_dv_buf, dv_buf = views
-    regions = (s_reg, v_reg, i_reg, f_reg)
+    s_reg, v_reg, i_reg, above_buf, step_buf, w_reg, abs_buf, level_dv_buf, dv_buf = views
+    regions = (s_reg, v_reg, i_reg, w_reg)
     for start, stop in tiles:
-        s_reg, v_reg, i_reg, f_reg = regions
+        s_reg, v_reg, i_reg, w_reg = regions
         rows = np.arange(start, stop)
         # Bus-major working arrays, one column per active row, buses in
         # bus_row order. After the backward pass, row first + j of i_acc is
         # line order[j]'s current: a child's sum is final once its level is
         # done.
         sa = _view(s_reg, n, rows.size)
-        # np.take copies a non-contiguous source first, so the loads are
-        # transposed into the current region, free until the first
-        # iteration, and gathered from there.
-        staged = _view(i_reg, n, rows.size)
-        np.copyto(staged, s[start:stop].T)
-        staged.take(row_bus, axis=0, out=sa, mode="clip")
+        # Load rows are gathered in s's own layout into the current region,
+        # free until the first iteration, and transposed from there in cache.
+        staged = s[start:stop].take(row_bus, axis=1, out=_view(i_reg, rows.size, n), mode="clip")
+        np.copyto(sa, staged.T)
         va = _view(v_reg, n, rows.size)
         va.fill(complex(v0))
         while rows.size:
@@ -337,26 +331,34 @@ def solve_batch(parent, child, z, s, v0, tol, max_iter):
             np.conjugate(i_acc, out=i_acc)
             for lo, hi, parents in backward:
                 i_acc[parents] += i_acc[lo:hi]
-            dv, level_dv = dv_buf[:width], level_dv_buf[:width]
-            dv.fill(0.0)
+            # The new voltages go into the other buffer; the old stay in va.
+            w = _view(w_reg, n, width)
+            w[:first] = v0
             for lo, hi, parents, z_level in forward:
-                kids = va[lo:hi]
                 step = np.multiply(z_level, i_acc[lo:hi], out=_view(step_buf, hi - lo, width))
-                v_new = va.take(parents, axis=0, out=_view(new_buf, hi - lo, width), mode="clip")
-                np.subtract(v_new, step, out=v_new)
-                np.subtract(v_new, kids, out=step)
-                change = np.abs(step, out=_view(abs_buf, hi - lo, width))
-                np.maximum(dv, np.maximum.reduce(change, axis=0, out=level_dv), out=dv)
-                np.copyto(kids, v_new)
+                above = w.take(parents, axis=0, out=_view(above_buf, hi - lo, width), mode="clip")
+                np.subtract(above, step, out=w[lo:hi])
+            # No column changes less than at its deepest level, so only where
+            # that is under tol is the change taken over every level.
+            dv, level_dv = dv_buf[:width], level_dv_buf[:width]
+            for checked in (forward[-1:], forward):
+                dv.fill(0.0)
+                for lo, hi, *_ in checked:
+                    change = np.subtract(w[lo:hi], va[lo:hi], out=_view(step_buf, hi - lo, width))
+                    change = np.abs(change, out=_view(abs_buf, hi - lo, width))
+                    np.maximum(dv, np.maximum.reduce(change, axis=0, out=level_dv), out=dv)
+                if not np.any(dv < tol):
+                    break
+            va, v_reg, w_reg = w, w_reg, v_reg
             iters[rows] += 1
 
-            # |v| >= |re(v)|, so only a column with some re(v) under the
-            # floor can have collapsed; |v| is computed for those alone.
-            # fmin skips NaN: the column's least non-NaN real part.
+            # |v| >= |re(v)|: |v| only of columns with some re(v) under the
+            # floor, in place in the spent voltage region (fmin skips NaN).
             maybe = np.flatnonzero(np.fmin.reduce(va.real, axis=0) < COLLAPSE_FLOOR_PU)
             collapsed = np.zeros(width, dtype=bool)
             if maybe.size:
-                low = np.abs(va[:, maybe]) < COLLAPSE_FLOOR_PU
+                got = va.take(maybe, axis=1, out=_view(w_reg, n, maybe.size), mode="clip")
+                low = np.abs(got, out=got.real) < COLLAPSE_FLOOR_PU
                 hit = low.any(axis=0)
                 collapsed[maybe[hit]] = True
                 collapse[rows[maybe[hit]]] = np.argmax(low[bus_row][:, hit], axis=0)
@@ -364,13 +366,11 @@ def solve_batch(parent, child, z, s, v0, tol, max_iter):
             converged[rows[done_ok]] = True
             leaving = collapsed | done_ok | (iters[rows] >= max_iter)
             if leaving.any():
-                # The staying loads move into the free region first; the
-                # leaving currents, then voltages, go out through the spent
-                # load region and then the spent current region, which takes
-                # the staying voltages last. The regions they left become the
-                # current and free ones.
+                # Staying loads into the spent voltages; leaving currents,
+                # then voltages, out through the spent loads and currents,
+                # which take the staying voltages last.
                 out, stay = np.flatnonzero(leaving), np.flatnonzero(~leaving)
-                sa = sa.take(stay, axis=1, out=_view(f_reg, n, stay.size), mode="clip")
+                sa = sa.take(stay, axis=1, out=_view(w_reg, n, stay.size), mode="clip")
                 spare = _view(s_reg, n, out.size)
                 i_acc.take(out, axis=1, out=spare, mode="clip")
                 i_out[rows[out]] = spare.take(line_row, axis=0, mode="clip",
@@ -380,5 +380,5 @@ def solve_batch(parent, child, z, s, v0, tol, max_iter):
                                               out=_view(i_reg, n, out.size)).T
                 va = va.take(stay, axis=1, out=_view(i_reg, n, stay.size), mode="clip")
                 rows = rows[stay]
-                s_reg, v_reg, i_reg, f_reg = f_reg, i_reg, s_reg, v_reg
+                s_reg, v_reg, i_reg, w_reg = w_reg, i_reg, s_reg, v_reg
     return v_out, i_out, iters, converged, collapse

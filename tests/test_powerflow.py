@@ -592,6 +592,50 @@ class TestLevelSchedule:
         assert min(exits_per_tile(parent, child, 240, iters)) > 1
         assert peak - sum(a.nbytes for a in out) < 2e6
 
+    def test_collapse_test_keeps_its_columns_off_the_heap(self):
+        """On the 240-bus chain as drawn, two tiles of up to 4,380 columns
+        test rows for collapse over many iterations. The columns under test
+        are gathered into the spent voltage buffer and their ``|v|`` taken
+        in place there, so the heap peak beyond the outputs stays under 8 MB
+        (one tile's voltages are 16.8 MB)."""
+        parent, child, z, s = sweep_case("chain", 240, "identity", 8_760, 0)
+        tracemalloc.start()
+        try:
+            out = kernels.solve_batch(parent, child, z, s, 1.0, 1e-6, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.any(out[4] >= 0) and min(exits_per_tile(parent, child, 240, out[2])) > 1
+        assert peak - sum(a.nbytes for a in out) < 8e6
+
+    def test_deepest_level_at_rest_hands_convergence_to_every_level(self):
+        """The source feeds a loaded 2-line branch (buses 1 and 2) and an
+        unloaded 4-line one (buses 3 to 6), so the deepest level's voltages
+        never move: its change, the convergence witness, reads 0 from the
+        first pass while the loaded branch still changes, and only the
+        change over every level may decide. All five outputs equal the
+        per-line loop, after more than one iteration."""
+        parent, child = np.array([0, 1, 0, 3, 4, 5]), np.array([1, 2, 3, 4, 5, 6])
+        z = np.full(6, 0.01 + 0.02j)
+        s = np.zeros((3, 7), dtype=np.complex128)
+        s[:, 1:3] = [[0.5 + 0.2j, 0.3 + 0.1j], [1.0, 0.4j], [2.0 + 1.0j, 1.5]]
+        got = kernels.solve_batch(parent, child, z, s, 1.0, 1e-6, 50)
+        assert_same_bits(got, oracles.per_line_sweep(parent, child, z, s, 1.0, 1e-6, 50))
+        v, _, iters, converged, _ = got
+        assert np.all(v[:, 3:] == 1.0) and np.all(converged) and np.all(iters > 1)
+
+    @pytest.mark.parametrize("shape", TREE_SHAPES)
+    def test_outputs_are_c_contiguous(self, shape):
+        """``v`` and ``i_line`` come back C-contiguous, for batches whose
+        rows leave together or apart, for one row, for none and on a feeder
+        without lines, so no transpose is left for the caller to pay."""
+        parent, child, z, s = sweep_case(shape, 60, "random", 40, 1)
+        cases = [(parent, child, z, loads) for loads in (s, s * 1e-3, s[:1], s[:0])]
+        cases.append((parent[:0], child[:0], z[:0], s[:, :1]))
+        for case in cases:
+            v, i_line, *_ = kernels.solve_batch(*case, 1.0, 1e-6, 50)
+            assert v.flags.c_contiguous and i_line.flags.c_contiguous
+
     @pytest.mark.parametrize("rows_collapse", [False, True], ids=["converging", "collapsing"])
     def test_working_memory_is_unmapped_on_return(self, rows_collapse):
         """Each call makes one mapping, and none is alive once it returns,
