@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Iterator, TextIO
 # import numpy, evfleet, assign, powerflow, impact and geoexport where they
 # run, so the pre-flight check starts without loading or compiling them.
 from . import stations
-from .config import DEFAULT_SCHEDULE, ScenarioConfig, Schedule, SolverConfig
+from .config import DEFAULT_SCHEDULE, ScenarioConfig, Schedule, SolverConfig, samples_per_day
 from .errors import (GridImpactError, SchemaError, SolverError, VoltageCollapseError,
                      decode_json, read_record, read_text)
 from .netmodel import NetworkModel, load_network, tree_walk, validate_radial
@@ -39,7 +39,6 @@ if TYPE_CHECKING:
 
 log = logging.getLogger("gridimpact")
 
-ALLOWED_DT_H = (0.25, 0.5, 1.0)
 # Write buffer of an artifact's temp file. Python's default 8 KiB passes each
 # ~12 KB step of a 200-line *_lines.csv straight through, about two write
 # calls per step. Writing both *_lines.csv of the annual 200-bus run takes
@@ -72,8 +71,7 @@ class RunConfig:
             raise ValueError("network_path, stations_path and output_dir must be non-empty")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.dt_h not in ALLOWED_DT_H:
-            raise ValueError(f"dt_h must be one of {ALLOWED_DT_H}, got {self.dt_h}")
+        samples_per_day(self.dt_h)
         if self.peak_kw_override is not None and not 0 <= self.peak_kw_override < math.inf:
             raise ValueError(
                 f"peak_kw_override must be finite and >= 0, got {self.peak_kw_override}")

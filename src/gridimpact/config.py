@@ -23,6 +23,7 @@ __all__ = [
     "samples_per_day",
     "common_dt_h",
     "check_finite",
+    "check_coordinates",
 ]
 
 HOURS_PER_DAY = 24.0
@@ -51,6 +52,14 @@ def check_finite(record, *names: str) -> None:
         value = getattr(record, name)
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def check_coordinates(record) -> None:
+    """Raise ``ValueError`` unless ``record.lat`` and ``record.lon`` are WGS84 degrees."""
+    if not -90.0 <= record.lat <= 90.0:
+        raise ValueError(f"lat {record.lat} outside [-90, 90]")
+    if not -180.0 <= record.lon <= 180.0:
+        raise ValueError(f"lon {record.lon} outside [-180, 180]")
 
 
 def _check_fraction(name: str, value: float) -> None:
@@ -106,7 +115,7 @@ class Schedule:
     def __post_init__(self):
         for name in ("home_arrive_h", "home_depart_h", "work_arrive_h", "work_depart_h"):
             value = getattr(self, name)
-            if not 0.0 <= value < 24.0:
+            if not 0.0 <= value < HOURS_PER_DAY:
                 raise ValueError(f"{name} must be in [0, 24), got {value}")
         for place in ("home", "work"):
             if getattr(self, f"{place}_arrive_h") == getattr(self, f"{place}_depart_h"):

@@ -14,7 +14,7 @@ import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
 
-from .config import check_finite
+from .config import check_coordinates, check_finite
 from .errors import check_id, decode_json, read_record, read_text
 
 __all__ = [
@@ -44,10 +44,7 @@ class Bus:
 
     def __post_init__(self):
         check_id(self.id)
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"lat {self.lat} outside [-90, 90]")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"lon {self.lon} outside [-180, 180]")
+        check_coordinates(self)
         check_finite(self, "base_kv")
         if not self.base_kv > 0:
             raise ValueError("base_kv must be > 0")

@@ -1,10 +1,10 @@
 """Radial power-flow solve and the quasi-static time-series driver.
 
-Per-unit conventions: 1 MVA system base; the voltage base is the source
-bus's base_kv for the whole network (impedances are expected referred to
-that level). Loads are constant-power. Line flows are reported at the
-sending (source-side) end; per-line losses are I^2 R at the converged
-current.
+Per-unit conventions: an ``S_BASE_MVA`` (1 MVA) system base, whose kW value,
+``_CompiledFeeder.kw_per_pu``, converts every kW and kvar to and from per unit;
+the voltage base is the source bus's base_kv for the whole network (impedances
+referred to that level). Loads are constant-power. Line flows are reported at
+the sending (source-side) end; per-line losses are I^2 R at the converged current.
 """
 
 from __future__ import annotations
@@ -130,7 +130,8 @@ class _CompiledFeeder:
 
         base_kv = net.bus(net.source.bus_id).base_kv
         z_base_ohm = base_kv * base_kv / S_BASE_MVA
-        self.i_base_a = S_BASE_MVA * 1000.0 / (math.sqrt(3.0) * base_kv)
+        self.kw_per_pu = 1000.0 * S_BASE_MVA
+        self.i_base_a = self.kw_per_pu / (math.sqrt(3.0) * base_kv)
 
         # The walk reaches each line from its source side: (parent, child, line).
         self.parent, self.child, _ = np.array(
@@ -145,7 +146,7 @@ class _CompiledFeeder:
         self.load_kw: dict[str, float] = {}
         for load in net.loads:
             b = index[load.bus_id]
-            self.s_static_pu[b] += (load.kw + 1j * load.kvar) / 1000.0
+            self.s_static_pu[b] += (load.kw + 1j * load.kvar) / self.kw_per_pu
             self.load_bus_idx[load.id] = b
             self.load_kw[load.id] = load.kw
 
@@ -200,11 +201,11 @@ def _build_solutions(feeder: _CompiledFeeder, s_rows, v, i_line, iters, converge
     else:
         s_send = v[:, feeder.parent] * conj_i
 
-    flow_kw = s_send.real * 1000.0
-    flow_kvar = s_send.imag * 1000.0
+    flow_kw = s_send.real * feeder.kw_per_pu
+    flow_kvar = s_send.imag * feeder.kw_per_pu
     i_mag = np.abs(i_line)
     amps = i_mag * feeder.i_base_a
-    loss_kw = (i_mag ** 2) * feeder.r_pu * 1000.0
+    loss_kw = (i_mag ** 2) * feeder.r_pu * feeder.kw_per_pu
 
     src_lines = np.flatnonzero(feeder.parent == feeder.source_idx)
     src_flow = np.take(s_send, src_lines, axis=1).real.sum(axis=1)
@@ -218,8 +219,8 @@ def _build_solutions(feeder: _CompiledFeeder, s_rows, v, i_line, iters, converge
         line_current_a=amps,
         line_loss_kw=loss_kw,
         total_loss_kw=loss_kw.sum(axis=1),
-        total_load_kw=s_rows.real.sum(axis=1) * 1000.0,
-        source_kw=(src_flow + s_rows[:, feeder.source_idx].real) * 1000.0,
+        total_load_kw=s_rows.real.sum(axis=1) * feeder.kw_per_pu,
+        source_kw=(src_flow + s_rows[:, feeder.source_idx].real) * feeder.kw_per_pu,
         converged=converged,
         iterations=iters,
         collapse_bus=collapse,
@@ -282,7 +283,7 @@ def run_qsts(
     s_batch = np.broadcast_to(feeder.s_static_pu, (period, n)).copy()
     for load_id, profile in shapes.items():
         bus = feeder.load_bus_idx[load_id]
-        s_batch[:, bus] += (profile.values_kw[:period] - feeder.load_kw[load_id]) / 1000.0
+        s_batch[:, bus] += (profile.values_kw[:period] - feeder.load_kw[load_id]) / feeder.kw_per_pu
 
     batch_row, s_rows = _distinct_rows(s_batch)
     del s_batch

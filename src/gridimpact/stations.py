@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .config import check_finite
+from .config import check_coordinates, check_finite
 from .errors import SchemaError, check_id, read_text, record_label
 
 __all__ = [
@@ -62,10 +62,7 @@ class EvStation:
         check_finite(self, "rated_kw")
         if not self.rated_kw > 0:
             raise ValueError(f"rated_kw must be > 0, got {self.rated_kw}")
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"lat {self.lat} outside [-90, 90]")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"lon {self.lon} outside [-180, 180]")
+        check_coordinates(self)
 
 
 _COLUMNS = ("id", "name", "lat", "lon", "rated_kw")
@@ -113,9 +110,7 @@ def parse_stations(table: str) -> list[EvStation]:
             raise SchemaError(f"row {row_num}: duplicate id {raw['id']}")
         seen.add(raw["id"])
         try:
-            stations.append(EvStation(id=raw["id"], name=raw["name"],
-                                      lat=numeric["lat"], lon=numeric["lon"],
-                                      rated_kw=numeric["rated_kw"]))
+            stations.append(EvStation(id=raw["id"], name=raw["name"], **numeric))
         except ValueError as exc:
             raise SchemaError(f"row {row_num}: {record_label('station', raw)}: {exc}") from None
     return stations

@@ -695,6 +695,36 @@ class TestPipeline:
         for name in sorted(common):
             assert stage_files[name] == pipe_files[name], name
 
+    @pytest.mark.parametrize("feeder, steps", [("feeder40", 24), ("feeder40", 8760),
+                                               ("random200", 8760)])
+    def test_after_series_peaks_at_the_profile_peak_step(self, tmp_path, feeder, steps):
+        """The after series' step with the largest ``source_kw``, the
+        earliest on a tie, is the manifest's ``profile_peak_index``: the step
+        that the impact stage could read from the series in place of its own
+        snapshot solve. Read from the written artifacts alone, on the golden
+        config and on the benchmark's 200-bus inputs."""
+        overrides = {"steps": steps}
+        if feeder == "random200":
+            from gridimpact.netmodel import serialize_network
+            from gridimpact.synth import random_feeder, random_stations
+
+            (tmp_path / "network.json").write_text(
+                serialize_network(random_feeder(200, seed=200)), encoding="utf-8")
+            stations = random_stations(951, seed=10_000, class_counts=(895, 24, 18, 14))
+            (tmp_path / "stations.csv").write_text("id,name,lat,lon,rated_kw\n" + "".join(
+                f"{s.id},{s.name},{s.lat},{s.lon},{s.rated_kw}\n" for s in stations))
+            overrides.update(network_path="network.json", stations_path="stations.csv",
+                             peak_kw_override=2_000.0)
+        config = write_config(tmp_path, **overrides)
+        assert main(["pipeline", "--config", str(config)]) == 0
+        run_dir = run_dir_of(config)
+        source_kw = [float(row.split(",")[1]) for row in
+                     (run_dir / "after_steps.csv").read_text().splitlines()[1:]]
+        assert len(source_kw) == steps
+        peak_step = source_kw.index(max(source_kw))
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert peak_step == manifest["profile_peak_index"] == PEAK_INDEX
+
     def test_qsts_peak_step_matches_after_snapshot(self, tmp_path):
         from gridimpact.cli import PipelineRun
 
@@ -997,8 +1027,22 @@ class TestPipeline:
 
 class TestRunConfig:
     def test_bad_dt_rejected(self, tmp_path):
-        config = write_config(tmp_path, dt_h=0.3)
-        assert main(["pipeline", "--config", str(config)]) == 2
+        """A run config takes the ``dt_h`` that ``config.samples_per_day``
+        takes, so only a step that does not divide 24 h is refused."""
+        for dt_h in (0.7, 5.0, 48.0):
+            config = write_config(tmp_path, f"config-{dt_h}.json", dt_h=dt_h)
+            assert main(["pipeline", "--config", str(config)]) == 2, dt_h
+
+    @pytest.mark.parametrize("dt_h, samples", [(0.3, 80), (2.0, 12), (24.0, 1)])
+    def test_any_dt_dividing_the_day_runs_and_reruns_byte_identically(self, tmp_path, dt_h,
+                                                                       samples):
+        config = write_config(tmp_path, dt_h=dt_h, steps=48)
+        assert main(["pipeline", "--config", str(config)]) == 0
+        run_dir = run_dir_of(config)
+        first = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        assert len(first["profile.csv"].decode().splitlines()) == 1 + samples
+        assert main(["pipeline", "--config", str(config)]) == 0
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == first
 
     @pytest.mark.parametrize("key,overrides", [
         ("dt_h", {"dt_h": None}),
@@ -1055,11 +1099,14 @@ class TestRunConfig:
     @pytest.mark.parametrize("overrides,message", [
         ({"stations_path": ""}, "network_path, stations_path and output_dir must be non-empty"),
         ({"steps": 0}, "steps must be >= 1, got 0"),
-        ({"dt_h": 0.3}, "dt_h must be one of (0.25, 0.5, 1.0), got 0.3"),
+        ({"dt_h": 0.7}, "dt_h must be finite, positive and divide 24 h, got 0.7"),
+        ({"dt_h": 5.0}, "dt_h must be finite, positive and divide 24 h, got 5.0"),
+        ({"dt_h": 48.0}, "dt_h must be finite, positive and divide 24 h, got 48.0"),
         ({"peak_kw_override": -1.0}, "peak_kw_override must be finite and >= 0, got -1.0"),
         ({"ampacity_threshold_a": -1.0},
          "ampacity_threshold_a must be finite and >= 0, got -1.0"),
-    ], ids=["empty_path", "steps", "dt_h", "peak_kw_override", "ampacity_threshold_a"])
+    ], ids=["empty_path", "steps", "dt_h", "dt_h_5", "dt_h_48", "peak_kw_override",
+            "ampacity_threshold_a"])
     def test_run_config_range_fault_names_the_run_config(self, tmp_path, caplog, overrides,
                                                          message):
         """The run config's own range checks are worded as its nested

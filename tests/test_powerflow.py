@@ -27,7 +27,7 @@ from gridimpact.powerflow import (
     solve_snapshot,
     total_losses,
 )
-from gridimpact.powerflow import kernels
+from gridimpact.powerflow import kernels, solver
 from gridimpact.powerflow.solver import _CompiledFeeder
 from gridimpact.synth import random_feeder
 
@@ -765,6 +765,28 @@ class TestQsts:
         for t in range(24):
             np.testing.assert_array_equal(result.step(t).v_mag_pu,
                                           result.step(t + 24).v_mag_pu)
+
+    def test_system_base_sets_no_result(self, feeder20, monkeypatch):
+        """Every kW and kvar crosses into and out of per unit through the one
+        system base, so a 10 MVA base gives the 1 MVA snapshot and series to
+        rounding, in the same iterations and with the same verdicts."""
+        rng = np.random.default_rng(5)
+        shapes = {load.id: DemandProfile(dt_h=1.0, values_kw=rng.uniform(0.0, 3.0 * load.kw, 24))
+                  for load in feeder20.loads[:2]}
+
+        def solve():
+            series = run_qsts(feeder20, shapes, steps=48, dt_h=1.0)
+            return [solve_snapshot(feeder20), *every_step(series)]
+
+        want = solve()
+        monkeypatch.setattr(solver, "S_BASE_MVA", 10.0)
+        for got, expected in zip(solve(), want, strict=True):
+            for name in ("v_mag_pu", "line_flow_kw", "line_flow_kvar", "line_current_a",
+                         "line_loss_kw", "source_kw"):
+                np.testing.assert_allclose(getattr(got, name), getattr(expected, name),
+                                           rtol=1e-12, atol=0, err_msg=name)
+            for name in ("iterations", "converged", "collapse_bus"):
+                assert getattr(got, name) == getattr(expected, name), name
 
     def test_unknown_load_id_aborts_before_solving(self, feeder20):
         with pytest.raises(ValueError, match="unknown load id: ghost"):
