@@ -59,7 +59,9 @@ class RunConfig:
     ampacity_threshold_a: float = 0.0
     output_dir: str = "out"
     dt_h: float = 1.0
-    steps: int = 8760
+    # Omitted (None): one 365-day year at dt_h, set in __post_init__. The
+    # document types it as an integer, so it never reads null.
+    steps: int = None  # type: ignore[assignment]
     schedule: Schedule = DEFAULT_SCHEDULE
     # The directory that the input paths, kept as written, are relative to:
     # the run config's own. Not in the document: ``read_record`` skips it and
@@ -69,9 +71,11 @@ class RunConfig:
     def __post_init__(self):
         if not self.network_path or not self.stations_path or not self.output_dir:
             raise ValueError("network_path, stations_path and output_dir must be non-empty")
+        samples = samples_per_day(self.dt_h)
+        if self.steps is None:
+            object.__setattr__(self, "steps", 365 * samples)
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        samples_per_day(self.dt_h)
         if self.peak_kw_override is not None and not 0 <= self.peak_kw_override < math.inf:
             raise ValueError(
                 f"peak_kw_override must be finite and >= 0, got {self.peak_kw_override}")
@@ -329,8 +333,6 @@ class PipelineRun:
         self._write("network_styled.geojson", geojson_dumps(self.stage_export()))
 
     def write_manifest(self) -> None:
-        import numpy as np
-
         from . import impact
 
         cfg = self.config
@@ -365,8 +367,8 @@ class PipelineRun:
             "qsts": {
                 "steps": cfg.steps,
                 "dt_h": cfg.dt_h,
-                "diverged_before": int(np.count_nonzero(~power["before_series"].converged)),
-                "diverged_after": int(np.count_nonzero(~power["after_series"].converged)),
+                "diverged_before": power["before_series"].diverged_steps,
+                "diverged_after": power["after_series"].diverged_steps,
             },
             "summary": dataclasses.asdict(result["summary"]),
         }

@@ -97,6 +97,17 @@ class QstsResult:
         """Whether each step converged, shape ``(steps,)``."""
         return self.rows.converged[self.step_row]
 
+    @property
+    def row_steps(self) -> np.ndarray:
+        """How many steps each row stands for, shape ``(rows,)``: every row
+        is some step's."""
+        return np.bincount(self.step_row)
+
+    @property
+    def diverged_steps(self) -> int:
+        """How many steps did not converge, counted by row."""
+        return int(self.row_steps[~self.rows.converged].sum())
+
 
 def _row(rows: PowerFlowSolution, r) -> PowerFlowSolution:
     """Row ``r`` of a row-stacked solution: its arrays as views, its scalar
@@ -152,8 +163,9 @@ class _CompiledFeeder:
 
 
 def _distinct_rows(s_batch):
-    """Key each load row by its bytes: returns (step_row, distinct rows in
-    order of first appearance), so ``s_batch[t]`` is ``rows[step_row[t]]``.
+    """Key each load row by its bytes: returns (step_row, the first step of
+    each distinct row, the distinct rows in order of first appearance), so
+    ``s_batch[t]`` is ``rows[step_row[t]]``.
 
     ``run_qsts`` passes the rows of one profile period: every later step
     repeats one of them, so every distinct row of the run first appears
@@ -171,7 +183,7 @@ def _distinct_rows(s_batch):
             r = index[key] = len(first)
             first.append(t)
         step_row[t] = r
-    return step_row, s_batch[first]
+    return step_row, first, s_batch[first]
 
 
 def _build_solutions(feeder: _CompiledFeeder, s_rows, v, i_line, iters, converged,
@@ -285,7 +297,7 @@ def run_qsts(
         bus = feeder.load_bus_idx[load_id]
         s_batch[:, bus] += (profile.values_kw[:period] - feeder.load_kw[load_id]) / feeder.kw_per_pu
 
-    batch_row, s_rows = _distinct_rows(s_batch)
+    batch_row, first_step, s_rows = _distinct_rows(s_batch)
     del s_batch
     step_row = batch_row[np.arange(steps) % period]
     rows = s_rows.shape[0]
@@ -304,18 +316,18 @@ def run_qsts(
             parts = list(pool.map(solve_chunk, bounds[:-1], bounds[1:]))
         v, i_line, iters, converged, collapse = map(np.concatenate, zip(*parts))
 
-    _, first_step, row_steps = np.unique(step_row, return_index=True, return_counts=True)
+    result = QstsResult(rows=_build_solutions(feeder, s_rows, v, i_line, iters, converged,
+                                              collapse, steps),
+                        step_row=step_row, dt_h=dt_h)
+    row_steps = result.row_steps
     for r in np.flatnonzero(collapse >= 0):
         log.warning("voltage collapse at bus %s in %d of %d steps (first at step %d), "
                     "recorded as not converged",
                     feeder.bus_ids[collapse[r]], row_steps[r], steps, first_step[r])
-    diverged = int(np.sum(row_steps[~converged]))
+    diverged = result.diverged_steps
     if diverged:
         log.warning("%d of %d steps did not converge", diverged, steps)
-
-    return QstsResult(rows=_build_solutions(feeder, s_rows, v, i_line, iters, converged,
-                                            collapse, steps),
-                      step_row=step_row, dt_h=dt_h)
+    return result
 
 
 def total_losses(result: QstsResult) -> float:

@@ -1,12 +1,14 @@
 """Charging-station registry: CSV ingestion, capacity classes, peak allocation.
 
-Stations fall into four capacity levels by nameplate rating. A peak-hour
-demand is split across the registry proportionally to per-class weights, so
-a station in a higher class receives a proportionally larger share:
+Stations fall into four capacity classes by nameplate rating: L1-L4 are kW
+bands (below 50, 50-150, 150-350, and 350 kW and up), not the SAE J1772
+charging levels. A peak-hour demand is split across the registry
+proportionally to per-class weights, so a station in a higher class receives
+a proportionally larger share:
 
     s_c = peak_kw * w_c / sum_c(n_c * w_c)
 
-with the weights 1 : 2 : 4 : 8 of ``CapacityClass`` for the four levels.
+with the weights 1 : 2 : 4 : 8 of ``CapacityClass`` for the four classes.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ __all__ = [
 
 
 class CapacityClass(Enum):
-    """Capacity level with half-open kW bounds and its allocation weight.
+    """Capacity class with half-open kW bounds and its allocation weight.
 
     Boundary ratings are assigned upward: a 50 kW station is L2, a 350 kW
     station is L4.

@@ -756,6 +756,24 @@ class TestPipeline:
         assert stepped.stage_impact() == run.stage_impact()
         assert stepped.stage_export() == run.stage_export()
 
+    @pytest.mark.parametrize("steps", [24, 8760])
+    def test_before_snapshot_matches_every_before_step(self, tmp_path, steps):
+        """The before series solves the network's own loads at every step,
+        so the before snapshot equals each of its steps: bit for bit at 24
+        steps, and at 8,760 in every field but ``line_flow_kvar``, whose bits
+        depend on the batch size (``solver._ELIDE_BYTES``)."""
+        from gridimpact.cli import PipelineRun
+
+        config, digest = load_run_config(write_config(tmp_path, steps=steps))
+        power = PipelineRun(config, digest).stage_power()
+        snapshot, series = power["before_snapshot"], power["before_series"]
+        assert series.steps == steps
+        for t in range(steps):
+            step = series.step(t)
+            if steps == 8760:
+                step = dataclasses.replace(step, line_flow_kvar=snapshot.line_flow_kvar)
+            oracles.assert_same_state(step, snapshot, t)
+
     @pytest.mark.parametrize("overrides, peak_beyond_run", [
         ({"steps": PEAK_INDEX}, True),
         ({"steps": PEAK_INDEX + 1}, False),
@@ -1043,6 +1061,17 @@ class TestRunConfig:
         assert len(first["profile.csv"].decode().splitlines()) == 1 + samples
         assert main(["pipeline", "--config", str(config)]) == 0
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == first
+
+    @pytest.mark.parametrize("dt_h, steps", [(1.0, 8_760), (0.25, 35_040), (1 / 12, 105_120)],
+                             ids=["1h", "15min", "5min"])
+    def test_omitted_steps_is_one_year_at_the_runs_clock(self, tmp_path, dt_h, steps):
+        """With no ``steps``, a run studies 365 days of ``dt_h`` steps; a
+        ``steps`` that is set is kept."""
+        config = write_config(tmp_path, dt_h=dt_h)
+        doc = json.loads(config.read_text())
+        assert load_run_config(config)[0].steps == doc.pop("steps") == 24
+        config.write_text(json.dumps(doc))
+        assert load_run_config(config)[0].steps == steps
 
     @pytest.mark.parametrize("key,overrides", [
         ("dt_h", {"dt_h": None}),

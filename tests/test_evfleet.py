@@ -236,6 +236,18 @@ class TestAggregateAndPeak:
         expected = math.fsum(c.count * c.energy_need_kwh for c in cohorts)
         assert float(np.sum(total.values_kw)) * 1.0 == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("fleet_size", [1_000, 2_000, 10_000, 50_000])
+    def test_golden_scenario_peak_is_linear_in_fleet_size(self, fleet_size):
+        """The golden scenario peaks at index 9 with 0.85 kW per vehicle at
+        each of these sizes: the premise of a headroom or adoption-year
+        search that scales one run's demand. A size whose cohort counts round
+        differently (1,234 vehicles reads 0.8473 kW) is not linear."""
+        cohorts = build_cohorts(make_config(fleet_size=fleet_size))
+        total = aggregate_profiles([cohort_profile(c, 1.0) for c in cohorts], dt_h=1.0)
+        peak_index, peak_kw = find_peak(total)
+        assert peak_index == 9
+        assert peak_kw / fleet_size == pytest.approx(0.85, rel=1e-12, abs=0.0)
+
     def test_find_peak_argmax(self):
         p = DemandProfile(dt_h=8.0, values_kw=np.array([1.0, 3.0, 2.0]))
         assert find_peak(p) == (1, 3.0)

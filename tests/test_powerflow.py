@@ -1011,6 +1011,18 @@ class TestDistinctRows:
         assert len(result.rows.converged) == 24 and result.steps == 8760
         assert peak < 4 * 2**20, peak
 
+    def test_row_steps_count_the_steps_of_each_row(self):
+        """``row_steps`` is each row's count of steps, and ``diverged_steps``
+        the count of steps that did not converge, on a run of 60 hourly
+        steps: two and a half days of a shaped profile."""
+        net = random_feeder(30, seed=30)
+        shapes = periodic_shapes(net, np.random.default_rng(60), 24, 4)
+        result = run_qsts(net, shapes, steps=60, dt_h=1.0)
+        per_step = [int(np.count_nonzero(result.step_row == r))
+                    for r in range(len(result.rows.converged))]
+        assert result.row_steps.tolist() == per_step and sum(per_step) == 60
+        assert result.diverged_steps == int(np.count_nonzero(~result.converged))
+
     @pytest.mark.parametrize("workers", [1, 3])
     def test_diverging_and_collapsing_steps(self, workers):
         """A three-step pattern: no load (converged), nominal load (out of
@@ -1027,15 +1039,20 @@ class TestDistinctRows:
                                                              steps=steps, dt_h=8.0))
 
     def test_one_collapse_record_per_row(self, caplog):
-        """The collapsed row is logged once with its bus and step count, not
-        once per step, beside one count of the steps that did not converge."""
+        """The collapsed row is logged once with its bus, its step count and
+        its first step, not once per step, beside one count of the steps that
+        did not converge. The collapsed row first appears at step 2."""
         net, shapes, cfg, steps = three_step_case()
         with caplog.at_level(logging.WARNING, logger="gridimpact.powerflow.solver"):
-            run_qsts(net, shapes, cfg, steps=steps, dt_h=8.0)
-        collapsed = [r.getMessage() for r in caplog.records if "collapse" in r.getMessage()]
-        heavy_steps = len(range(2, steps, 3))
-        assert collapsed == [f"voltage collapse at bus b03 in {heavy_steps} of {steps} "
-                             f"steps (first at step 2), recorded as not converged"]
+            result = run_qsts(net, shapes, cfg, steps=steps, dt_h=8.0)
+        _, first_step, row_steps = np.unique(result.step_row, return_index=True,
+                                             return_counts=True)
+        (r,) = np.flatnonzero(result.rows.collapse_bus >= 0)
+        assert (first_step[r], row_steps[r]) == (2, len(range(2, steps, 3)))
+        collapsed = [rec.getMessage() for rec in caplog.records
+                     if "collapse" in rec.getMessage()]
+        assert collapsed == [f"voltage collapse at bus b03 in {row_steps[r]} of {steps} "
+                             f"steps (first at step {first_step[r]}), recorded as not converged"]
         assert len(caplog.records) == 2
         assert caplog.records[1].getMessage() == (
             f"{steps - (steps + 2) // 3} of {steps} steps did not converge")
