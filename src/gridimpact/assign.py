@@ -7,7 +7,6 @@ loads are injected at unity power factor (kW only).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -61,13 +60,11 @@ def _haversine_matrix(lat: Sequence[float], lon: Sequence[float],
     ``(lat[i], lon[i])`` to every ``(lats, lons)``, all in degrees."""
     lat1 = np.radians(np.asarray(lat, dtype=np.float64))[:, None]
     lon1 = np.radians(np.asarray(lon, dtype=np.float64))[:, None]
-    # math.cos, whose bits np.cos need not match, keeps the scalar formula's bits
-    cos_lat1 = np.array([math.cos(x) for x in lat1[:, 0].tolist()])[:, None]
     lat2 = np.radians(lats)
     lon2 = np.radians(lons)
     s_lat = np.sin((lat2 - lat1) / 2.0)
     s_lon = np.sin((lon2 - lon1) / 2.0)
-    h = s_lat * s_lat + cos_lat1 * np.cos(lat2) * s_lon * s_lon
+    h = s_lat * s_lat + np.cos(lat1) * np.cos(lat2) * s_lon * s_lon
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 

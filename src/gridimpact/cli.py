@@ -59,22 +59,20 @@ class RunConfig:
     ampacity_threshold_a: float = 0.0
     output_dir: str = "out"
     dt_h: float = 1.0
-    # Omitted (None): one 365-day year at dt_h, set in __post_init__. The
-    # document types it as an integer, so it never reads null.
+    # Omitted (None): one 365-day year at dt_h, as ``study_steps`` reads it.
+    # The document types it as an integer, so it never reads null.
     steps: int = None  # type: ignore[assignment]
     schedule: Schedule = DEFAULT_SCHEDULE
-    # The directory that the input paths, kept as written, are relative to:
-    # the run config's own. Not in the document: ``read_record`` skips it and
-    # ``load_run_config`` sets it.
+    # The directory that the relative paths, kept as written, resolve
+    # against: the run config's own. Not in the document: ``read_record``
+    # skips it and ``load_run_config`` sets it.
     base_dir: str = dataclasses.field(default="", metadata={"document": False})
 
     def __post_init__(self):
         if not self.network_path or not self.stations_path or not self.output_dir:
             raise ValueError("network_path, stations_path and output_dir must be non-empty")
-        samples = samples_per_day(self.dt_h)
-        if self.steps is None:
-            object.__setattr__(self, "steps", 365 * samples)
-        if self.steps < 1:
+        samples_per_day(self.dt_h)  # raises unless dt_h divides the day
+        if self.steps is not None and self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.peak_kw_override is not None and not 0 <= self.peak_kw_override < math.inf:
             raise ValueError(
@@ -83,15 +81,21 @@ class RunConfig:
             raise ValueError(
                 f"ampacity_threshold_a must be finite and >= 0, got {self.ampacity_threshold_a}")
 
+    @property
+    def study_steps(self) -> int:
+        """The steps the run studies: ``steps``, or one 365-day year at
+        ``dt_h`` when it is omitted."""
+        return 365 * samples_per_day(self.dt_h) if self.steps is None else self.steps
+
 
 def load_run_config(path: str | Path, out_override: str | None = None) -> tuple[RunConfig, str]:
     """Load the run configuration; returns (config, config hash).
 
-    Relative data paths resolve against the config file's directory: the
-    output directory here, the input paths when they are read, so the
-    manifest records them as written. The hash covers the canonicalized
-    document (plus any --out override), so identical configurations land in
-    identical run directories.
+    Relative paths in the document resolve against the config file's
+    directory when they are read, so the config and the manifest keep them
+    as written; a relative --out resolves against the working directory.
+    The hash covers the canonicalized document (plus any --out override), so
+    identical configurations land in identical run directories.
     """
     path = Path(path)
     doc = decode_json(read_text(path, "run config"), f"run config {path}")
@@ -102,10 +106,8 @@ def load_run_config(path: str | Path, out_override: str | None = None) -> tuple[
         json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()[:12]
 
-    # joining an absolute path onto the config's directory yields it unchanged
-    cfg = dataclasses.replace(cfg, output_dir=out_override or str(path.parent / cfg.output_dir),
-                              base_dir=str(path.parent))
-    return cfg, digest
+    output_dir = str(Path(out_override).absolute()) if out_override else cfg.output_dir
+    return dataclasses.replace(cfg, output_dir=output_dir, base_dir=str(path.parent)), digest
 
 
 def _stage(method):
@@ -132,7 +134,8 @@ class PipelineRun:
     def __init__(self, config: RunConfig, config_hash: str):
         self.config = config
         self.config_hash = config_hash
-        self.run_dir = Path(config.output_dir) / f"run-{config_hash}"
+        # joining an absolute path onto the config's directory yields it unchanged
+        self.run_dir = Path(config.base_dir) / config.output_dir / f"run-{config_hash}"
         self._stages: dict[str, object] = {}
 
     # --- plumbing ---------------------------------------------------------
@@ -259,7 +262,7 @@ class PipelineRun:
                     f"{label} snapshot diverged after {snapshot.iterations} iterations")
             result[f"{side}_snapshot"] = snapshot
             result[f"{side}_series"] = run_qsts(net, side_shapes, cfg.solver,
-                                                steps=cfg.steps, dt_h=cfg.dt_h)
+                                                steps=cfg.study_steps, dt_h=cfg.dt_h)
         return result
 
     @_stage
@@ -365,7 +368,7 @@ class PipelineRun:
             "assignment_count": len(assignments),
             "assigned_total_kw": math.fsum(a.assigned_kw for a in assignments),
             "qsts": {
-                "steps": cfg.steps,
+                "steps": cfg.study_steps,
                 "dt_h": cfg.dt_h,
                 "diverged_before": power["before_series"].diverged_steps,
                 "diverged_after": power["after_series"].diverged_steps,

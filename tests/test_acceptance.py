@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from gridimpact.assign import Assignment, inject_loads
-from gridimpact.cli import load_run_config, main
+from gridimpact.cli import PipelineRun, load_run_config, main
 from gridimpact.evfleet import ChargingStrategy, Cohort, Location, cohort_profile, find_peak
 from gridimpact.impact import Category, categorize
 from gridimpact.powerflow import SolverConfig, run_qsts, solve_snapshot
@@ -204,8 +204,7 @@ def pipeline_config(tmp_path, steps=24):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
-    config, digest = load_run_config(path)
-    return path, Path(config.output_dir) / f"run-{digest}"
+    return path, PipelineRun(*load_run_config(path)).run_dir
 
 
 def read_snapshot_csv(path):

@@ -13,7 +13,7 @@ import pytest
 
 import gridimpact
 import oracles
-from gridimpact.cli import load_run_config, main
+from gridimpact.cli import PipelineRun, load_run_config, main
 from gridimpact.config import ScenarioConfig
 from gridimpact.errors import SchemaError
 from gridimpact.netmodel import load_network
@@ -131,8 +131,7 @@ NO_LOSS = "below a line with resistance_ohm > 0: no baseline loss"
 
 
 def run_dir_of(config_path, out=None):
-    config, digest = load_run_config(config_path, out)
-    return Path(config.output_dir) / f"run-{digest}"
+    return PipelineRun(*load_run_config(config_path, out)).run_dir
 
 
 class TestValidate:
@@ -726,8 +725,6 @@ class TestPipeline:
         assert peak_step == manifest["profile_peak_index"] == PEAK_INDEX
 
     def test_qsts_peak_step_matches_after_snapshot(self, tmp_path):
-        from gridimpact.cli import PipelineRun
-
         config_path = write_config(tmp_path)
         config, digest = load_run_config(config_path)
         run = PipelineRun(config, digest)
@@ -741,8 +738,6 @@ class TestPipeline:
         batch size (``solver._ELIDE_BYTES``). The impact and export stages
         read none of it: fed that step as the after snapshot, both give the
         same results."""
-        from gridimpact.cli import PipelineRun
-
         config, digest = load_run_config(write_config(tmp_path, steps=8760))
         run = PipelineRun(config, digest)
         power = run.stage_power()
@@ -762,8 +757,6 @@ class TestPipeline:
         so the before snapshot equals each of its steps: bit for bit at 24
         steps, and at 8,760 in every field but ``line_flow_kvar``, whose bits
         depend on the batch size (``solver._ELIDE_BYTES``)."""
-        from gridimpact.cli import PipelineRun
-
         config, digest = load_run_config(write_config(tmp_path, steps=steps))
         power = PipelineRun(config, digest).stage_power()
         snapshot, series = power["before_snapshot"], power["before_series"]
@@ -884,11 +877,20 @@ class TestPipeline:
             assert (run.run_dir / f"{side}_steps.csv").read_bytes() == \
                 oracles.qsts_summary_csv(solutions).encode()
 
-    def test_out_flag_overrides_output_dir(self, tmp_path):
+    def test_out_flag_overrides_output_dir(self, tmp_path, monkeypatch):
+        """``--out`` is a command-line path: a relative one resolves against
+        the working directory, not the config's."""
         config = write_config(tmp_path)
         target = tmp_path / "elsewhere"
         assert main(["pipeline", "--config", str(config), "--out", str(target)]) == 0
         assert (run_dir_of(config, str(target)) / "manifest.json").exists()
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(["validate", "--config", str(config), "--out", "here"]) == 0
+        digest = load_run_config(config, "here")[1]
+        assert (cwd / "here" / f"run-{digest}" / "validate.json").exists()
+        assert not (tmp_path / "here").exists()
 
     def test_manifest_is_the_same_from_any_working_directory(self, tmp_path, monkeypatch):
         """Relative input paths resolve against the config's directory, and
@@ -1069,9 +1071,21 @@ class TestRunConfig:
         ``steps`` that is set is kept."""
         config = write_config(tmp_path, dt_h=dt_h)
         doc = json.loads(config.read_text())
-        assert load_run_config(config)[0].steps == doc.pop("steps") == 24
+        assert load_run_config(config)[0].study_steps == doc.pop("steps") == 24
         config.write_text(json.dumps(doc))
-        assert load_run_config(config)[0].steps == steps
+        assert load_run_config(config)[0].study_steps == steps
+
+    def test_omitted_steps_stays_omitted_through_replace(self, tmp_path):
+        """The config keeps ``steps`` as written, so a config derived at
+        another ``dt_h`` studies one year at its own clock."""
+        config = write_config(tmp_path)
+        doc = json.loads(config.read_text())
+        del doc["steps"]
+        config.write_text(json.dumps(doc))
+        loaded = load_run_config(config)[0]
+        assert loaded.steps is None
+        assert dataclasses.replace(loaded, dt_h=0.25).study_steps == 35_040
+        assert dataclasses.replace(loaded, dt_h=2.0).study_steps == 4_380
 
     @pytest.mark.parametrize("key,overrides", [
         ("dt_h", {"dt_h": None}),
@@ -1165,14 +1179,26 @@ class TestRunConfig:
     def test_base_dir_survives_replace(self, tmp_path, monkeypatch):
         """A loaded config keeps its directory through ``dataclasses.replace``,
         so its relative input paths resolve from any working directory."""
-        from gridimpact.cli import PipelineRun
-
         shutil.copy(FIXTURES / "feeder40.json", tmp_path / "network.json")
         config, digest = load_run_config(write_config(tmp_path, network_path="network.json"))
         (tmp_path / "elsewhere").mkdir()
         monkeypatch.chdir(tmp_path / "elsewhere")
         net = PipelineRun(dataclasses.replace(config, steps=1), digest).network
         assert len(net.buses) == 40
+
+    def test_replaced_base_dir_moves_inputs_and_run_dir(self, tmp_path):
+        """The input paths and ``output_dir`` resolve by one rule, so a
+        config replaced onto another directory reads its inputs there and
+        writes its run directory there."""
+        study, other = tmp_path / "study", tmp_path / "other"
+        for directory, feeder in ((study, "feeder40.json"), (other, "feeder60.json")):
+            directory.mkdir()
+            shutil.copy(FIXTURES / feeder, directory / "net.json")
+        config, digest = load_run_config(write_config(
+            study, network_path="net.json", stations_path="stations.csv", output_dir="out"))
+        run = PipelineRun(dataclasses.replace(config, base_dir=str(other)), digest)
+        assert run.run_dir == other / "out" / f"run-{digest}"
+        assert len(run.network.buses) == 60
 
     def test_relative_paths_resolve_against_config(self, tmp_path):
         network = FIXTURES / "feeder40.json"

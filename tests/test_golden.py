@@ -13,11 +13,10 @@ the other way round, so the 8,760-step run covers the long-batch path and the
 
 import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
-from gridimpact.cli import load_run_config, main
+from gridimpact.cli import PipelineRun, load_run_config, main
 
 from test_cli import write_config
 
@@ -92,8 +91,7 @@ def flatten(doc: dict, prefix: str = "") -> dict:
 def test_pipeline_artifacts_match_golden(tmp_path, steps):
     config = write_config(tmp_path, steps=steps)
     assert main(["pipeline", "--config", str(config)]) == 0
-    cfg, digest = load_run_config(config)
-    run_dir = Path(cfg.output_dir) / f"run-{digest}"
+    run_dir = PipelineRun(*load_run_config(config)).run_dir
 
     hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
               for p in run_dir.iterdir() if p.name != "manifest.json"}
