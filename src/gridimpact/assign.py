@@ -8,13 +8,13 @@ loads are injected at unity power factor (kW only).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .config import check_finite
 from .netmodel import LoadPoint, NetworkModel
-from .stations import CapacityClass, EvStation, classify
+from .stations import EvStation
 
 __all__ = [
     "Assignment",
@@ -71,11 +71,12 @@ def _haversine_matrix(lat: Sequence[float], lon: Sequence[float],
 def assign_stations(
     stations: Iterable[EvStation],
     net: NetworkModel,
-    per_station_kw: Mapping[CapacityClass, float],
+    station_kw: Sequence[float],
 ) -> list[Assignment]:
-    """Assign every station's allocated kW to its nearest bus that carries a
-    LoadPoint. Buses are id-sorted and ``np.argmin`` keeps the first minimum,
-    so distance ties resolve to the smallest bus id."""
+    """Place ``station_kw[i]``, the kW allocated to the ``i``-th station, on
+    that station's nearest bus that carries a LoadPoint. Buses are id-sorted
+    and ``np.argmin`` keeps the first minimum, so distance ties resolve to the
+    smallest bus id."""
     load_bus_ids = {load.bus_id for load in net.loads}
     buses = [b for b in net.buses if b.id in load_bus_ids]
     if not buses:
@@ -83,6 +84,9 @@ def assign_stations(
     lats = np.array([b.lat for b in buses], dtype=np.float64)
     lons = np.array([b.lon for b in buses], dtype=np.float64)
     stations = list(stations)
+    if len(station_kw) != len(stations):
+        raise ValueError(f"station_kw holds {len(station_kw)} values for "
+                         f"{len(stations)} stations")
     block = max(1, _BLOCK_ELEMENTS // len(buses))
     assigned = []
     for lo in range(0, len(stations), block):
@@ -90,9 +94,9 @@ def assign_stations(
         distances = _haversine_matrix([s.lat for s in part], [s.lon for s in part], lats, lons)
         best = np.argmin(distances, axis=1)
         nearest = distances[np.arange(len(part)), best]
-        assigned += [Assignment(station_id=s.id, bus_id=buses[b].id, distance_m=d,
-                                assigned_kw=per_station_kw[classify(s.rated_kw)])
-                     for s, b, d in zip(part, best.tolist(), nearest.tolist())]
+        assigned += [Assignment(station_id=s.id, bus_id=buses[b].id, distance_m=d, assigned_kw=kw)
+                     for s, b, d, kw in zip(part, best.tolist(), nearest.tolist(),
+                                            station_kw[lo:lo + block])]
     return assigned
 
 

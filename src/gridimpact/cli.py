@@ -214,15 +214,19 @@ class PipelineRun:
 
     @_stage
     def stage_allocate(self) -> dict:
-        census = Counter(stations.classify(s.rated_kw) for s in self.stations)
+        """``census`` and ``allocations`` (kW per station of each class) for
+        the manifest, and ``station_kw``: each station's kW in registry order."""
+        classes = [stations.classify(s.rated_kw) for s in self.stations]
+        census = Counter(classes)
         allocations = stations.allocate_peak(self.stage_profile()["peak_kw"], census)
-        return {"census": census, "allocations": allocations}
+        return {"census": census, "allocations": allocations,
+                "station_kw": [allocations[c] for c in classes]}
 
     @_stage
     def stage_assign(self) -> list[Assignment]:
         from .assign import assign_stations
 
-        return assign_stations(self.stations, self.network, self.stage_allocate()["allocations"])
+        return assign_stations(self.stations, self.network, self.stage_allocate()["station_kw"])
 
     @_stage
     def stage_power(self) -> dict:

@@ -100,12 +100,13 @@ class DemandProfile:
     truncated: bool = False
 
     def __post_init__(self):
-        values = np.asarray(self.values_kw, dtype=np.float64)
+        # A copy, so freezing it leaves the caller's array writeable and a
+        # later write to that array cannot reach the profile.
+        values = np.array(self.values_kw, dtype=np.float64)
         samples = samples_per_day(self.dt_h)
         if values.shape != (samples,):
             raise ValueError(f"profile must span exactly 24 h as a 1-D series of {samples} "
                              f"samples at dt={self.dt_h}, not shape {values.shape}")
-        values = np.ascontiguousarray(values)
         values.setflags(write=False)
         object.__setattr__(self, "values_kw", values)
         if not np.isfinite(values).all():

@@ -320,6 +320,8 @@ def solve_batch(parent, child, z, s, v0, tol, max_iter):
         sa = _view(s_reg, n, rows.size)
         # Load rows are gathered in s's own layout into the current region,
         # free until the first iteration, and transposed from there in cache.
+        # Not s[start:stop].T.take(row_bus, axis=0, out=sa): take copies that
+        # non-contiguous view to the heap first, 1.32 MB over the 256 KiB bound.
         staged = s[start:stop].take(row_bus, axis=1, out=_view(i_reg, rows.size, n), mode="clip")
         np.copyto(sa, staged.T)
         va = _view(v_reg, n, rows.size)

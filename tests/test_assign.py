@@ -14,7 +14,7 @@ from gridimpact.assign import (
     inject_loads,
 )
 from gridimpact.netmodel import Bus, Line, LoadPoint, NetworkModel, Source
-from gridimpact.stations import CapacityClass, EvStation
+from gridimpact.stations import EvStation
 from gridimpact.synth import random_feeder
 
 import oracles
@@ -62,9 +62,6 @@ class TestHaversine:
         assert d_ac <= (d_ab + d_bc) * (1 + 1e-6) + 1e-6
 
 
-ALLOCATIONS = {c: float(c.weight) for c in CapacityClass}
-
-
 def load_bus_net(buses):
     """A star feeder with one load on each ``(id, lat, lon)`` of ``buses``,
     fed from a load-free source bus far away."""
@@ -79,7 +76,7 @@ def load_bus_net(buses):
 
 def nearest(s, buses):
     """``(bus id, distance_m)`` that ``assign_stations`` gives one station."""
-    (assignment,) = assign_stations([s], load_bus_net(buses), ALLOCATIONS)
+    (assignment,) = assign_stations([s], load_bus_net(buses), [1.0])
     return assignment.bus_id, assignment.distance_m
 
 
@@ -111,7 +108,7 @@ class TestNearestBus:
         net = load_bus_net([("b1", 37.0, -122.0)])
         net = NetworkModel(buses=net.buses, lines=net.lines, loads=(), source=net.source)
         with pytest.raises(ValueError, match="no candidate buses to assign stations to"):
-            assign_stations([station(37.0, -122.0)], net, ALLOCATIONS)
+            assign_stations([station(37.0, -122.0)], net, [1.0])
 
 
 def small_net():
@@ -245,15 +242,32 @@ class TestAssignStations:
         net = small_net()
         # nearest bus overall is b2, but only b1 carries a load
         stations = [station(37.02, -122.0, rated=40.0)]
-        result = assign_stations(stations, net, ALLOCATIONS)
+        result = assign_stations(stations, net, [1.0])
         assert result[0].bus_id == "b1"
-        assert result[0].assigned_kw == 1.0  # L1 weight
+        assert result[0].assigned_kw == 1.0
+
+    def test_each_station_keeps_the_kw_it_is_given(self):
+        """Two stations of one capacity class keep their own kW bit for bit:
+        the kW is placed as given, not looked up by class."""
+        stations = [station(37.02, -122.0, rated=7.2, sid="s1"),
+                    station(37.0, -122.0, rated=40.0, sid="s2")]
+        station_kw = [0.1 + 0.2, 1.0 / 3.0]
+        result = assign_stations(stations, small_net(), station_kw)
+        assert [struct.pack("<d", a.assigned_kw) for a in result] == [
+            struct.pack("<d", kw) for kw in station_kw]
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_station_kw_count_must_match_the_stations(self, count):
+        stations = [station(37.02, -122.0, sid="s1"), station(37.0, -122.0, sid="s2")]
+        with pytest.raises(ValueError,
+                           match=f"^station_kw holds {count} values for 2 stations$"):
+            assign_stations(stations, small_net(), [1.0] * count)
 
     def test_candidates_are_exactly_the_load_buses(self, feeder40):
         """A station on every bus of the feeder lands on every bus that
         carries a load, and on no other."""
         stations = [station(b.lat, b.lon, sid=f"s{b.id}") for b in feeder40.buses]
-        result = assign_stations(stations, feeder40, ALLOCATIONS)
+        result = assign_stations(stations, feeder40, [1.0] * len(stations))
         assert {a.bus_id for a in result} == {load.bus_id for load in feeder40.loads}
 
     def test_distance_tie_goes_to_smallest_load_bus_id(self):
@@ -269,7 +283,7 @@ class TestAssignStations:
             source=Source("b0", 1.0),
         )
         assert haversine((0.0, 0.0), (0.0, 0.01)) == haversine((0.0, 0.0), (0.0, -0.01))
-        result = assign_stations([station(0.0, 0.0)], net, ALLOCATIONS)
+        result = assign_stations([station(0.0, 0.0)], net, [1.0])
         assert result[0].bus_id == "b1"
         assert result[0].distance_m == haversine((0.0, 0.0), (0.0, -0.01))
 
@@ -282,19 +296,21 @@ class TestAssignStations:
     @settings(max_examples=100, deadline=None)
     def test_equals_per_station_nearest_bus(self, spread, mirrored, sites, block, data):
         """All stations matched at once, in blocks of ``block`` distances,
-        equal the smallest ``(haversine, id)`` pair per station bit for bit.
-        Buses mirrored about longitude 0 tie exactly for a station on it."""
+        equal the smallest ``(haversine, id)`` pair per station bit for bit,
+        and each keeps its own kW. Buses mirrored about longitude 0 tie
+        exactly for a station on it."""
         points = spread + [p for lat, d in mirrored for p in ((lat, d), (lat, -d))]
         ids = data.draw(st.permutations([f"b{i:02d}" for i in range(len(points))]))
         buses = [(bid, lat, lon) for bid, (lat, lon) in zip(ids, points)]
         stations = [station(lat, lon, sid=f"s{i}") for i, (lat, lon) in enumerate(sites)]
+        station_kw = [i / 3 for i in range(len(stations))]
         with mock.patch.object(assign, "_BLOCK_ELEMENTS", block):
-            result = assign_stations(stations, load_bus_net(buses), ALLOCATIONS)
+            result = assign_stations(stations, load_bus_net(buses), station_kw)
         assert len(result) == len(stations)
-        for got, s in zip(result, stations):
+        for got, s, kw in zip(result, stations, station_kw):
             distance_m, bus_id = min((haversine((s.lat, s.lon), (lat, lon)), bid)
                                      for bid, lat, lon in buses)
-            assert (got.station_id, got.bus_id) == (s.id, bus_id)
+            assert (got.station_id, got.bus_id, got.assigned_kw) == (s.id, bus_id, kw)
             assert struct.pack("<d", got.distance_m) == struct.pack("<d", distance_m)
 
     def test_csv_round_trip_columns(self):

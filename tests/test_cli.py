@@ -637,6 +637,33 @@ class TestPipeline:
         assert delta == pytest.approx(manifest["assigned_total_kw"], rel=1e-9)
         assert manifest["assigned_total_kw"] == pytest.approx(130_000.0, rel=1e-9)
 
+    def test_each_station_is_classified_once(self, tmp_path, monkeypatch):
+        """The allocate stage classifies each of the 951 stations once, and
+        its ``station_kw`` gives each its class share in registry order: the
+        kW that assign places without classifying again."""
+        # assign is imported first, so that a classify imported into it by
+        # name is wrapped and counted as well
+        from gridimpact import assign, stations  # noqa: F401
+
+        classify, calls = stations.classify, []
+
+        def counting(rated_kw):
+            calls.append(rated_kw)
+            return classify(rated_kw)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "gridimpact" and vars(module).get("classify") is classify:
+                monkeypatch.setattr(module, "classify", counting)
+        config = write_config(tmp_path)
+        assert main(["pipeline", "--config", str(config)]) == 0
+        assert len(calls) == 951
+
+        run = PipelineRun(*load_run_config(config))
+        allocate = run.stage_allocate()
+        assert allocate["station_kw"] == [allocate["allocations"][classify(s.rated_kw)]
+                                          for s in run.stations]
+        assert [a.assigned_kw for a in run.stage_assign()] == allocate["station_kw"]
+
     def test_ampacity_threshold_keeps_the_lines_rated_above_it(self, tmp_path):
         """At 300 A only the 21 feeder40 lines rated 400 or 600 A keep their
         flow and loss records, the flow histogram counts those alone, the GeoJSON

@@ -387,6 +387,17 @@ class TestDemandProfileInvariants:
         with pytest.raises(ValueError):
             p.values_kw[0] = 1.0
 
+    def test_values_are_a_copy_of_the_callers_array(self):
+        """The profile freezes its own copy: the caller's array stays
+        writeable, and a later write to it does not reach the profile."""
+        given_kw = np.ones(24)
+        p = DemandProfile(dt_h=1.0, values_kw=given_kw)
+        assert given_kw.flags.writeable
+        given_kw[3] = 5.0
+        assert p.values_kw.tolist() == [1.0] * 24
+        with pytest.raises(ValueError):
+            p.values_kw[3] = 5.0
+
     def test_energy_is_derived_not_declared(self):
         assert [f.name for f in dataclasses.fields(DemandProfile)] == [
             "dt_h", "values_kw", "truncated"]

@@ -79,9 +79,9 @@ class TestExport:
         from gridimpact.assign import assign_stations, inject_loads
         from gridimpact.stations import allocate_peak, classify
 
-        census = Counter(classify(s.rated_kw) for s in stations951)
-        allocations = allocate_peak(130_000.0, census)
-        assignments = assign_stations(stations951, feeder40, allocations)
+        classes = [classify(s.rated_kw) for s in stations951]
+        allocations = allocate_peak(130_000.0, Counter(classes))
+        assignments = assign_stations(stations951, feeder40, [allocations[c] for c in classes])
         before = solve_snapshot(feeder40)
         after = solve_snapshot(inject_loads(feeder40, assignments)[0])
         records = build_records(before, after, Metric.FLOW)
