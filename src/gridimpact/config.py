@@ -35,14 +35,6 @@ class ChargingStrategy(Enum):
     DELAYED_FINISH_BY_DEPARTURE = "delayed_finish_by_departure"
     DELAYED_START_MIDNIGHT = "delayed_start_midnight"
 
-    @classmethod
-    def parse(cls, token: str) -> "ChargingStrategy":
-        try:
-            return cls(token)
-        except ValueError:
-            valid = ", ".join(s.value for s in cls)
-            raise ValueError(
-                f"unknown charging strategy {token!r} (expected one of: {valid})") from None
 
 
 def check_finite(record, *names: str) -> None:

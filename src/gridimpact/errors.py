@@ -11,6 +11,7 @@ reader puts the input and the record in front: ``<input> <path>: <record>:
 from __future__ import annotations
 
 import dataclasses
+import enum
 import functools
 import json
 import reprlib
@@ -167,9 +168,19 @@ def _field_reader(hint, name: str):
         (inner,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
         read_inner = _field_reader(inner, name)
         return lambda value, where: None if value is None else read_inner(value, where)
-    if hasattr(hint, "parse"):  # an enum such as ChargingStrategy, named by a string
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):  # named by its value, as written
         read_token = _field_reader(str, name)
-        return lambda value, where: hint.parse(read_token(value, where))
+        kind = "".join(f" {c.lower()}" if c.isupper() else c for c in hint.__name__).lstrip()
+        valid = ", ".join(member.value for member in hint)
+
+        def read_member(value, where):
+            token = read_token(value, where)
+            try:
+                return hint(token)
+            except ValueError:
+                raise ValueError(f"unknown {kind} {token!r} (expected one of: {valid})") from None
+
+        return read_member
     # A nested record's schema is built with the outer one, so a field type
     # without a reader fails here, not as a fault of some input.
     if dataclasses.is_dataclass(hint):
@@ -205,10 +216,11 @@ def _record_schema(cls) -> tuple[dict, tuple[str, ...]]:
 def read_record(cls, obj, where: str):
     """Build dataclass ``cls`` from a decoded JSON object; its field annotations
     and defaults are the schema. No unknown or missing keys; ``float`` is finite
-    and never a bool, ``int`` an integer, ``X | None`` also null; enums go through
-    ``parse``, dataclasses recurse, ``tuple[Record, ...]`` reads an array whose
-    errors name each record's ``kind`` and ``id`` after ``where``. Range checks
-    stay in ``__post_init__``, which raises ``ValueError``. Every error is a
+    and never a bool, ``int`` an integer, ``X | None`` also null; an ``Enum``
+    is the member whose value is the string as written, dataclasses recurse,
+    ``tuple[Record, ...]`` reads an array whose errors name each record's
+    ``kind`` and ``id`` after ``where``. Range checks stay in
+    ``__post_init__``, which raises ``ValueError``. Every error is a
     ``SchemaError`` starting with ``where``."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
@@ -225,7 +237,7 @@ def read_record(cls, obj, where: str):
                               f"expected {exc}, got {reprlib.repr(value)}") from None
         except SchemaError:
             raise
-        except ValueError as exc:  # an enum's parse
+        except ValueError as exc:  # an unknown enum token
             raise SchemaError(f"{where}: field '{name}': {exc}") from None
     for name in required:
         if name not in kwargs:

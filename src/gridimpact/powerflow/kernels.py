@@ -48,7 +48,8 @@ currents need no array of their own.
   below ``|re(v)|``, so the test takes each column's smallest real part
   first (``np.fmin`` skips NaN, so a column is picked exactly when some
   ``re(v)`` is under the floor) and computes ``|v|`` only for the picked
-  columns, gathered into the spent voltage buffer and overwritten there;
+  columns, gathered into the spent voltage buffer (numpy takes their
+  ``|v|`` through 8 heap bytes per bus and column, ROADMAP item 5);
   NaN and ±inf decide as on ``|v|``, and the collapse bus is the first bus
   under the floor.
 - Exits: rows that converge, collapse or run out of iterations are copied
@@ -355,7 +356,7 @@ def solve_batch(parent, child, z, s, v0, tol, max_iter):
             iters[rows] += 1
 
             # |v| >= |re(v)|: |v| only of columns with some re(v) under the
-            # floor, in place in the spent voltage region (fmin skips NaN).
+            # floor, gathered into the spent voltage region (fmin skips NaN).
             maybe = np.flatnonzero(np.fmin.reduce(va.real, axis=0) < COLLAPSE_FLOOR_PU)
             collapsed = np.zeros(width, dtype=bool)
             if maybe.size:

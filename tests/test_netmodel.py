@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import enum
 import json
 import math
 import random
@@ -160,6 +161,32 @@ class TestParse:
         document = {"record": {"ids": []}, "records": [{"ids": []}]}
         with pytest.raises(TypeError, match="^no JSON reader for field type <class 'set'>$"):
             read_record(Outer, {nested: document[nested]}, "doc")
+
+    def test_enum_field_reads_member_by_value(self):
+        """Any ``Enum`` field reads the member whose value is the string as
+        written, with no reader code of its own; an unknown token names the
+        field, the token and every value in definition order."""
+        class FeederPlacement(enum.Enum):
+            DISTRIBUTED = "distributed"
+            CENTRALISED = "centralised"
+
+        @dataclasses.dataclass(frozen=True)
+        class Study:
+            placement: FeederPlacement
+            backup: FeederPlacement | None = None
+
+        study = read_record(Study, {"placement": "centralised", "backup": None}, "study")
+        assert study.placement is FeederPlacement.CENTRALISED and study.backup is None
+        assert read_record(Study, {"placement": "distributed", "backup": "centralised"},
+                           "study").backup is FeederPlacement.CENTRALISED
+        for token in ("Centralised", " centralised", "CENTRALISED"):
+            with pytest.raises(SchemaError, match="^" + re.escape(
+                    f"study: field 'placement': unknown feeder placement {token!r} "
+                    "(expected one of: distributed, centralised)") + "$"):
+                read_record(Study, {"placement": token}, "study")
+        with pytest.raises(SchemaError, match="^study: field 'backup' has wrong type: "
+                                              "expected a string, got 1$"):
+            read_record(Study, {"placement": "distributed", "backup": 1}, "study")
 
     def test_coordinate_bounds_enforced(self, minimal_doc):
         minimal_doc["buses"][0]["lat"] = 95.0
