@@ -8,6 +8,11 @@ from gridimpact.stations import load_stations
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# test_cli.py's validate classes inherit their numpy-free cases from this
+# module, which pytest would otherwise import without its assert rewriting
+pytest.register_assert_rewrite("validate_cases")
+
+
 @pytest.fixture(scope="session")
 def feeder40():
     return load_network(FIXTURES / "feeder40.json")

@@ -10,13 +10,12 @@ import json
 import math
 import time
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gridimpact.assign import Assignment, inject_loads
-from gridimpact.cli import PipelineRun, load_run_config, main
+from gridimpact.cli import main
 from gridimpact.evfleet import ChargingStrategy, Cohort, Location, cohort_profile, find_peak
 from gridimpact.impact import Category, categorize
 from gridimpact.powerflow import SolverConfig, run_qsts, solve_snapshot
@@ -24,8 +23,8 @@ from gridimpact.stations import CapacityClass, allocate_peak
 from gridimpact.synth import random_feeder
 
 from oracles import newton_solve, two_bus_closed_form
+from validate_cases import run_dir_of, write_config
 
-FIXTURES = Path(__file__).parent / "fixtures"
 REFERENCE_CENSUS = Counter({CapacityClass.L1: 895, CapacityClass.L2: 24,
                             CapacityClass.L3: 18, CapacityClass.L4: 14})
 
@@ -182,31 +181,6 @@ def test_criterion_6_demand_model_properties():
         assert np.all(midnight.values_kw[first_idle:] == 0.0), case
 
 
-SCENARIO = {
-    "fleet_size": 1000, "avg_daily_miles": 25, "ambient_temp_f": 80,
-    "bev_share": 0.5, "sedan_share": 0.5, "work_mix_l1": 0.5,
-    "home_access": 1.0, "home_mix_l1": 0.5, "home_preference": 0.8,
-    "home_strategy": "immediate_slow", "work_strategy": "immediate_fast",
-}
-
-
-def pipeline_config(tmp_path, steps=24):
-    doc = {
-        "network_path": str(FIXTURES / "feeder40.json"),
-        "stations_path": str(FIXTURES / "stations951.csv"),
-        "scenario": dict(SCENARIO),
-        "solver": {"tol_pu": 1e-6, "max_iter": 50},
-        "peak_kw_override": 130_000.0,
-        "ampacity_threshold_a": 0.0,
-        "output_dir": str(tmp_path / "out"),
-        "dt_h": 1.0,
-        "steps": steps,
-    }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
-    return path, PipelineRun(*load_run_config(path)).run_dir
-
-
 def read_snapshot_csv(path):
     with open(path, newline="") as handle:
         return {row["line_id"]: row for row in csv.DictReader(handle)}
@@ -233,7 +207,8 @@ def independent_category(pct: float) -> str:
 
 @criterion(7, "fixture pipeline impact records survive independent recomputation")
 def test_criterion_7_pipeline_recomputation(tmp_path):
-    config_path, run_dir = pipeline_config(tmp_path)
+    config_path = write_config(tmp_path)
+    run_dir = run_dir_of(config_path)
     assert main(["pipeline", "--config", str(config_path)]) == 0
 
     before = read_snapshot_csv(run_dir / "before_snapshot.csv")
@@ -273,7 +248,8 @@ def test_criterion_7_pipeline_recomputation(tmp_path):
 
 @criterion(8, "GeoJSON export validates, uses only the five colors, reruns byte-identical")
 def test_criterion_8_geojson_goldens(tmp_path):
-    config_path, run_dir = pipeline_config(tmp_path)
+    config_path = write_config(tmp_path)
+    run_dir = run_dir_of(config_path)
     assert main(["pipeline", "--config", str(config_path)]) == 0
     geojson_path = run_dir / "network_styled.geojson"
     first = geojson_path.read_bytes()
@@ -333,9 +309,10 @@ def test_criterion_10_pipeline_budget(tmp_path):
     (Python 3.11, numpy 2.4); the bound leaves about 8x headroom."""
     warmup = tmp_path / "warmup"
     warmup.mkdir()
-    assert main(["pipeline", "--config", str(pipeline_config(warmup)[0])]) == 0
+    assert main(["pipeline", "--config", str(write_config(warmup))]) == 0
 
-    config_path, run_dir = pipeline_config(tmp_path, steps=8760)
+    config_path = write_config(tmp_path, steps=8760)
+    run_dir = run_dir_of(config_path)
     start = time.perf_counter()
     code = main(["pipeline", "--config", str(config_path)])
     elapsed = time.perf_counter() - start

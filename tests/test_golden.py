@@ -18,7 +18,7 @@ import pytest
 
 from gridimpact.cli import PipelineRun, load_run_config, main
 
-from test_cli import write_config
+from validate_cases import write_config
 
 # Every artifact except manifest.json, by step count.
 GOLDEN_SHA256 = {
